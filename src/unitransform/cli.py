@@ -3,7 +3,8 @@
 One request per invocation.  Exit status 0 on success, 1 on validation
 errors, 2 on numerical errors (divergence, aliasing, and truncation
 warnings are escalated to failures).  Each failure prints a single
-machine-parsable line ``error: <category>: <message>`` on stderr.
+machine-parsable line ``error: <category>: <message>`` on stderr; every
+other warning prints ``warning: <Category>: <message>``.
 
 Outputs are deterministic byte-for-byte: fixed field order, floats with
 17 significant digits, no timestamps.  Every output embeds the request
@@ -239,20 +240,22 @@ def _cmd_ft(args) -> dict:
     )
 
 
-def _require_input_only(args, command: str) -> None:
+def _stored_spectrum(args, kind: type, convention: str):
+    """The spectrum in the --input file; it must be a ``kind`` spectrum."""
     if getattr(args, "expr", None) is not None:
-        raise UsageError(f"{command} reads a stored spectrum; --expr is not accepted")
+        raise UsageError(f"{args.command} reads a stored spectrum; --expr is not accepted")
     if args.input is None:
-        raise UsageError(f"{command} needs --input")
+        raise UsageError(f"{args.command} needs --input")
+    spectrum = io.load_spectrum(args.input)
+    if not isinstance(spectrum, kind):
+        raise UsageError(f"{args.command} needs a spectrum with convention {convention}")
+    return spectrum
 
 
 def _cmd_ift(args) -> dict:
-    _require_input_only(args, "ift")
-    spectrum = io.load_spectrum(args.input)
-    if not isinstance(spectrum, ContinuousSpectrum):
-        raise UsageError("ift needs a spectrum with convention paper-fourier")
+    spectrum = _stored_spectrum(args, ContinuousSpectrum, "paper-fourier")
     x_grid = _grid_from_flags("x", args.x_min, args.x_max, args.x_step)
-    fn = inverse_ft(spectrum, x_grid, _quad_spec(args))
+    fn = inverse_ft(spectrum, x_grid)
     return io.function_payload(fn, _echo(args, ["x-min", "x-max", "x-step"]))
 
 
@@ -276,10 +279,7 @@ def _cmd_lt(args) -> dict:
 
 
 def _cmd_ilt(args) -> dict:
-    _require_input_only(args, "ilt")
-    spectrum = io.load_spectrum(args.input)
-    if not isinstance(spectrum, LaplaceSpectrum):
-        raise UsageError("ilt needs a spectrum with convention laplace-line")
+    spectrum = _stored_spectrum(args, LaplaceSpectrum, "laplace-line")
     value = bromwich_inverse_from_samples(spectrum, args.t)
     meta = _echo(args, ["t"])
     meta["imag_residual"] = abs(value.imag)
@@ -308,11 +308,8 @@ def _cmd_flt(args) -> dict:
 
 
 def _cmd_iflt(args) -> dict:
-    _require_input_only(args, "iflt")
-    spectrum = io.load_spectrum(args.input)
-    if not isinstance(spectrum, FourierLaplaceSpectrum):
-        raise UsageError("iflt needs a spectrum with convention fourier-laplace")
-    value = inverse_fl(spectrum, args.x, args.t, _quad_spec(args))
+    spectrum = _stored_spectrum(args, FourierLaplaceSpectrum, "fourier-laplace")
+    value = inverse_fl(spectrum, args.x, args.t)
     meta = _echo(args, ["x", "t"])
     meta["imag_residual"] = abs(value.imag)
     return io.value_payload(value, meta)
@@ -412,11 +409,10 @@ def _cmd_roundtrip(args) -> dict:
     if args.expr is None:
         raise UsageError("roundtrip needs --expr")
     f = _function_of_x(args)
-    spec = _quad_spec(args)
     lam_grid = _grid_from_flags("lambda", args.lambda_min, args.lambda_max, args.lambda_step)
     x_grid = _grid_from_flags("x", args.x_min, args.x_max, args.x_step)
-    spectrum = forward_ft(f, lam_grid, args.A, spec)
-    recovered = inverse_ft(spectrum, x_grid, spec)
+    spectrum = forward_ft(f, lam_grid, args.A, _quad_spec(args))
+    recovered = inverse_ft(spectrum, x_grid)
     reference = np.asarray(f(x_grid.points), dtype=complex)
     sup_error = float(np.max(np.abs(recovered.values - reference)))
     fields = {
@@ -573,8 +569,11 @@ def run(args: argparse.Namespace) -> int:
             warnings.simplefilter("always")
             payload = _HANDLERS[args.command](args)
         for w in caught:
-            if issubclass(w.category, TruncationWarning):
-                raise QuadratureError(str(w.message))
+            if not issubclass(w.category, TruncationWarning):
+                _report("warning", w.category.__name__, w.message)
+        truncated = [str(w.message) for w in caught if issubclass(w.category, TruncationWarning)]
+        if truncated:
+            raise QuadratureError(truncated[0])
         passed = bool(payload.get("passed", True))
         data = io.to_csv_bytes(payload) if args.format == "csv" else io.to_json_bytes(payload)
         if args.output:
@@ -584,20 +583,20 @@ def run(args: argparse.Namespace) -> int:
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()
         if not passed:
-            _fail("numerical", "verification check failed; see the report output")
+            _report("error", "numerical", "verification check failed; see the report output")
             return 2
         return 0
     except (UsageError, ParseError, ContractViolationError) as exc:
-        _fail("validation", str(exc))
+        _report("error", "validation", str(exc))
         return 1
     except (QuadratureError, AliasingError, EvaluationError) as exc:
-        _fail("numerical", str(exc))
+        _report("error", "numerical", str(exc))
         return 2
 
 
-def _fail(category: str, message: str) -> None:
+def _report(kind: str, category: str, message) -> None:
     line = " ".join(str(message).split())
-    print(f"error: {category}: {line}", file=sys.stderr)
+    print(f"{kind}: {category}: {line}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -605,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        _fail("validation", str(exc))
+        _report("error", "validation", str(exc))
         return 1
     return run(args)
 

@@ -18,7 +18,7 @@ class QuadratureError(UniTransformError):
 
 
 class DivergenceError(QuadratureError):
-    """A half-line integrand grows toward the truncation point."""
+    """A half-line integrand does not decay toward the truncation point."""
 
 
 class AliasingError(UniTransformError):

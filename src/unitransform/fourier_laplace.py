@@ -7,28 +7,33 @@ its 1/(2*pi) on the contour factor only.  Under this split the
 composition of the two 1-D pairs is an exact identity on separable
 functions.
 
-Inversion applies the contour sum in s first, then the inverse Fourier
-sum in lam.  Grids obey the same anti-aliasing and contour-step bounds
-as the 1-D modules, and truncation warnings are reported per axis.
+Both forward axes are :func:`numerics.exp_sum` calls.  Inversion applies
+the contour sum in s first, then the inverse Fourier sum in lam.  Grids
+obey the same guards as the 1-D modules, reported per axis: the aliasing
+bound of :mod:`fourier_transform`, the contour step and endpoint checks
+of :mod:`laplace`, and the half-line check of :mod:`numerics`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, ContractViolationError, DivergenceError, EvaluationError, TruncationWarning
-from .fourier_transform import ALIASING_PHASE_BOUND
-from .laplace import CONTOUR_ENDPOINT_RATIO, CONTOUR_STEP
-from .numerics import Grid, QuadratureSpec, composite_gauss_nodes, oscillation_panels
-
-DEFAULT_ORDER = 10
-# Tau chunk width for the kernel matrix; bounds peak memory near 100 MB
-# at contour heights of a few hundred.
-_TAU_CHUNK = 256
+from .errors import ContractViolationError
+from .fourier_transform import _check_aliasing
+from .laplace import _check_contour_ends, _contour_step
+from .numerics import (
+    DEFAULT_SPEC,
+    Grid,
+    QuadratureSpec,
+    _check_decay,
+    _eval_integrand,
+    composite_gauss_nodes,
+    exp_sum,
+    oscillation_panels,
+)
 
 
 @dataclass(frozen=True)
@@ -50,23 +55,6 @@ class FourierLaplaceSpectrum:
         object.__setattr__(self, "values", vals)
 
 
-def _eval_grid(f, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate f on the outer product of x and t nodes, vectorized when possible."""
-    try:
-        out = np.asarray(f(x[:, None], t[None, :]), dtype=complex)
-        if out.shape != (x.size, t.size):
-            raise TypeError
-    except (TypeError, ValueError):
-        out = np.array([[complex(f(float(xv), float(tv))) for tv in t] for xv in x])
-    bad = ~np.isfinite(out)
-    if bad.any():
-        i, j = np.unravel_index(np.argmax(bad), out.shape)
-        raise EvaluationError(
-            f"function returned a non-finite value at (x, t) = ({x[i]!r}, {t[j]!r})"
-        )
-    return out
-
-
 def forward_fl(
     f,
     lambda_grid: Grid,
@@ -85,65 +73,35 @@ def forward_fl(
     A, X = (float(truncations[0]), float(truncations[1]))
     if not (A > 0 and X > 0):
         raise ContractViolationError("truncations (A, X) must both be > 0")
-    order = spec.order if spec is not None else DEFAULT_ORDER
+    order = (spec or DEFAULT_SPEC).order
     lams = lambda_grid.points
-    taus = tau_grid.points
-
-    x_nodes, x_weights = composite_gauss_nodes(
-        -A, A, order, oscillation_panels(float(np.max(np.abs(lams)) if lams.size else 0.0), -A, A)
-    )
-    t_panels = oscillation_panels(float(np.max(np.abs(taus)) if taus.size else 0.0), 0.0, X)
+    x_panels = oscillation_panels(float(np.max(np.abs(lams))), -A, A)
+    x_nodes, x_weights = composite_gauss_nodes(-A, A, order, x_panels)
+    t_panels = oscillation_panels(float(np.max(np.abs(tau_grid.points))), 0.0, X)
     t_nodes, t_weights = composite_gauss_nodes(0.0, X, order, t_panels)
 
-    # Half-line divergence check along the t axis, at the x profile peak.
-    end_profile = np.max(np.abs(_eval_grid(f, x_nodes, np.array([X / 2.0, X]))), axis=0)
-    if end_profile[1] > end_profile[0]:
-        raise DivergenceError(
-            f"t axis: function grows toward the truncation point X={X:g} "
-            f"(|f| rises from {end_profile[0]:.3e} to {end_profile[1]:.3e})"
-        )
+    def f_on(t: np.ndarray) -> np.ndarray:
+        return _eval_integrand(f, *np.broadcast_arrays(x_nodes[:, None], t[None, :]), at="x,t")
 
-    # Inner x integrals: G(lam, t_m) = (1/2pi) sum_j wx_j f(x_j, t_m) e^{i lam x_j}
-    analysis = np.exp(1j * np.outer(lams, x_nodes)) * x_weights[None, :]
+    # Half-line divergence check along the t axis, at the x profile peak.
+    _check_decay(np.max(np.abs(f_on(np.array([X / 2.0, X]))), axis=0), X, "t axis: ")
+
+    # Inner x integrals: G(lam, t_m) = (1/2pi) sum_j wx_j f(x_j, t_m) e^{i lam x_j},
+    # with f evaluated on about 1e6 (x, t) points at a time.
     G = np.empty((lams.size, t_nodes.size), dtype=complex)
-    t_block = max(1, int(4e6 // max(1, x_nodes.size)))
+    t_block = max(1, int(1e6 // x_nodes.size))
     for start in range(0, t_nodes.size, t_block):
-        stop = min(start + t_block, t_nodes.size)
-        G[:, start:stop] = analysis @ _eval_grid(f, x_nodes, t_nodes[start:stop])
+        weighted = f_on(t_nodes[start:start + t_block]).T * x_weights
+        G[:, start:start + t_block] = exp_sum(weighted, x_nodes, lambda_grid, 1).T
     G /= 2.0 * math.pi
 
-    # Outer t integrals for every s = sigma + i*tau, built in tau chunks.
-    damped = G * (t_weights * np.exp(-sigma * t_nodes))[None, :]
-    values = np.empty((lams.size, taus.size), dtype=complex)
-    uniform_ratio = (
-        np.exp(-1j * tau_grid.spacing * t_nodes)
-        if tau_grid.kind == "uniform" and taus.size > 1
-        else None
-    )
-    for start in range(0, taus.size, _TAU_CHUNK):
-        stop = min(start + _TAU_CHUNK, taus.size)
-        if uniform_ratio is None:
-            kernel = np.exp(-1j * np.outer(t_nodes, taus[start:stop]))
-        else:
-            # Columns advance by a constant phase on a uniform grid; each
-            # chunk restarts from a fresh exponential so rounding cannot drift.
-            kernel = np.empty((t_nodes.size, stop - start), dtype=complex)
-            col = np.exp(-1j * taus[start] * t_nodes)
-            for j in range(stop - start):
-                kernel[:, j] = col
-                col = col * uniform_ratio
-        values[:, start:stop] = damped @ kernel
-    return FourierLaplaceSpectrum(
-        lambda_grid=lambda_grid, sigma=sigma, tau_grid=tau_grid, values=values
-    )
+    # Outer t integrals for every s = sigma + i*tau, on the damped G.
+    G *= t_weights * np.exp(-sigma * t_nodes)
+    values = exp_sum(G, t_nodes, tau_grid, -1)
+    return FourierLaplaceSpectrum(lambda_grid, sigma, tau_grid, values)
 
 
-def inverse_fl(
-    spectrum: FourierLaplaceSpectrum,
-    x: float,
-    t: float,
-    spec: QuadratureSpec | None = None,
-) -> complex:
+def inverse_fl(spectrum: FourierLaplaceSpectrum, x: float, t: float) -> complex:
     """Invert a 2-D spectrum at a single point (x, t), t > 0.
 
     The contour sum over s runs innermost with prefactor 1/(2*pi); the
@@ -151,38 +109,20 @@ def inverse_fl(
     fine enough: the lambda step obeys the pi/4 phase bound at |x| and
     the tau step obeys the contour bound for t.
     """
-    if not t > 0:
-        raise ContractViolationError("evaluation time t must be > 0")
     lam_grid = spectrum.lambda_grid
     tau_grid = spectrum.tau_grid
     if lam_grid.kind != "uniform" or tau_grid.kind != "uniform":
         raise ContractViolationError("inverse transform requires uniform spectrum grids")
     if len(lam_grid) < 2 or len(tau_grid) < 3:
         raise ContractViolationError("spectrum grids are too small to invert")
-    if abs(x) * lam_grid.spacing > ALIASING_PHASE_BOUND:
-        raise AliasingError(
-            f"lambda axis: step {lam_grid.spacing:.6g} too coarse for x={x:g}"
-        )
-    step_bound = min(CONTOUR_STEP, math.pi / (8.0 * t))
-    if tau_grid.spacing > step_bound * (1 + 1e-9):
-        raise AliasingError(
-            f"s axis: contour step {tau_grid.spacing:.6g} exceeds the bound "
-            f"{step_bound:.6g} for t={t:g}"
-        )
+    _contour_step(t, tau_grid.spacing, "s axis: ")
+    _check_aliasing(lam_grid.spacing, abs(x), "lambda axis: ")
 
     s = spectrum.sigma + 1j * tau_grid.points
     contour_factor = np.exp(s * t) * tau_grid.trapezoid_weights()
-    profile = np.max(np.abs(spectrum.values), axis=0)
-    peak = float(np.max(profile))
-    ends = max(profile[0], profile[-1])
-    if peak > 0 and ends > CONTOUR_ENDPOINT_RATIO * peak:
-        warnings.warn(
-            TruncationWarning(
-                f"s axis: spectrum at the contour endpoints is {ends / peak:.2e} of its "
-                "peak; extend the tau grid for full accuracy"
-            ),
-            stacklevel=2,
-        )
+    # |e^{st}| is constant along the line, so the stored spectrum's profile
+    # decides whether the contour was truncated.
+    _check_contour_ends(np.max(np.abs(spectrum.values), axis=0), "s axis: ", stacklevel=3)
     per_lambda = (spectrum.values @ contour_factor) / (2.0 * math.pi)
     fourier_factor = np.exp(-1j * lam_grid.points * x) * lam_grid.trapezoid_weights()
     return complex(np.dot(per_lambda, fourier_factor))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, ContractViolationError
-from .numerics import Grid, QuadratureSpec, SampledFunction, integrate, oscillation_panels
+from .numerics import Grid, QuadratureSpec, SampledFunction, exp_sum, integrate, oscillation_panels
 
 # Largest tolerable phase advance per grid step in the inverse transform.
 ALIASING_PHASE_BOUND = math.pi / 4
@@ -71,11 +71,16 @@ def forward_ft(
     return ContinuousSpectrum(lambda_grid=lambda_grid, values=values)
 
 
-def inverse_ft(
-    spectrum: ContinuousSpectrum,
-    x_grid: Grid,
-    spec: QuadratureSpec | None = None,
-) -> SampledFunction:
+def _check_aliasing(step: float, x_max: float, axis: str = "") -> None:
+    """Reject an inverse sum whose phase advance per frequency step exceeds pi/4."""
+    if x_max * step > ALIASING_PHASE_BOUND:
+        raise AliasingError(
+            f"{axis}frequency step {step:.6g} too coarse for |x| up to {x_max:.6g}: "
+            f"step * |x| = {x_max * step:.6g} exceeds pi/4"
+        )
+
+
+def inverse_ft(spectrum: ContinuousSpectrum, x_grid: Grid) -> SampledFunction:
     """f(x) = integral of F(lam) exp(-i*lam*x) d lam over the spectrum grid.
 
     No 1/(2*pi) factor appears here; it lives in the forward direction.
@@ -88,17 +93,9 @@ def inverse_ft(
         raise ContractViolationError("spectrum grid needs at least two points")
     if spectrum.lambda_grid.kind != "uniform":
         raise ContractViolationError("inverse transform requires a uniform frequency grid")
-    step = spectrum.lambda_grid.spacing
-    x_max = float(np.max(np.abs(x_grid.points)))
-    if x_max * step > ALIASING_PHASE_BOUND:
-        raise AliasingError(
-            f"frequency step {step:.6g} too coarse for |x| up to {x_max:.6g}: "
-            f"step * |x| = {x_max * step:.6g} exceeds pi/4"
-        )
+    _check_aliasing(spectrum.lambda_grid.spacing, float(np.max(np.abs(x_grid.points))))
     w = spectrum.lambda_grid.trapezoid_weights()
-    phases = np.exp(-1j * np.outer(x_grid.points, lams))
-    values = phases @ (w * spectrum.values)
-    return SampledFunction(grid=x_grid, values=values)
+    return SampledFunction(x_grid, exp_sum(w * spectrum.values, lams, x_grid, -1))
 
 
 def dirichlet_delta(a: float, A: float) -> float:

@@ -1,13 +1,16 @@
 """Laplace transform, truncated contour inversion, and growth-rate tools.
 
 The forward transform is the half-line integral of f(x) exp(-s*x) with a
-truncation point and a tail estimate.  Inversion integrates along the
-vertical line Re(s) = sigma, truncated at height T, with uniform
-quadrature in the imaginary coordinate; there is no contour deformation
-or series acceleration, so convergence in T is slow (O(1/T)) whenever
-the transform decays like 1/s.  A :class:`TruncationWarning` is emitted
-when the contour integrand has not decayed to 1e-6 of its peak at the
-endpoints.
+truncation point and a tail estimate; a whole line of s values is one
+:func:`numerics.exp_sum`.  Inversion integrates along the vertical line
+Re(s) = sigma, truncated at height T, with uniform quadrature in the
+imaginary coordinate; there is no contour deformation or series
+acceleration, so convergence in T is slow (O(1/T)) whenever the
+transform decays like 1/s.  The contour guards, shared with
+:mod:`fourier_laplace`, live here: :func:`_contour_step` (a coarser
+stored contour raises :class:`AliasingError`) and :func:`_check_contour_ends`
+(a :class:`TruncationWarning` when the integrand at the endpoints exceeds
+1e-6 of its peak).
 
 The evaluation line matters: the inversion is only valid for sigma above
 the abscissa of convergence of the original function, which
@@ -23,19 +26,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AliasingError,
     ContractViolationError,
-    DivergenceError,
     InsufficientDataError,
     ExcludedSampleWarning,
     TruncationWarning,
 )
 from .numerics import (
+    DEFAULT_SPEC,
     Grid,
     HalfLineResult,
     QuadratureSpec,
     SampledFunction,
+    _check_decay,
     _eval_integrand,
     composite_gauss_nodes,
+    exp_sum,
     integrate_halfline,
     oscillation_panels,
 )
@@ -112,49 +118,50 @@ def laplace_line(
     X = float(truncation)
     if not X > 0:
         raise ContractViolationError("truncation point must be > 0")
-    taus = tau_grid.points
-    order = spec.order if spec is not None else 10
-    panels = oscillation_panels(float(np.max(np.abs(taus))) if taus.size else 0.0, 0.0, X)
-    nodes, weights = composite_gauss_nodes(0.0, X, order, panels)
+    panels = oscillation_panels(float(np.max(np.abs(tau_grid.points))), 0.0, X)
+    nodes, weights = composite_gauss_nodes(0.0, X, (spec or DEFAULT_SPEC).order, panels)
     fx = _eval_integrand(f, nodes)
-    f_end = abs(complex(_eval_integrand(f, np.array([X]))[0]))
-    f_mid = abs(complex(_eval_integrand(f, np.array([X / 2.0]))[0]))
-    if f_end > f_mid:
-        raise DivergenceError(
-            f"integrand grows toward the truncation point: |f({X})|={f_end:.3e} "
-            f"> |f({X / 2.0})|={f_mid:.3e}"
-        )
-    damped = fx * weights * np.exp(-sigma * nodes)
-    values = np.empty(taus.size, dtype=complex)
-    chunk = max(1, int(4e6 // max(1, nodes.size)))
-    for start in range(0, taus.size, chunk):
-        stop = min(start + chunk, taus.size)
-        values[start:stop] = damped @ np.exp(-1j * np.outer(nodes, taus[start:stop]))
+    _check_decay(np.abs(_eval_integrand(f, np.array([X / 2.0, X]))), X)
+    values = exp_sum(fx * weights * np.exp(-sigma * nodes), nodes, tau_grid, -1)
     return LaplaceSpectrum(sigma=sigma, tau_grid=tau_grid, values=values)
+
+
+def _contour_step(t: float, spacing: float | None = None, axis: str = "") -> float:
+    """Largest contour step for evaluation time t > 0: min(CONTOUR_STEP, pi/(8t)).
+
+    A stored contour whose ``spacing`` exceeds it raises :class:`AliasingError`.
+    """
+    if not t > 0:
+        raise ContractViolationError("evaluation time t must be > 0")
+    bound = min(CONTOUR_STEP, math.pi / (8.0 * t))
+    if spacing is not None and spacing > bound * (1 + 1e-9):
+        raise AliasingError(
+            f"{axis}contour step {spacing:.6g} exceeds the bound {bound:.6g} for t={t:g}"
+        )
+    return bound
+
+
+def _check_contour_ends(magnitude: np.ndarray, axis: str = "", stacklevel: int = 4) -> None:
+    """Warn when the contour integrand at the ends exceeds CONTOUR_ENDPOINT_RATIO of its peak."""
+    peak = float(np.max(magnitude))
+    ends = max(magnitude[0], magnitude[-1])
+    if peak > 0 and ends > CONTOUR_ENDPOINT_RATIO * peak:
+        warnings.warn(
+            TruncationWarning(
+                f"{axis}contour integrand at the endpoints is {ends / peak:.2e} of its peak; "
+                "raise the contour half-height T for full accuracy"
+            ),
+            stacklevel=stacklevel,
+        )
 
 
 def _contour_sum(s: np.ndarray, fhat_values: np.ndarray, weights: np.ndarray, t: float) -> complex:
     g = fhat_values * np.exp(s * t)
-    peak = float(np.max(np.abs(g)))
-    ends = max(abs(g[0]), abs(g[-1]))
-    if peak > 0 and ends > CONTOUR_ENDPOINT_RATIO * peak:
-        warnings.warn(
-            TruncationWarning(
-                f"contour integrand at the endpoints is {ends / peak:.2e} of its peak; "
-                "raise the contour half-height T for full accuracy"
-            ),
-            stacklevel=3,
-        )
+    _check_contour_ends(np.abs(g))
     return complex(np.dot(weights, g) / (2.0 * math.pi))
 
 
-def bromwich_inverse(
-    fhat,
-    sigma: float,
-    T: float,
-    t: float,
-    spec: QuadratureSpec | None = None,
-) -> complex:
+def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
     """Truncated contour inversion (1/2pi) int_{-T}^{T} fhat(sigma+i*tau) e^{(sigma+i*tau) t} d tau.
 
     ``sigma`` must exceed the abscissa of convergence of the original
@@ -165,22 +172,12 @@ def bromwich_inverse(
     """
     if not T > 0:
         raise ContractViolationError("contour half-height T must be > 0")
-    if not t > 0:
-        raise ContractViolationError("evaluation time t must be > 0")
-    step_bound = min(CONTOUR_STEP, math.pi / (8.0 * t))
-    n = int(math.ceil(T / step_bound))
-    tau = np.linspace(-T, T, 2 * n + 1)
-    s = sigma + 1j * tau
-    try:
-        vals = np.asarray(fhat(s), dtype=complex)
-        if vals.shape != s.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([complex(fhat(complex(sv))) for sv in s])
+    n = int(math.ceil(T / _contour_step(t)))
+    s = sigma + 1j * np.linspace(-T, T, 2 * n + 1)
     h = T / n
-    weights = np.full(tau.size, h)
+    weights = np.full(s.size, h)
     weights[0] = weights[-1] = h / 2.0
-    return _contour_sum(s, vals, weights, t)
+    return _contour_sum(s, _eval_integrand(fhat, s, at="s"), weights, t)
 
 
 def bromwich_inverse_from_samples(spectrum: LaplaceSpectrum, t: float) -> complex:
@@ -189,16 +186,10 @@ def bromwich_inverse_from_samples(spectrum: LaplaceSpectrum, t: float) -> comple
     The stored tau grid plays the role of the truncated contour; its
     spacing must satisfy the same step bound as :func:`bromwich_inverse`.
     """
-    if not t > 0:
-        raise ContractViolationError("evaluation time t must be > 0")
     grid = spectrum.tau_grid
     if len(grid) < 3:
         raise ContractViolationError("contour needs at least three samples")
-    step_bound = min(CONTOUR_STEP, math.pi / (8.0 * t))
-    if grid.kind == "uniform" and grid.spacing > step_bound * (1 + 1e-9):
-        raise ContractViolationError(
-            f"stored contour step {grid.spacing:.6g} exceeds the bound {step_bound:.6g} for t={t:g}"
-        )
+    _contour_step(t, grid.spacing if grid.kind == "uniform" else None)
     s = spectrum.sigma + 1j * grid.points
     return _contour_sum(s, spectrum.values, grid.trapezoid_weights(), t)
 

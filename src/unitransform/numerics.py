@@ -4,7 +4,9 @@ All integrals in the toolkit go through :func:`integrate` (finite
 intervals) or :func:`integrate_halfline` (truncated ``[0, X]`` integrals
 with a tail estimate).  Oscillatory integrands are handled by panel
 subdivision, see :func:`oscillation_panels`; there is no Filon-type
-machinery here.
+machinery here.  :func:`exp_sum` sums samples against exp(+-i w x) for
+a whole grid of w; :func:`_eval_integrand` evaluates every callable and
+:func:`_check_decay` checks every half-line truncation.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ DEFAULT_TOLERANCE = 1e-10
 
 _METHODS = ("trapezoid", "gauss-legendre", "adaptive")
 _MAX_BISECTIONS = 48
+# Kernel columns per block in exp_sum: bounds both the kernel's memory and
+# the length of its phase recurrence.
+_EXP_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -180,18 +185,65 @@ def _leggauss(order: int):
     return x, w
 
 
-def _eval_integrand(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, vectorized when possible, and check finiteness."""
+def _eval_integrand(f: Callable, *args: np.ndarray, at: str = "x") -> np.ndarray:
+    """Evaluate f on same-shape arrays, vectorized when possible, and check finiteness.
+
+    A callable that rejects arrays or returns the wrong shape is called
+    point by point with Python scalars.  ``at`` names the arguments, comma
+    separated, in the error raised for a non-finite value.
+    """
     try:
-        out = np.asarray(f(xs), dtype=complex)
-        if out.shape != xs.shape:
+        out = np.asarray(f(*args), dtype=complex)
+        if out.shape != args[0].shape:
             raise TypeError
     except (TypeError, ValueError):
-        out = np.array([complex(f(float(v))) for v in xs])
+        points = zip(*(a.ravel().tolist() for a in args))
+        out = np.array([complex(f(*p)) for p in points]).reshape(args[0].shape)
     bad = ~np.isfinite(out)
     if bad.any():
-        x_bad = float(xs[np.argmax(bad)])
-        raise EvaluationError(f"integrand returned a non-finite value at x={x_bad!r}")
+        k = np.argmax(bad)
+        where = ", ".join(f"{n}={a.flat[k].item()!r}" for n, a in zip(at.split(","), args))
+        raise EvaluationError(f"integrand returned a non-finite value at {where}")
+    return out
+
+
+def _check_decay(ends: np.ndarray, X: float, axis: str = "") -> tuple[float, float]:
+    """Reject growth of |f| from X/2 to the truncation point X.
+
+    ``ends`` holds |f(X/2)| and |f(X)|; they come back as floats.
+    """
+    f_mid, f_end = float(ends[0]), float(ends[1])
+    if f_end > f_mid:
+        raise DivergenceError(
+            f"{axis}integrand grows toward the truncation point: |f({X})|={f_end:.3e} "
+            f"> |f({X / 2.0})|={f_mid:.3e}"
+        )
+    return f_mid, f_end
+
+
+def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int) -> np.ndarray:
+    """Sum ``weighted`` against exp(sign*i*w*nodes) for every w on the grid.
+
+    Returns ``weighted @ exp(sign * 1j * outer(nodes, grid.points))``; the
+    node axis is the last axis of ``weighted``.  On a uniform grid each
+    kernel column is the previous one times exp(sign*i*h*nodes), with the
+    step h taken from ``grid.spacing``; every block of columns restarts
+    from a fresh exponential so rounding cannot drift.  Any other grid gets
+    a direct exponential.  Blocks keep the kernel at ``_EXP_BLOCK`` columns.
+    """
+    w = grid.points
+    recur = grid.kind == "uniform" and w.size > 1
+    ratio = np.exp(sign * 1j * grid.spacing * nodes) if recur else None
+    out = np.empty(weighted.shape[:-1] + w.shape, dtype=complex)
+    for start in range(0, w.size, _EXP_BLOCK):
+        cols = w[start:start + _EXP_BLOCK]
+        if recur:
+            kernel = np.repeat(ratio[:, None], cols.size, axis=1)
+            kernel[:, 0] = np.exp(sign * 1j * cols[0] * nodes)
+            np.cumprod(kernel, axis=1, out=kernel)
+        else:
+            kernel = np.exp(sign * 1j * np.outer(nodes, cols))
+        out[..., start:start + cols.size] = weighted @ kernel
     return out
 
 
@@ -324,22 +376,13 @@ def integrate_halfline(
     X = float(truncation)
     if not X > 0:
         raise ContractViolationError("truncation point must be > 0")
-    f_end = abs(complex(_eval_integrand(f, np.array([X]))[0]))
-    f_mid = abs(complex(_eval_integrand(f, np.array([X / 2.0]))[0]))
-    if f_end > f_mid:
-        raise DivergenceError(
-            f"integrand grows toward the truncation point: |f({X})|={f_end:.3e} "
-            f"> |f({X / 2.0})|={f_mid:.3e}"
-        )
+    f_mid, f_end = _check_decay(np.abs(_eval_integrand(f, np.array([X / 2.0, X]))), X)
     value = integrate(f, (0.0, X), spec, panels=panels)
-    if f_end == 0.0:
-        tail = 0.0
+    if damping is not None and damping > 0:
+        rate = damping
+    elif f_mid > f_end > 0.0:
+        rate = math.log(f_mid / f_end) / (X / 2.0)
     else:
-        if damping is not None and damping > 0:
-            rate = damping
-        elif f_mid > f_end:
-            rate = math.log(f_mid / f_end) / (X / 2.0)
-        else:
-            rate = 0.0
-        tail = f_end / rate if rate > 0 else math.inf
+        rate = 0.0
+    tail = f_end / rate if rate > 0 else (0.0 if f_end == 0.0 else math.inf)
     return HalfLineResult(value=value, tail_estimate=tail)

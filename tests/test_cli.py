@@ -122,6 +122,20 @@ class TestTransformPipelines:
         assert err.startswith("error: numerical:")
         assert "\n" not in err.strip()
 
+    def test_ilt_coarse_contour_exit_2(self, capsys, tmp_path):
+        line_path = str(tmp_path / "line.json")
+        code, _, err = run_cli(
+            capsys,
+            "lt", "--expr", "x^3*exp(-x)", "--sigma", "0.5", "--X", "40",
+            "--tau-min", "-25", "--tau-max", "25", "--tau-step", "0.5",
+            "--output", line_path,
+        )
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "ilt", "--input", line_path, "--t", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: numerical: contour step 0.5 exceeds the bound")
+
     def test_flt_then_iflt(self, capsys, tmp_path):
         spec_path = str(tmp_path / "fl.json")
         code, _, err = run_cli(
@@ -165,6 +179,19 @@ class TestTransformPipelines:
             "--x-min", "0.1", "--x-max", "10", "--x-step", "0.1",
         )
         assert doc["sigma_hat"] == pytest.approx(2.0, abs=0.01)
+
+    def test_non_fatal_warning_printed(self, capsys):
+        # the sample at x = 1 is zero and is dropped from the fit
+        argv = [
+            "estimate-abscissa", "--expr", "abs(x-1)*exp(x)",
+            "--x-min", "0.5", "--x-max", "10", "--x-step", "0.5",
+        ]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == (
+            "warning: ExcludedSampleWarning: excluded 1 zero-magnitude samples from the fit\n"
+        )
+        assert json.loads(out)["check"] == "abscissa"
 
     def test_estimate_abscissa_from_file(self, capsys, tmp_path):
         from unitransform import Grid, SampledFunction

@@ -8,6 +8,7 @@ from unitransform import (
     AliasingError,
     ContractViolationError,
     DivergenceError,
+    EvaluationError,
     FourierLaplaceSpectrum,
     Grid,
     TruncationWarning,
@@ -23,6 +24,7 @@ from unitransform import (
     oscillation_panels,
     weighted_orthogonality_check,
 )
+from unitransform.numerics import composite_gauss_nodes
 
 A_TRUNC = 12.0
 X_TRUNC = 40.0
@@ -81,6 +83,23 @@ class TestForward:
             forward_fl(
                 growing, Grid.uniform(-1, 1, 3), 0.0, Grid.uniform(-1, 1, 3), (5.0, 10.0)
             )
+
+    def test_gauss_nodes_tau_grid_matches_closed_form(self):
+        # F(lam, s) = e^{-lam^2/2} / sqrt(2 pi) * 1 / (s + 1)
+        nodes, _ = composite_gauss_nodes(-6.0, 6.0, 4, 3)
+        tau_grid = Grid(nodes, kind="gauss-nodes")
+        lam_grid = Grid.uniform(-2.0, 2.0, 9)
+        spectrum = forward_fl(separable, lam_grid, 0.5, tau_grid, (A_TRUNC, X_TRUNC))
+        expected = np.outer(
+            np.exp(-lam_grid.points**2 / 2.0) / math.sqrt(2.0 * math.pi),
+            1.0 / (1.5 + 1j * tau_grid.points),
+        )
+        assert np.max(np.abs(spectrum.values - expected)) <= 1e-10
+
+    def test_non_finite_value_names_both_coordinates(self):
+        bad = lambda x, t: np.where(np.asarray(t) > 20.0, np.nan, 1.0) * separable(x, t)
+        with pytest.raises(EvaluationError, match=r"x=.*, t="):
+            forward_fl(bad, Grid.uniform(-1, 1, 3), 0.0, Grid.uniform(-1, 1, 3), (5.0, 30.0))
 
     def test_scalar_only_function_supported(self):
         def f(x, t):

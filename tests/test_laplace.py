@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from unitransform import (
+    AliasingError,
     ContractViolationError,
     DivergenceError,
+    EvaluationError,
     ExcludedSampleWarning,
     Grid,
     InsufficientDataError,
@@ -23,6 +25,7 @@ from unitransform import (
     oscillation_panels,
     weighted_orthogonality_check,
 )
+from unitransform.numerics import composite_gauss_nodes
 
 ONE = lambda x: np.ones_like(np.asarray(x, float)) + 0j
 
@@ -140,6 +143,11 @@ class TestBromwichInverse:
             v = bromwich_inverse(fhat, 1.0, 100.0, 1.0)
         assert v.real == pytest.approx(1.0, abs=1e-2)
 
+    def test_non_finite_transform_rejected(self):
+        fhat = lambda s: np.where(s.imag > 5, np.inf, 1 / (s + 1) ** 2)
+        with pytest.raises(EvaluationError, match="s="):
+            bromwich_inverse(fhat, 1.0, 50.0, 1.0)
+
     def test_parameter_validation(self):
         with pytest.raises(ContractViolationError):
             bromwich_inverse(lambda s: 1.0 / s, 1.0, 0.0, 1.0)
@@ -162,7 +170,7 @@ class TestBromwichFromSamples:
     def test_coarse_contour_rejected(self):
         tau_grid = Grid.uniform(-10.0, 10.0, 21)  # step 1.0 > 0.05
         spectrum = LaplaceSpectrum(0.0, tau_grid, np.ones(21, dtype=complex))
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(AliasingError):
             bromwich_inverse_from_samples(spectrum, 1.0)
 
 
@@ -212,6 +220,15 @@ class TestLaplaceLine:
         spectrum = laplace_line(ONE, 1.0, tau_grid, 40.0)
         for tau, value in zip(tau_grid.points, spectrum.values):
             assert value == pytest.approx(1.0 / (1.0 + 1j * tau), abs=1e-10)
+
+    def test_gauss_nodes_tau_grid_matches_closed_form(self):
+        # L[t^3 e^{-t}](s) = 6 / (s + 1)^4 on a non-uniform tau grid
+        nodes, _ = composite_gauss_nodes(-10.0, 10.0, 5, 4)
+        tau_grid = Grid(nodes, kind="gauss-nodes")
+        f = lambda x: np.asarray(x, float) ** 3 * np.exp(-np.asarray(x, float)) + 0j
+        spectrum = laplace_line(f, 0.5, tau_grid, 40.0)
+        expected = 6.0 / (1.5 + 1j * tau_grid.points) ** 4
+        assert np.max(np.abs(spectrum.values - expected)) <= 1e-10
 
 
 class TestDefaultInversionSigma:

@@ -17,6 +17,7 @@ from unitransform import (
     integrate_halfline,
     oscillation_panels,
 )
+from unitransform.numerics import composite_gauss_nodes, exp_sum
 
 GL = QuadratureSpec(method="gauss-legendre", order=10)
 
@@ -151,6 +152,38 @@ class TestIntegrate:
             g, (-1.0, 1.0), GL, panels=4
         )
         assert combined == pytest.approx(split, abs=1e-10)
+
+
+class TestExpSum:
+    # A laplace_line sweep at T = 100, X = 40: 9550 nodes, 4001 tau points.
+    T, X = 100.0, 40.0
+
+    def _line_weights(self):
+        panels = oscillation_panels(self.T, 0.0, self.X)
+        nodes, weights = composite_gauss_nodes(0.0, self.X, 10, panels)
+        return nodes, nodes**3 * np.exp(-1.5 * nodes) * weights + 0j
+
+    def test_uniform_recurrence_matches_direct_sum(self):
+        nodes, weighted = self._line_weights()
+        tau = Grid.uniform(-self.T, self.T, 4001)
+        direct = weighted @ np.exp(-1j * np.outer(nodes, tau.points))
+        got = exp_sum(weighted, nodes, tau, -1)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_rows_and_sign(self):
+        nodes, weighted = self._line_weights()
+        rows = np.stack([weighted, 1j * weighted[::-1]])
+        tau = Grid.uniform(-5.0, 5.0, 301)
+        direct = rows @ np.exp(1j * np.outer(nodes, tau.points))
+        got = exp_sum(rows, nodes, tau, 1)
+        assert got.shape == (2, 301)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_non_uniform_grid_and_single_point(self):
+        nodes, weighted = self._line_weights()
+        for grid in (Grid([-3.0, -1.0, 0.5, 4.0], kind="gauss-nodes"), Grid.uniform(2.0, 3.0, 1)):
+            direct = weighted @ np.exp(-1j * np.outer(nodes, grid.points))
+            assert np.allclose(exp_sum(weighted, nodes, grid, -1), direct, rtol=0, atol=1e-15)
 
 
 class TestOscillationPanels:
