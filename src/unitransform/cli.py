@@ -10,6 +10,14 @@ Outputs are deterministic byte-for-byte: fixed field order, floats with
 17 significant digits, no timestamps.  Every output embeds the request
 that produced it under ``meta.request``.
 
+Each command's flags are declared once, in ``_COMMANDS``, which the
+parser, the source check and the echo all read.  Echo rule: every flag a
+command reads is echoed in ``meta.request`` when given (except --output
+and --format, which only choose where and how the bytes are written),
+and no flag is accepted that is not read; a flag the request's mode does
+not read (``lt --s`` with a --sigma/--tau-* line, ``estimate-abscissa
+--input`` with --x-*) is a validation error.
+
 Numeric flags accept plain decimals and pi multiples ("pi", "0.5pi",
 "-2pi").  The environment variable UNITRANSFORM_QUAD_TOL overrides the
 default quadrature tolerance; an explicit --quad-tol beats both.
@@ -22,6 +30,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -33,6 +42,7 @@ from .errors import (
     AliasingError,
     ContractViolationError,
     EvaluationError,
+    InsufficientDataError,
     ParseError,
     QuadratureError,
     TruncationWarning,
@@ -171,10 +181,13 @@ def _function_of_xt(args) -> Callable:
 
 
 def _require_one_source(args) -> None:
-    has_expr = getattr(args, "expr", None) is not None
-    has_input = getattr(args, "input", None) is not None
-    if has_expr == has_input:
+    # A command with a single source flag has argparse require it.
+    if len(_COMMANDS[args.command].source) == 2 and (args.expr is None) == (args.input is None):
         raise UsageError("exactly one of --expr and --input is required")
+
+
+def _given(*values) -> bool:
+    return any(v is not None for v in values)
 
 
 def _quad_spec(args) -> QuadratureSpec:
@@ -194,7 +207,9 @@ def _quad_spec(args) -> QuadratureSpec:
         raise UsageError(str(exc)) from None
 
 
-def _echo(args, names: list[str]) -> dict:
+def _echo(args) -> dict:
+    """``meta.request``: the source, every own flag given, and the quadrature in use."""
+    command = _COMMANDS[args.command]
     request: dict[str, Any] = {"command": args.command}
     expr = getattr(args, "expr", None)
     if expr is not None:
@@ -202,17 +217,17 @@ def _echo(args, names: list[str]) -> dict:
         request["expr_canonical"] = expressions.canonical(expressions.parse(expr))
     if getattr(args, "input", None) is not None:
         request["input"] = args.input
-    for name in names:
+    for name in command.flags:
         value = getattr(args, name.replace("-", "_"))
         if value is None:
             continue
         if isinstance(value, complex):
             value = [value.real, value.imag]
         request[name] = value
-    request["quad_method"] = args.quad_method
-    request["quad_order"] = args.quad_order
-    spec = _quad_spec(args)
-    request["quad_tol"] = spec.tolerance
+    if command.quad:
+        request["quad_method"] = args.quad_method
+        request["quad_order"] = args.quad_order
+        request["quad_tol"] = _quad_spec(args).tolerance
     return {"request": request}
 
 
@@ -220,32 +235,23 @@ def _echo(args, names: list[str]) -> dict:
 
 
 def _cmd_series(args) -> dict:
-    _require_one_source(args)
     coeffs = complex_coefficients(_function_of_x(args), args.L, args.K, _quad_spec(args))
-    return io.coefficients_payload(coeffs, _echo(args, ["L", "K"]))
+    return io.coefficients_payload(coeffs, _echo(args))
 
 
 def _cmd_real_series(args) -> dict:
-    _require_one_source(args)
     coeffs = real_coefficients(_function_of_x(args), args.L, args.K, _quad_spec(args))
-    return io.real_coefficients_payload(coeffs, _echo(args, ["L", "K"]))
+    return io.real_coefficients_payload(coeffs, _echo(args))
 
 
 def _cmd_ft(args) -> dict:
-    _require_one_source(args)
     grid = _grid_from_flags("lambda", args.lambda_min, args.lambda_max, args.lambda_step)
     spectrum = forward_ft(_function_of_x(args), grid, args.A, _quad_spec(args))
-    return io.spectrum_payload(
-        spectrum, _echo(args, ["A", "lambda-min", "lambda-max", "lambda-step"])
-    )
+    return io.spectrum_payload(spectrum, _echo(args))
 
 
 def _stored_spectrum(args, kind: type, convention: str):
     """The spectrum in the --input file; it must be a ``kind`` spectrum."""
-    if getattr(args, "expr", None) is not None:
-        raise UsageError(f"{args.command} reads a stored spectrum; --expr is not accepted")
-    if args.input is None:
-        raise UsageError(f"{args.command} needs --input")
     spectrum = io.load_spectrum(args.input)
     if not isinstance(spectrum, kind):
         raise UsageError(f"{args.command} needs a spectrum with convention {convention}")
@@ -255,62 +261,49 @@ def _stored_spectrum(args, kind: type, convention: str):
 def _cmd_ift(args) -> dict:
     spectrum = _stored_spectrum(args, ContinuousSpectrum, "paper-fourier")
     x_grid = _grid_from_flags("x", args.x_min, args.x_max, args.x_step)
-    fn = inverse_ft(spectrum, x_grid)
-    return io.function_payload(fn, _echo(args, ["x-min", "x-max", "x-step"]))
+    return io.function_payload(inverse_ft(spectrum, x_grid), _echo(args))
 
 
 def _cmd_lt(args) -> dict:
-    _require_one_source(args)
     f = _function_of_x(args)
     if args.s is not None:
-        if args.sigma is not None or args.tau_min is not None:
+        if _given(args.sigma, args.tau_min, args.tau_max, args.tau_step):
             raise UsageError("give either --s or a --sigma/--tau-* line, not both")
         result = forward_laplace(f, args.s, args.X, _quad_spec(args))
-        meta = _echo(args, ["s", "X"])
+        meta = _echo(args)
         meta["tail_estimate"] = result.tail_estimate
         return io.value_payload(result.value, meta)
     if args.sigma is None:
         raise UsageError("lt needs --s, or --sigma with --tau-min/--tau-max/--tau-step")
     tau_grid = _grid_from_flags("tau", args.tau_min, args.tau_max, args.tau_step)
     spectrum = laplace_line(f, args.sigma, tau_grid, args.X, _quad_spec(args))
-    return io.spectrum_payload(
-        spectrum, _echo(args, ["sigma", "X", "tau-min", "tau-max", "tau-step"])
-    )
+    return io.spectrum_payload(spectrum, _echo(args))
 
 
 def _cmd_ilt(args) -> dict:
     spectrum = _stored_spectrum(args, LaplaceSpectrum, "laplace-line")
     value = bromwich_inverse_from_samples(spectrum, args.t)
-    meta = _echo(args, ["t"])
+    meta = _echo(args)
     meta["imag_residual"] = abs(value.imag)
     return io.value_payload(value, meta)
 
 
 def _cmd_flt(args) -> dict:
-    _require_one_source(args)
+    if args.sigma is None:
+        raise UsageError("flt needs --sigma")
     f = _function_of_xt(args)
     lam_grid = _grid_from_flags("lambda", args.lambda_min, args.lambda_max, args.lambda_step)
     tau_grid = _grid_from_flags("tau", args.tau_min, args.tau_max, args.tau_step)
     spectrum = forward_fl(
         f, lam_grid, args.sigma, tau_grid, (args.A, args.X), _quad_spec(args)
     )
-    return io.spectrum_payload(
-        spectrum,
-        _echo(
-            args,
-            [
-                "sigma", "A", "X",
-                "lambda-min", "lambda-max", "lambda-step",
-                "tau-min", "tau-max", "tau-step",
-            ],
-        ),
-    )
+    return io.spectrum_payload(spectrum, _echo(args))
 
 
 def _cmd_iflt(args) -> dict:
     spectrum = _stored_spectrum(args, FourierLaplaceSpectrum, "fourier-laplace")
     value = inverse_fl(spectrum, args.x, args.t)
-    meta = _echo(args, ["x", "t"])
+    meta = _echo(args)
     meta["imag_residual"] = abs(value.imag)
     return io.value_payload(value, meta)
 
@@ -331,7 +324,7 @@ def _cmd_verify_orthogonality(args) -> dict:
         "tolerance": GRAM_OFFDIAG_TOL,
         "passed": passed,
     }
-    return io.report_payload("orthogonality", fields, _echo(args, ["L", "K"]))
+    return io.report_payload("orthogonality", fields, _echo(args))
 
 
 def _cmd_verify_residual(args) -> dict:
@@ -365,7 +358,7 @@ def _cmd_verify_residual(args) -> dict:
         "spread_tolerance": RESIDUAL_SPREAD_TOL,
         "passed": passed,
     }
-    return io.report_payload("residual", fields, _echo(args, []))
+    return io.report_payload("residual", fields, _echo(args))
 
 
 def _cmd_verify_sl(args) -> dict:
@@ -381,12 +374,13 @@ def _cmd_verify_sl(args) -> dict:
         "boundary_conditions_exact": True,
         "passed": passed,
     }
-    return io.report_payload("sturm-liouville", fields, _echo(args, ["L", "k-max"]))
+    return io.report_payload("sturm-liouville", fields, _echo(args))
 
 
 def _cmd_estimate_abscissa(args) -> dict:
-    _require_one_source(args)
     if args.input is not None:
+        if _given(args.x_min, args.x_max, args.x_step):
+            raise UsageError("estimate-abscissa --input uses the file's grid; drop --x-*")
         samples = io.load_function(args.input)
     else:
         grid = _grid_from_flags("x", args.x_min, args.x_max, args.x_step)
@@ -400,14 +394,10 @@ def _cmd_estimate_abscissa(args) -> dict:
         "M_hat": estimate.M_hat,
         "fit_residual": estimate.fit_residual,
     }
-    return io.report_payload(
-        "abscissa", fields, _echo(args, ["x-min", "x-max", "x-step"])
-    )
+    return io.report_payload("abscissa", fields, _echo(args))
 
 
 def _cmd_roundtrip(args) -> dict:
-    if args.expr is None:
-        raise UsageError("roundtrip needs --expr")
     f = _function_of_x(args)
     lam_grid = _grid_from_flags("lambda", args.lambda_min, args.lambda_max, args.lambda_step)
     x_grid = _grid_from_flags("x", args.x_min, args.x_max, args.x_step)
@@ -421,54 +411,92 @@ def _cmd_roundtrip(args) -> dict:
         "values": [[v.real, v.imag] for v in recovered.values],
         "reference": [[v.real, v.imag] for v in reference],
     }
-    return io.report_payload(
-        "roundtrip",
-        fields,
-        _echo(
-            args,
-            ["A", "lambda-min", "lambda-max", "lambda-step", "x-min", "x-max", "x-step"],
-        ),
-    )
+    return io.report_payload("roundtrip", fields, _echo(args))
 
 
-_HANDLERS = {
-    "series": _cmd_series,
-    "real-series": _cmd_real_series,
-    "ft": _cmd_ft,
-    "ift": _cmd_ift,
-    "lt": _cmd_lt,
-    "ilt": _cmd_ilt,
-    "flt": _cmd_flt,
-    "iflt": _cmd_iflt,
-    "verify-orthogonality": _cmd_verify_orthogonality,
-    "verify-residual": _cmd_verify_residual,
-    "verify-sl": _cmd_verify_sl,
-    "estimate-abscissa": _cmd_estimate_abscissa,
-    "roundtrip": _cmd_roundtrip,
+# ------------------------------ command table ------------------------------
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand and every flag it accepts; each of them is read.
+
+    ``flags`` are the command's own flags in ``meta.request`` order.
+    ``source`` is how f arrives: ``("expr", "input")`` (exactly one),
+    ``("expr",)`` or ``("input",)`` (required), or ``()``.  ``quad``
+    adds --quad-method/--quad-order/--quad-tol, echoed on every request;
+    ``csv`` adds --format json|csv.  Every command takes --output.
+    """
+
+    handler: Callable[[argparse.Namespace], dict]
+    help: str
+    flags: tuple[str, ...] = ()
+    source: tuple[str, ...] = ()
+    quad: bool = False
+    csv: bool = False
+
+
+def _grid(axis: str) -> tuple[str, str, str]:
+    return (f"{axis}-min", f"{axis}-max", f"{axis}-step")
+
+
+_EXPR_OR_INPUT = ("expr", "input")
+_COMMANDS = {
+    "series": _Command(_cmd_series, "complex Fourier coefficients on (-L, L)",
+                       ("L", "K"), _EXPR_OR_INPUT, quad=True, csv=True),
+    "real-series": _Command(_cmd_real_series, "cosine/sine Fourier coefficients",
+                            ("L", "K"), _EXPR_OR_INPUT, quad=True, csv=True),
+    "ft": _Command(_cmd_ft, "forward Fourier transform on a frequency grid",
+                   ("A", *_grid("lambda")), _EXPR_OR_INPUT, quad=True, csv=True),
+    "ift": _Command(_cmd_ift, "inverse Fourier transform of a stored spectrum",
+                    _grid("x"), ("input",), csv=True),
+    "lt": _Command(_cmd_lt, "Laplace transform at a point s or along a line",
+                   ("s", "sigma", "X", *_grid("tau")), _EXPR_OR_INPUT, quad=True, csv=True),
+    "ilt": _Command(_cmd_ilt, "inverse Laplace transform of a stored line spectrum",
+                    ("t",), ("input",), csv=True),
+    "flt": _Command(_cmd_flt, "forward Fourier-Laplace transform of f(x, t)",
+                    ("sigma", "A", "X", *_grid("lambda"), *_grid("tau")),
+                    _EXPR_OR_INPUT, quad=True),
+    "iflt": _Command(_cmd_iflt, "inverse Fourier-Laplace transform at (x, t)",
+                     ("x", "t"), ("input",), csv=True),
+    "verify-orthogonality": _Command(_cmd_verify_orthogonality, "Gram matrix report",
+                                     ("L", "K"), quad=True),
+    "verify-residual": _Command(_cmd_verify_residual, "continuum residual decay report",
+                                ("lam", "n"), quad=True),
+    "verify-sl": _Command(_cmd_verify_sl, "second-order reformulation residual report",
+                          ("L", "k-max")),
+    "estimate-abscissa": _Command(_cmd_estimate_abscissa, "exponential growth-rate fit",
+                                  _grid("x"), _EXPR_OR_INPUT),
+    "roundtrip": _Command(_cmd_roundtrip, "forward+inverse Fourier transform report",
+                          ("A", *_grid("lambda"), *_grid("x")), ("expr",), quad=True),
 }
 
-
-# ----------------------------- argument wiring -----------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser, source: bool = True) -> None:
-    if source:
-        sub.add_argument("--expr", help="expression in x (and t where supported)")
-        sub.add_argument("--input", help="input file path")
-    sub.add_argument("--output", help="output file path (stdout when omitted)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--quad-method", choices=("trapezoid", "gauss-legendre", "adaptive"),
-                     default="adaptive")
-    sub.add_argument("--quad-order", type=int, default=10)
-    sub.add_argument("--quad-tol", type=parse_pi_float, default=None,
+# argparse keywords of every flag; a command accepts only those its entry names.
+_FLAGS: dict[str, dict] = {
+    "expr": dict(help="expression in x (and t where supported)"),
+    "input": dict(help="input file path"),
+    "L": dict(type=parse_pi_float, required=True),
+    "K": dict(type=int, required=True),
+    "A": dict(type=parse_pi_float, required=True, help="x-integration truncation [-A, A]"),
+    "X": dict(type=parse_pi_float, required=True, help="half-line truncation point"),
+    "s": dict(type=parse_complex, help="single evaluation point, e.g. 2+0i"),
+    "sigma": dict(type=parse_pi_float, help="abscissa of the vertical line"),
+    "t": dict(type=parse_pi_float, required=True),
+    "x": dict(type=parse_pi_float, required=True),
+    "k-max": dict(type=int, required=True),
+    "lam": dict(type=parse_pi_float, action="append",
+                help="eigenvalue to test (repeatable; default 0 1 5)"),
+    "n": dict(type=int, action="append", help="window width index (repeatable; default 4 8 16)"),
+    **{name: dict(type=parse_pi_float) for axis in ("lambda", "tau", "x") for name in _grid(axis)},
+    "quad-method": dict(choices=("trapezoid", "gauss-legendre", "adaptive"), default="adaptive"),
+    "quad-order": dict(type=int, default=10),
+    "quad-tol": dict(type=parse_pi_float, default=None,
                      help=f"absolute quadrature tolerance (default {DEFAULT_TOLERANCE}, "
-                          f"or ${QUAD_TOL_ENV})")
-
-
-def _add_grid(sub: argparse.ArgumentParser, name: str) -> None:
-    sub.add_argument(f"--{name}-min", type=parse_pi_float)
-    sub.add_argument(f"--{name}-max", type=parse_pi_float)
-    sub.add_argument(f"--{name}-step", type=parse_pi_float)
+                          f"or ${QUAD_TOL_ENV})"),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "output": dict(help="output file path (stdout when omitted)"),
+}
+_QUAD = ("quad-method", "quad-order", "quad-tol")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,88 +514,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub = subs.add_parser("series", help="complex Fourier coefficients on (-L, L)")
-    _add_common(sub)
-    sub.add_argument("--L", type=parse_pi_float, required=True)
-    sub.add_argument("--K", type=int, required=True)
-
-    sub = subs.add_parser("real-series", help="cosine/sine Fourier coefficients")
-    _add_common(sub)
-    sub.add_argument("--L", type=parse_pi_float, required=True)
-    sub.add_argument("--K", type=int, required=True)
-
-    sub = subs.add_parser("ft", help="forward Fourier transform on a frequency grid")
-    _add_common(sub)
-    sub.add_argument("--A", type=parse_pi_float, required=True,
-                     help="x-integration truncation [-A, A]")
-    _add_grid(sub, "lambda")
-
-    sub = subs.add_parser("ift", help="inverse Fourier transform of a stored spectrum")
-    _add_common(sub)
-    _add_grid(sub, "x")
-
-    sub = subs.add_parser("lt", help="Laplace transform at a point s or along a line")
-    _add_common(sub)
-    sub.add_argument("--s", type=parse_complex, help="single evaluation point, e.g. 2+0i")
-    sub.add_argument("--sigma", type=parse_pi_float, help="line abscissa for a spectrum")
-    _add_grid(sub, "tau")
-    sub.add_argument("--X", type=parse_pi_float, required=True,
-                     help="half-line truncation point")
-
-    sub = subs.add_parser("ilt", help="inverse Laplace transform of a stored line spectrum")
-    _add_common(sub)
-    sub.add_argument("--t", type=parse_pi_float, required=True)
-
-    sub = subs.add_parser("flt", help="forward Fourier-Laplace transform of f(x, t)")
-    _add_common(sub)
-    sub.add_argument("--sigma", type=parse_pi_float, required=True)
-    sub.add_argument("--A", type=parse_pi_float, required=True)
-    sub.add_argument("--X", type=parse_pi_float, required=True)
-    _add_grid(sub, "lambda")
-    _add_grid(sub, "tau")
-
-    sub = subs.add_parser("iflt", help="inverse Fourier-Laplace transform at (x, t)")
-    _add_common(sub)
-    sub.add_argument("--x", type=parse_pi_float, required=True)
-    sub.add_argument("--t", type=parse_pi_float, required=True)
-
-    sub = subs.add_parser("verify-orthogonality", help="Gram matrix report")
-    _add_common(sub, source=False)
-    sub.add_argument("--L", type=parse_pi_float, required=True)
-    sub.add_argument("--K", type=int, required=True)
-
-    sub = subs.add_parser("verify-residual", help="continuum residual decay report")
-    _add_common(sub, source=False)
-    sub.add_argument("--lam", type=parse_pi_float, action="append",
-                     help="eigenvalue to test (repeatable; default 0 1 5)")
-    sub.add_argument("--n", type=int, action="append",
-                     help="window width index (repeatable; default 4 8 16)")
-
-    sub = subs.add_parser("verify-sl", help="second-order reformulation residual report")
-    _add_common(sub, source=False)
-    sub.add_argument("--L", type=parse_pi_float, required=True)
-    sub.add_argument("--k-max", type=int, required=True)
-
-    sub = subs.add_parser("estimate-abscissa", help="exponential growth-rate fit")
-    _add_common(sub)
-    _add_grid(sub, "x")
-
-    sub = subs.add_parser("roundtrip", help="forward+inverse Fourier transform report")
-    _add_common(sub)
-    sub.add_argument("--A", type=parse_pi_float, required=True)
-    _add_grid(sub, "lambda")
-    _add_grid(sub, "x")
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        quad = _QUAD if command.quad else ()
+        csv = ("format",) if command.csv else ()
+        for flag in (*command.source, *command.flags, *quad, *csv, "output"):
+            kwargs = _FLAGS[flag]
+            if flag in command.source and len(command.source) == 1:
+                kwargs = dict(kwargs, required=True)
+            sub.add_argument(f"--{flag}", **kwargs)
     return parser
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute a validated request; returns the process exit status."""
+    command = _COMMANDS[args.command]
     try:
+        _require_one_source(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            payload = _HANDLERS[args.command](args)
+            payload = command.handler(args)
         for w in caught:
             if not issubclass(w.category, TruncationWarning):
                 _report("warning", w.category.__name__, w.message)
@@ -575,7 +541,8 @@ def run(args: argparse.Namespace) -> int:
         if truncated:
             raise QuadratureError(truncated[0])
         passed = bool(payload.get("passed", True))
-        data = io.to_csv_bytes(payload) if args.format == "csv" else io.to_json_bytes(payload)
+        csv = command.csv and args.format == "csv"
+        data = io.to_csv_bytes(payload) if csv else io.to_json_bytes(payload)
         if args.output:
             with open(args.output, "wb") as fh:
                 fh.write(data)
@@ -586,7 +553,7 @@ def run(args: argparse.Namespace) -> int:
             _report("error", "numerical", "verification check failed; see the report output")
             return 2
         return 0
-    except (UsageError, ParseError, ContractViolationError) as exc:
+    except (UsageError, ParseError, ContractViolationError, InsufficientDataError) as exc:
         _report("error", "validation", str(exc))
         return 1
     except (QuadratureError, AliasingError, EvaluationError) as exc:

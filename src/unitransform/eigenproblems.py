@@ -173,45 +173,31 @@ def residual_ratio(
         u = np.asarray(u)
         return -u * np.exp(-(u**2) / 2.0)
 
+    # The whole line is the weighted half-line formula with sigma = 0 on a
+    # symmetric interval.
     if problem.kind == "whole-line":
         interval = (-half_width, half_width)
-
-        def weight(x):
-            return 1.0
-
-        def base(x):
-            return np.exp(-1j * lam0 * np.asarray(x))
-
-        def base_rate(x):
-            return -1j * lam0
-
         sigma = 0.0
     else:
         interval = (0.0, half_width)
         sigma = problem.sigma
 
-        def weight(x):
-            return np.exp(-2.0 * sigma * np.asarray(x))
-
-        def base(x):
-            return np.exp((sigma - 1j * lam0) * np.asarray(x))
-
-        def base_rate(x):
-            return sigma - 1j * lam0
+    rate = sigma - 1j * lam0
 
     def residual_sq(x):
         x = np.asarray(x)
         w = window(x / n)
         dw = window_deriv(x / n) / n
-        y = base(x) * w
-        dy = base(x) * (base_rate(x) * w + dw)
+        base = np.exp(rate * x)
+        y = base * w
+        dy = base * (rate * w + dw)
         applied = 1j * (dy - sigma * y) - lam * y
-        return weight(x) * np.abs(applied) ** 2
+        return np.exp(-2.0 * sigma * x) * np.abs(applied) ** 2
 
     def norm_sq(x):
         x = np.asarray(x)
-        y = base(x) * window(x / n)
-        return weight(x) * np.abs(y) ** 2
+        y = np.exp(rate * x) * window(x / n)
+        return np.exp(-2.0 * sigma * x) * np.abs(y) ** 2
 
     # Seed enough panels that the window bump cannot slip between nodes.
     num = integrate(residual_sq, interval, spec, panels=8).real

@@ -187,29 +187,46 @@ def _load(path: str) -> dict:
     return doc
 
 
-def _values_1d(doc: dict, key: str, path: str) -> np.ndarray:
+def _read(doc: dict, key: str, path: str, convert):
+    """``convert(doc[key])``; a missing or malformed entry names the file and the key."""
+    if key not in doc:
+        raise ContractViolationError(f"{path}: missing '{key}'")
     try:
-        return np.array([complex(re, im) for re, im in doc[key]])
-    except (TypeError, ValueError, KeyError) as exc:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
         raise ContractViolationError(f"{path}: malformed '{key}' entries") from exc
+
+
+def _grid(doc: dict, key: str, path: str) -> Grid:
+    return _read(doc, key, path, lambda v: Grid(np.asarray(v, dtype=float)))
+
+
+def _values_1d(doc: dict, key: str, path: str) -> np.ndarray:
+    return _read(doc, key, path, lambda v: np.array([complex(re, im) for re, im in v]))
+
+
+def _values_2d(doc: dict, key: str, path: str) -> np.ndarray:
+    return _read(
+        doc, key, path, lambda v: np.array([[complex(re, im) for re, im in row] for row in v])
+    )
 
 
 def load_function(path: str) -> SampledFunction:
     doc = _load(path)
     if doc["kind"] != "function":
         raise ContractViolationError(f"{path}: expected kind 'function', got {doc['kind']!r}")
-    grid = Grid(np.asarray(doc["grid"], dtype=float))
-    return SampledFunction(grid=grid, values=_values_1d(doc, "values", path))
+    return SampledFunction(grid=_grid(doc, "grid", path), values=_values_1d(doc, "values", path))
 
 
 def load_function2d(path: str) -> SampledFunction2D:
     doc = _load(path)
     if doc["kind"] != "function2d":
         raise ContractViolationError(f"{path}: expected kind 'function2d', got {doc['kind']!r}")
-    x_grid = Grid(np.asarray(doc["x_grid"], dtype=float))
-    t_grid = Grid(np.asarray(doc["t_grid"], dtype=float))
-    values = np.array([[complex(re, im) for re, im in row] for row in doc["values"]])
-    return SampledFunction2D(x_grid=x_grid, t_grid=t_grid, values=values)
+    return SampledFunction2D(
+        x_grid=_grid(doc, "x_grid", path),
+        t_grid=_grid(doc, "t_grid", path),
+        values=_values_2d(doc, "values", path),
+    )
 
 
 def load_spectrum(path: str):
@@ -218,19 +235,21 @@ def load_spectrum(path: str):
         raise ContractViolationError(f"{path}: expected kind 'spectrum', got {doc['kind']!r}")
     convention = doc.get("convention")
     if convention == "paper-fourier":
-        grid = Grid(np.asarray(doc["lambda_grid"], dtype=float))
-        return ContinuousSpectrum(lambda_grid=grid, values=_values_1d(doc, "values", path))
+        return ContinuousSpectrum(
+            lambda_grid=_grid(doc, "lambda_grid", path), values=_values_1d(doc, "values", path)
+        )
     if convention == "laplace-line":
-        grid = Grid(np.asarray(doc["tau_grid"], dtype=float))
         return LaplaceSpectrum(
-            sigma=float(doc["sigma"]), tau_grid=grid, values=_values_1d(doc, "values", path)
+            sigma=_read(doc, "sigma", path, float),
+            tau_grid=_grid(doc, "tau_grid", path),
+            values=_values_1d(doc, "values", path),
         )
     if convention == "fourier-laplace":
-        lam = Grid(np.asarray(doc["lambda_grid"], dtype=float))
-        tau = Grid(np.asarray(doc["tau_grid"], dtype=float))
-        values = np.array([[complex(re, im) for re, im in row] for row in doc["values"]])
         return FourierLaplaceSpectrum(
-            lambda_grid=lam, sigma=float(doc["sigma"]), tau_grid=tau, values=values
+            lambda_grid=_grid(doc, "lambda_grid", path),
+            sigma=_read(doc, "sigma", path, float),
+            tau_grid=_grid(doc, "tau_grid", path),
+            values=_values_2d(doc, "values", path),
         )
     raise ContractViolationError(f"{path}: unknown spectrum convention {convention!r}")
 

@@ -184,12 +184,13 @@ def bromwich_inverse_from_samples(spectrum: LaplaceSpectrum, t: float) -> comple
     """Contour inversion from transform samples stored on a vertical line.
 
     The stored tau grid plays the role of the truncated contour; its
-    spacing must satisfy the same step bound as :func:`bromwich_inverse`.
+    largest step, on any grid kind, must satisfy the same step bound as
+    :func:`bromwich_inverse`.
     """
     grid = spectrum.tau_grid
     if len(grid) < 3:
         raise ContractViolationError("contour needs at least three samples")
-    _contour_step(t, grid.spacing if grid.kind == "uniform" else None)
+    _contour_step(t, float(np.max(np.diff(grid.points))))
     s = spectrum.sigma + 1j * grid.points
     return _contour_sum(s, spectrum.values, grid.trapezoid_weights(), t)
 

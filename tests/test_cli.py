@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from unitransform.cli import main, parse_complex, parse_pi_float
+from unitransform.cli import _COMMANDS, build_parser, main, parse_complex, parse_pi_float
 from unitransform.cli import UsageError
 
 
@@ -315,3 +316,112 @@ class TestDeterminismAndEnv:
         assert result.returncode == 0
         doc = json.loads(result.stdout)
         assert doc["value"][0] == pytest.approx(0.5, abs=1e-10)
+
+
+class TestCommandTable:
+    QUAD = {"--quad-method", "--quad-order", "--quad-tol"}
+
+    def _subparsers(self):
+        parser = build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_each_parser_accepts_exactly_the_declared_flags(self):
+        subparsers = self._subparsers()
+        assert set(subparsers) == set(_COMMANDS)
+        for name, command in _COMMANDS.items():
+            declared = {"--output"} | {f"--{f}" for f in (*command.source, *command.flags)}
+            if command.quad:
+                declared |= self.QUAD
+            if command.csv:
+                declared.add("--format")
+            accepted = {
+                opt for a in subparsers[name]._actions for opt in a.option_strings
+            } - {"-h", "--help"}
+            assert accepted == declared, name
+
+    def test_flag_homes(self):
+        subparsers = self._subparsers()
+
+        def having(flag):
+            return {
+                name for name, sub in subparsers.items()
+                if any(flag in a.option_strings for a in sub._actions)
+            }
+
+        assert having("--quad-tol") == {
+            "series", "real-series", "ft", "lt", "flt",
+            "verify-orthogonality", "verify-residual", "roundtrip",
+        }
+        assert having("--format") == {"series", "real-series", "ft", "ift", "lt", "ilt", "iflt"}
+        assert having("--expr") == {
+            "series", "real-series", "ft", "lt", "flt", "estimate-abscissa", "roundtrip",
+        }
+        assert having("--input") == {
+            "series", "real-series", "ft", "ift", "lt", "ilt", "flt", "iflt", "estimate-abscissa",
+        }
+
+    @pytest.fixture
+    def stored(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            ["lt", "--expr", "x*exp(-x)", "--sigma", "0.5", "--X", "40",
+             "--tau-min", "-1", "--tau-max", "1", "--tau-step", "0.05", "--output", "line.json"],
+            ["ft", "--expr", "exp(-x^2/2)", "--A", "12", "--lambda-min", "-1",
+             "--lambda-max", "1", "--lambda-step", "0.25", "--output", "spectrum.json"],
+            ["ift", "--input", "spectrum.json", "--x-min", "-2", "--x-max", "2",
+             "--x-step", "0.1", "--output", "f.json"],
+        ):
+            assert main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ilt", "--input", "line.json", "--t", "1", "--quad-tol", "5"],
+            ["ift", "--input", "spectrum.json", "--expr", "x",
+             "--x-min", "0", "--x-max", "1", "--x-step", "0.5"],
+            ["verify-sl", "--L", "1", "--k-max", "2", "--format", "csv"],
+            ["roundtrip", "--expr", "exp(-x^2/2)", "--input", "f.json", "--A", "12",
+             "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.5",
+             "--x-min", "0", "--x-max", "1", "--x-step", "0.5"],
+            ["lt", "--expr", "1", "--s", "2+0i", "--X", "40", "--tau-max", "5"],
+            ["estimate-abscissa", "--input", "f.json", "--x-step", "1"],
+        ],
+        ids=["ilt-quad-tol", "ift-expr", "verify-sl-format", "roundtrip-input",
+             "lt-s-tau-max", "abscissa-input-x-step"],
+    )
+    def test_flag_that_would_not_be_read_is_rejected(self, capsys, stored, argv):
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: validation:")
+        assert err.count("\n") == 1
+
+    def test_stored_spectrum_reader_echoes_no_quadrature(self, capsys, stored):
+        capsys.readouterr()
+        doc = run_json(
+            capsys, "ift", "--input", "spectrum.json", "--x-min", "-1", "--x-max", "1",
+            "--x-step", "0.5",
+        )
+        assert doc["meta"]["request"] == {
+            "command": "ift", "input": "spectrum.json", "x-min": -1.0, "x-max": 1.0, "x-step": 0.5,
+        }
+
+    def test_verify_residual_echoes_given_flags(self, capsys):
+        doc = run_json(capsys, "verify-residual", "--lam", "0", "--n", "4", "--n", "8")
+        request = doc["meta"]["request"]
+        assert request["lam"] == [0.0]
+        assert request["n"] == [4, 8]
+        assert list(request)[-3:] == ["quad_method", "quad_order", "quad_tol"]
+
+    def test_too_few_samples_is_a_validation_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "estimate-abscissa", "--expr", "exp(x)",
+            "--x-min", "0.5", "--x-max", "2", "--x-step", "0.5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: validation: abscissa estimation needs at least 8 usable samples, got 4\n"
+        )

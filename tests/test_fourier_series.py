@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitransform import (
     ContractViolationError,
     FourierCoefficientSet,
+    Grid,
     QuadratureSpec,
     complex_coefficients,
     complex_to_real,
+    forward_ft,
     gram_matrix,
     integrate,
     oscillation_panels,
@@ -220,3 +224,25 @@ class TestParseval:
         ).real / (2.0 * L)
         assert mean_square == pytest.approx(power_sum, abs=1e-10)
         assert power_sum == pytest.approx(abs(c1) ** 2 + abs(cm2) ** 2, abs=1e-10)
+
+
+class TestSeriesTransformConvention:
+    # c_k = (1/2L) int f e^{i k pi x/L} and F(lam) = (1/2pi) int f e^{i lam x}
+    # share the kernel sign, so for f negligible outside (-L, L) the
+    # coefficients are transform samples: c_k = (pi/L) F(k pi/L) with A = L.
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.floats(min_value=2.0, max_value=6.0),
+        st.floats(min_value=-0.3, max_value=0.3),
+        st.floats(min_value=0.05, max_value=0.08),
+    )
+    def test_coefficients_are_scaled_transform_samples(self, L, shift, width):
+        a, w = shift * L, width * L  # the bump is below 1e-16 at x = +-L
+        f = lambda x: np.exp(-((np.asarray(x, float) - a) ** 2) / (2.0 * w * w)) + 0j
+        K = 3
+        coeffs = complex_coefficients(f, L, K)
+        spectrum = forward_ft(f, Grid(np.arange(-K, K + 1) * math.pi / L), L)
+        for k, F in zip(range(-K, K + 1), spectrum.values):
+            assert coeffs.c[k] == pytest.approx(math.pi / L * F, abs=1e-10)
+        # c_0 is the bump's mean, so the two sides cannot agree by both missing it
+        assert coeffs.c[0].real == pytest.approx(w * math.sqrt(2.0 * math.pi) / (2.0 * L), rel=1e-8)

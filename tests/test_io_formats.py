@@ -105,6 +105,30 @@ class TestSpectrumFiles:
             io.load_spectrum(str(path))
 
 
+class TestMalformedFiles:
+    # Each loader names the file and the offending key instead of crashing.
+    def _file(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_function_without_grid(self, tmp_path):
+        path = self._file(tmp_path, {"kind": "function", "values": [[1.0, 0.0]]})
+        with pytest.raises(ContractViolationError, match=r"bad\.json: missing 'grid'"):
+            io.load_function(path)
+
+    def test_laplace_line_without_sigma(self, tmp_path):
+        doc = {"kind": "spectrum", "convention": "laplace-line",
+               "tau_grid": [0.0, 1.0], "values": [[1.0, 0.0], [0.5, 0.0]]}
+        with pytest.raises(ContractViolationError, match=r"bad\.json: missing 'sigma'"):
+            io.load_spectrum(self._file(tmp_path, doc))
+
+    def test_function2d_value_pair_of_length_one(self, tmp_path):
+        doc = {"kind": "function2d", "x_grid": [0.0], "t_grid": [0.0], "values": [[[1.0]]]}
+        with pytest.raises(ContractViolationError, match=r"bad\.json: malformed 'values'"):
+            io.load_function2d(self._file(tmp_path, doc))
+
+
 class TestCsv:
     def test_function_rows(self):
         grid = Grid.uniform(0.0, 1.0, 3)

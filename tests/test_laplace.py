@@ -173,6 +173,13 @@ class TestBromwichFromSamples:
         with pytest.raises(AliasingError):
             bromwich_inverse_from_samples(spectrum, 1.0)
 
+    def test_coarse_non_uniform_contour_rejected(self):
+        # The step bound holds on every grid kind, not only uniform ones.
+        tau_grid = Grid(np.linspace(-10.0, 10.0, 21), kind="gauss-nodes")
+        spectrum = LaplaceSpectrum(0.0, tau_grid, 1.0 / (1.0 + 1j * tau_grid.points) ** 2)
+        with pytest.raises(AliasingError, match="contour step 1 exceeds"):
+            bromwich_inverse_from_samples(spectrum, 1.0)
+
 
 class TestWeightedOrthogonality:
     def test_diagonal_is_exact_truncation_length(self):
