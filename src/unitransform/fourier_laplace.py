@@ -10,8 +10,8 @@ functions.
 Both forward axes are :func:`numerics.exp_sum` calls.  Inversion applies
 the contour sum in s first, then the inverse Fourier sum in lam.  Grids
 obey the same guards as the 1-D modules, reported per axis: the aliasing
-bound of :mod:`fourier_transform`, the contour step and endpoint checks
-of :mod:`laplace`, and the half-line check of :mod:`numerics`.
+bound of :mod:`fourier_transform`, the contour step check of
+:mod:`laplace`, and the endpoint and half-line checks of :mod:`numerics`.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .fourier_transform import _check_aliasing
-from .laplace import _check_contour_ends, _contour_step
+from .laplace import _contour_step
 from .numerics import (
     DEFAULT_SPEC,
     Grid,
     QuadratureSpec,
     _check_decay,
+    _check_ends,
     _eval_integrand,
     composite_gauss_nodes,
     exp_sum,
@@ -122,7 +123,8 @@ def inverse_fl(spectrum: FourierLaplaceSpectrum, x: float, t: float) -> complex:
     contour_factor = np.exp(s * t) * tau_grid.trapezoid_weights()
     # |e^{st}| is constant along the line, so the stored spectrum's profile
     # decides whether the contour was truncated.
-    _check_contour_ends(np.max(np.abs(spectrum.values), axis=0), "s axis: ", stacklevel=3)
+    _check_ends(np.max(np.abs(spectrum.values), axis=0), "s axis: contour integrand",
+                "the contour half-height T", stacklevel=3)
     per_lambda = (spectrum.values @ contour_factor) / (2.0 * math.pi)
     fourier_factor = np.exp(-1j * lam_grid.points * x) * lam_grid.trapezoid_weights()
     return complex(np.dot(per_lambda, fourier_factor))

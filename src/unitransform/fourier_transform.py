@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, ContractViolationError
-from .numerics import Grid, QuadratureSpec, SampledFunction, exp_sum, integrate, oscillation_panels
+from .numerics import (
+    Grid,
+    QuadratureSpec,
+    SampledFunction,
+    _check_ends,
+    exp_sum,
+    integrate_grid,
+)
 
 # Largest tolerable phase advance per grid step in the inverse transform.
 ALIASING_PHASE_BOUND = math.pi / 4
@@ -51,24 +58,17 @@ def forward_ft(
 ) -> ContinuousSpectrum:
     """F(lam) = (1/2pi) * integral of f(x) exp(i*lam*x) over [-A, A].
 
-    The caller asserts that |f| is integrable with negligible tail
-    beyond the truncation A.  Quadrature panels scale with the kernel
-    oscillation at each frequency.
+    The whole frequency grid is one :func:`numerics.integrate_grid` pass,
+    with panels fine enough for its largest |lam|.  f must be negligible
+    beyond the truncation A: a :class:`TruncationWarning` says when
+    |f(-A)| or |f(A)| exceeds 1e-6 of the peak |f| on the nodes.
     """
     A = float(truncation)
     if not A > 0:
         raise ContractViolationError("truncation A must be > 0")
-    lams = lambda_grid.points
-    values = np.empty(lams.size, dtype=complex)
-    for i, lam in enumerate(lams):
-        panels = oscillation_panels(lam, -A, A)
-        values[i] = integrate(
-            lambda x, lam=lam: f(x) * np.exp(1j * lam * np.asarray(x)),
-            (-A, A),
-            spec,
-            panels=panels,
-        ) / (2.0 * math.pi)
-    return ContinuousSpectrum(lambda_grid=lambda_grid, values=values)
+    values, magnitude = integrate_grid(f, (-A, A), lambda_grid.points, 1, spec)
+    _check_ends(magnitude, "integrand f", "the truncation A", stacklevel=3)
+    return ContinuousSpectrum(lambda_grid=lambda_grid, values=values / (2.0 * math.pi))
 
 
 def _check_aliasing(step: float, x_max: float, axis: str = "") -> None:

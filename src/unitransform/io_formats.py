@@ -19,6 +19,8 @@ Kinds::
     value         {"kind":"value","value":[re,im],"meta":{...}}
     report        {"kind":"report","check":..., ...fields..., "meta":{...}}
 
+A grid that is not uniform carries its kind after its points, as
+``"<grid key>_kind": "gauss-nodes"``; a grid without that key is uniform.
 Every file embeds the request that produced it under meta.request.
 """
 
@@ -90,14 +92,18 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _grid_list(grid: Grid) -> list[float]:
-    return [float(v) for v in grid.points]
+def _grid_fields(key: str, grid: Grid) -> dict:
+    """``{key: points}``, plus ``{key}_kind`` for a grid that is not uniform."""
+    fields: dict = {key: [float(v) for v in grid.points]}
+    if grid.kind != "uniform":
+        fields[f"{key}_kind"] = grid.kind
+    return fields
 
 
 def function_payload(fn: SampledFunction, meta: dict) -> dict:
     return {
         "kind": "function",
-        "grid": _grid_list(fn.grid),
+        **_grid_fields("grid", fn.grid),
         "values": [_pair(v) for v in fn.values],
         "meta": meta,
     }
@@ -106,8 +112,8 @@ def function_payload(fn: SampledFunction, meta: dict) -> dict:
 def function2d_payload(fn: SampledFunction2D, meta: dict) -> dict:
     return {
         "kind": "function2d",
-        "x_grid": _grid_list(fn.x_grid),
-        "t_grid": _grid_list(fn.t_grid),
+        **_grid_fields("x_grid", fn.x_grid),
+        **_grid_fields("t_grid", fn.t_grid),
         "values": [[_pair(v) for v in row] for row in fn.values],
         "meta": meta,
     }
@@ -139,7 +145,7 @@ def spectrum_payload(spectrum, meta: dict) -> dict:
         return {
             "kind": "spectrum",
             "convention": spectrum.convention,
-            "lambda_grid": _grid_list(spectrum.lambda_grid),
+            **_grid_fields("lambda_grid", spectrum.lambda_grid),
             "values": [_pair(v) for v in spectrum.values],
             "meta": meta,
         }
@@ -148,7 +154,7 @@ def spectrum_payload(spectrum, meta: dict) -> dict:
             "kind": "spectrum",
             "convention": "laplace-line",
             "sigma": float(spectrum.sigma),
-            "tau_grid": _grid_list(spectrum.tau_grid),
+            **_grid_fields("tau_grid", spectrum.tau_grid),
             "values": [_pair(v) for v in spectrum.values],
             "meta": meta,
         }
@@ -156,9 +162,9 @@ def spectrum_payload(spectrum, meta: dict) -> dict:
         return {
             "kind": "spectrum",
             "convention": "fourier-laplace",
-            "lambda_grid": _grid_list(spectrum.lambda_grid),
+            **_grid_fields("lambda_grid", spectrum.lambda_grid),
             "sigma": float(spectrum.sigma),
-            "tau_grid": _grid_list(spectrum.tau_grid),
+            **_grid_fields("tau_grid", spectrum.tau_grid),
             "values": [[_pair(v) for v in row] for row in spectrum.values],
             "meta": meta,
         }
@@ -198,7 +204,8 @@ def _read(doc: dict, key: str, path: str, convert):
 
 
 def _grid(doc: dict, key: str, path: str) -> Grid:
-    return _read(doc, key, path, lambda v: Grid(np.asarray(v, dtype=float)))
+    kind = doc.get(f"{key}_kind", "uniform")
+    return _read(doc, key, path, lambda v: Grid(np.asarray(v, dtype=float), kind=kind))
 
 
 def _values_1d(doc: dict, key: str, path: str) -> np.ndarray:

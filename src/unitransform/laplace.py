@@ -8,9 +8,9 @@ imaginary coordinate; there is no contour deformation or series
 acceleration, so convergence in T is slow (O(1/T)) whenever the
 transform decays like 1/s.  The contour guards, shared with
 :mod:`fourier_laplace`, live here: :func:`_contour_step` (a coarser
-stored contour raises :class:`AliasingError`) and :func:`_check_contour_ends`
-(a :class:`TruncationWarning` when the integrand at the endpoints exceeds
-1e-6 of its peak).
+stored contour raises :class:`AliasingError`); the endpoint guard is
+:func:`numerics._check_ends` (a :class:`TruncationWarning` when the
+integrand at the endpoints exceeds 1e-6 of its peak).
 
 The evaluation line matters: the inversion is only valid for sigma above
 the abscissa of convergence of the original function, which
@@ -30,7 +30,6 @@ from .errors import (
     ContractViolationError,
     InsufficientDataError,
     ExcludedSampleWarning,
-    TruncationWarning,
 )
 from .numerics import (
     DEFAULT_SPEC,
@@ -39,6 +38,7 @@ from .numerics import (
     QuadratureSpec,
     SampledFunction,
     _check_decay,
+    _check_ends,
     _eval_integrand,
     composite_gauss_nodes,
     exp_sum,
@@ -48,7 +48,6 @@ from .numerics import (
 
 # Contour step bound: at most 0.05, and at most pi/(8 t) for the target time.
 CONTOUR_STEP = 0.05
-CONTOUR_ENDPOINT_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -141,23 +140,9 @@ def _contour_step(t: float, spacing: float | None = None, axis: str = "") -> flo
     return bound
 
 
-def _check_contour_ends(magnitude: np.ndarray, axis: str = "", stacklevel: int = 4) -> None:
-    """Warn when the contour integrand at the ends exceeds CONTOUR_ENDPOINT_RATIO of its peak."""
-    peak = float(np.max(magnitude))
-    ends = max(magnitude[0], magnitude[-1])
-    if peak > 0 and ends > CONTOUR_ENDPOINT_RATIO * peak:
-        warnings.warn(
-            TruncationWarning(
-                f"{axis}contour integrand at the endpoints is {ends / peak:.2e} of its peak; "
-                "raise the contour half-height T for full accuracy"
-            ),
-            stacklevel=stacklevel,
-        )
-
-
 def _contour_sum(s: np.ndarray, fhat_values: np.ndarray, weights: np.ndarray, t: float) -> complex:
     g = fhat_values * np.exp(s * t)
-    _check_contour_ends(np.abs(g))
+    _check_ends(np.abs(g), "contour integrand", "the contour half-height T")
     return complex(np.dot(weights, g) / (2.0 * math.pi))
 
 

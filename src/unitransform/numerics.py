@@ -4,14 +4,18 @@ All integrals in the toolkit go through :func:`integrate` (finite
 intervals) or :func:`integrate_halfline` (truncated ``[0, X]`` integrals
 with a tail estimate).  Oscillatory integrands are handled by panel
 subdivision, see :func:`oscillation_panels`; there is no Filon-type
-machinery here.  :func:`exp_sum` sums samples against exp(+-i w x) for
-a whole grid of w; :func:`_eval_integrand` evaluates every callable and
-:func:`_check_decay` checks every half-line truncation.
+machinery here.  :func:`integrate_grid` integrates f against exp(+-i w x)
+for a whole grid of w in one adaptive pass, and :func:`exp_sum` sums
+stored samples against the same kernel.  :func:`_eval_integrand`
+evaluates every callable, :func:`_check_decay` checks every half-line
+truncation and :func:`_check_ends` every truncated interval or contour
+whose integrand should have died out at its ends.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -23,6 +27,7 @@ from .errors import (
     DivergenceError,
     EvaluationError,
     QuadratureError,
+    TruncationWarning,
 )
 
 DEFAULT_TOLERANCE = 1e-10
@@ -32,6 +37,11 @@ _MAX_BISECTIONS = 48
 # Kernel columns per block in exp_sum: bounds both the kernel's memory and
 # the length of its phase recurrence.
 _EXP_BLOCK = 128
+# Complex entries per block of the exp(i w x) kernel in integrate_grid.
+_GRID_BLOCK = 8192
+# Largest |integrand| at a truncation end, relative to its peak, that passes
+# without a TruncationWarning.
+ENDPOINT_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -221,6 +231,25 @@ def _check_decay(ends: np.ndarray, X: float, axis: str = "") -> tuple[float, flo
     return f_mid, f_end
 
 
+def _check_ends(magnitude: np.ndarray, what: str, remedy: str, stacklevel: int = 4) -> None:
+    """Warn when ``magnitude`` at either end exceeds ENDPOINT_RATIO of its peak.
+
+    ``magnitude`` is |integrand| along a truncated interval or contour, ends
+    first and last; the :class:`TruncationWarning` reads "<what> at the
+    endpoints is ... of its peak; raise <remedy> for full accuracy".
+    """
+    peak = float(np.max(magnitude))
+    ends = max(magnitude[0], magnitude[-1])
+    if peak > 0 and ends > ENDPOINT_RATIO * peak:
+        warnings.warn(
+            TruncationWarning(
+                f"{what} at the endpoints is {ends / peak:.2e} of its peak; "
+                f"raise {remedy} for full accuracy"
+            ),
+            stacklevel=stacklevel,
+        )
+
+
 def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int) -> np.ndarray:
     """Sum ``weighted`` against exp(sign*i*w*nodes) for every w on the grid.
 
@@ -301,13 +330,8 @@ def _adaptive(f, a: float, b: float, order: int, tol: float, panels: int) -> com
 
 def composite_gauss_nodes(a: float, b: float, order: int, panels: int):
     """Flattened nodes and weights of a composite Gauss-Legendre rule."""
-    xg, wg = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+    return _panel_rule(edges[:-1], edges[1:], order)
 
 
 def oscillation_panels(frequency: float, a: float, b: float, per_period: float = 1.5) -> int:
@@ -318,6 +342,13 @@ def oscillation_panels(frequency: float, a: float, b: float, per_period: float =
     """
     periods = abs(frequency) * (b - a) / (2.0 * math.pi)
     return max(1, math.ceil(periods * per_period))
+
+
+def _bounds(interval: tuple[float, float]) -> tuple[float, float]:
+    a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ContractViolationError(f"integration interval must satisfy a < b, got ({a}, {b})")
+    return a, b
 
 
 def integrate(
@@ -347,9 +378,7 @@ def integrate(
         The integral approximation.  Deterministic for fixed inputs.
     """
     spec = spec or DEFAULT_SPEC
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ContractViolationError(f"integration interval must satisfy a < b, got ({a}, {b})")
+    a, b = _bounds(interval)
     if panels < 1:
         raise ContractViolationError("panel count must be >= 1")
     if spec.method == "trapezoid":
@@ -357,6 +386,112 @@ def integrate(
     if spec.method == "gauss-legendre":
         return _gauss_composite(f, a, b, spec.order, panels)
     return _adaptive(f, a, b, spec.order, spec.tolerance, panels)
+
+
+def _panel_rule(lo: np.ndarray, hi: np.ndarray, order: int):
+    """Flattened nodes and weights of the order-point Gauss rule on each panel [lo, hi]."""
+    xg, wg = _leggauss(order)
+    mid = (lo + hi) / 2.0
+    half = (hi - lo) / 2.0
+    return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
+
+
+def _kernel(nodes: np.ndarray, freqs: np.ndarray, sign: int) -> np.ndarray:
+    return np.exp(sign * 1j * np.outer(nodes, freqs))
+
+
+def _panel_sums(weighted: np.ndarray, nodes: np.ndarray, size: int, freqs: np.ndarray,
+                sign: int) -> np.ndarray:
+    """Sums of ``weighted`` against exp(sign*i*w*nodes) over each run of ``size`` nodes.
+
+    Returns shape (nodes.size // size, freqs.size).  The kernel is built for
+    as many frequencies at a time as fit in ``_GRID_BLOCK`` entries (one at a
+    time when there are more nodes than that).
+    """
+    out = np.empty((nodes.size // size, freqs.size), dtype=complex)
+    step = max(1, _GRID_BLOCK // nodes.size)
+    for start in range(0, freqs.size, step):
+        cols = freqs[start:start + step]
+        kernel = _kernel(nodes, cols, sign)
+        kernel *= weighted[:, None]
+        out[:, start:start + cols.size] = kernel.reshape(-1, size, cols.size).sum(axis=1)
+    return out
+
+
+def integrate_grid(
+    f: Callable,
+    interval: tuple[float, float],
+    freqs: Sequence[float] | np.ndarray,
+    sign: int,
+    spec: QuadratureSpec | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of f(x) exp(sign*i*w*x) over [a, b] for every w in ``freqs``, in one pass.
+
+    All frequencies share the integrand samples and the panels.  The pass
+    starts from ``oscillation_panels(max |w|)`` panels; each bisection level
+    evaluates f once, on both halves of every active panel (the first level
+    on the panels too).  A panel is accepted when
+    ``max over w |fine - coarse| <= tol * width / span``, the test of
+    :func:`integrate` at its worst frequency, and ``_MAX_BISECTIONS`` and the
+    unresolved-defect :class:`QuadratureError` apply per frequency as there.
+    ``gauss-legendre`` and ``trapezoid`` are the first pass without bisection.
+
+    Returns the integrals and |f| on the first level's samples, a and b
+    included as its first and last entries, for :func:`_check_ends`.
+    """
+    spec = spec or DEFAULT_SPEC
+    a, b = _bounds(interval)
+    w = np.asarray(freqs, dtype=float)
+    if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
+        raise ContractViolationError("frequencies must form a non-empty 1-D finite sequence")
+    panels = oscillation_panels(float(np.max(np.abs(w))), a, b)
+    if spec.method == "trapezoid":
+        x = np.linspace(a, b, spec.order * panels + 1)
+        fx = _eval_integrand(f, x)
+        return _panel_sums(Grid(x).trapezoid_weights() * fx, x, x.size, w, sign)[0], np.abs(fx)
+    order = spec.order
+    edges = np.linspace(a, b, panels + 1)
+    lo, hi = edges[:-1], edges[1:]
+    if spec.method == "gauss-legendre":
+        x, weights = _panel_rule(lo, hi, order)
+        fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
+        return _panel_sums(weights * fx[1:-1], x, x.size, w, sign)[0], np.abs(fx)
+    tol, span = spec.tolerance, b - a
+    mid = (lo + hi) / 2.0
+    x0, w0 = _panel_rule(lo, hi, order)
+    x, weights = _panel_rule(np.concatenate((lo, mid)), np.concatenate((mid, hi)), order)
+    fx = _eval_integrand(f, np.concatenate(([a], x0, x, [b])))
+    magnitude = np.abs(fx)
+    coarse = _panel_sums(w0 * fx[1:1 + x0.size], x0, order, w, sign)
+    halves = _panel_sums(weights * fx[1 + x0.size:-1], x, order, w, sign)
+    total = np.zeros(w.size, dtype=complex)
+    defect = np.zeros(w.size)
+    depth = 0
+    while True:
+        left, right = halves[:lo.size], halves[lo.size:]
+        fine = left + right
+        change = np.abs(fine - coarse)
+        done = np.max(change, axis=1) <= tol * (hi - lo) / span
+        # A panel that cannot be split further (jump or machine resolution)
+        # keeps its refined value and accounts for its unresolved defect.
+        stuck = ~done & ((depth >= _MAX_BISECTIONS) | (mid <= lo) | (mid >= hi))
+        total += fine[done | stuck].sum(axis=0)
+        defect += change[stuck].sum(axis=0)
+        split = ~(done | stuck)
+        if not split.any():
+            break
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        coarse = np.concatenate((left[split], right[split]))
+        mid = (lo + hi) / 2.0
+        x, weights = _panel_rule(np.concatenate((lo, mid)), np.concatenate((mid, hi)), order)
+        halves = _panel_sums(weights * _eval_integrand(f, x), x, order, w, sign)
+        depth += 1
+    worst = float(np.max(defect))
+    if worst > tol:
+        raise QuadratureError(
+            f"adaptive quadrature error estimate {worst:.3e} exceeds tolerance {tol:.3e}"
+        )
+    return total, magnitude
 
 
 def integrate_halfline(

@@ -254,6 +254,15 @@ class TestErrorSurface:
         assert code == 2
         assert err.startswith("error: numerical:")
 
+    def test_ft_without_decay_at_truncation_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ft", "--expr", "1", "--A", "5",
+            "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: numerical: integrand f at the endpoints is 1.00e+00 of its peak")
+
     def test_aliasing_exit_2(self, capsys, tmp_path):
         spectrum_path = str(tmp_path / "coarse.json")
         code, _, err = run_cli(

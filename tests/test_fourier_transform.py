@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitransform import (
     AliasingError,
     ContinuousSpectrum,
     ContractViolationError,
     Grid,
+    TruncationWarning,
     dirichlet_delta,
     forward_ft,
     integrate,
@@ -68,6 +71,61 @@ class TestForward:
     def test_truncation_must_be_positive(self):
         with pytest.raises(ContractViolationError):
             forward_ft(gaussian, Grid.uniform(-1, 1, 3), 0.0)
+
+    def test_slow_decay_at_truncation_warns(self):
+        # 1/(1+x^2) is 1/145 of its peak at A = 12
+        f = lambda x: 1.0 / (1.0 + np.asarray(x, float) ** 2) + 0j
+        with pytest.warns(TruncationWarning, match="raise the truncation A"):
+            forward_ft(f, Grid.uniform(-1.0, 1.0, 3), 12.0)
+
+    def test_decayed_function_does_not_warn(self, recwarn):
+        forward_ft(gaussian, Grid.uniform(-1.0, 1.0, 3), 6.0)  # e^{-18} at A = 6
+        assert not [w for w in recwarn if issubclass(w.category, TruncationWarning)]
+
+
+def _bump(c, s, amp):
+    return lambda x: amp * np.exp(-((np.asarray(x, float) - c) ** 2) / (2.0 * s * s)) + 0j
+
+
+# Random gaussians amp * exp(-(x-c)^2 / 2s^2), negligible beyond A = 20.
+bumps = st.tuples(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=0.6, max_value=1.5),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+)
+A_PROP = 20.0
+
+
+class TestConventionProperties:
+    @settings(max_examples=10, deadline=None)
+    @given(bumps, bumps, st.complex_numbers(max_magnitude=3.0))
+    def test_linearity(self, p, q, alpha):
+        f, g = _bump(*p), _bump(*q)
+        grid = Grid.uniform(-6.0, 6.0, 61)
+        combined = forward_ft(lambda x: alpha * f(x) + g(x), grid, A_PROP).values
+        split = alpha * forward_ft(f, grid, A_PROP).values + forward_ft(g, grid, A_PROP).values
+        np.testing.assert_allclose(combined, split, rtol=0, atol=1e-11)
+
+    @settings(max_examples=10, deadline=None)
+    @given(bumps, st.floats(min_value=-2.0, max_value=2.0))
+    def test_shift_is_modulation(self, p, a):
+        # f(x - a) has the spectrum e^{i lam a} F(lam)
+        f = _bump(*p)
+        grid = Grid.uniform(-6.0, 6.0, 61)
+        shifted = forward_ft(lambda x: f(np.asarray(x, float) - a), grid, A_PROP).values
+        modulated = np.exp(1j * grid.points * a) * forward_ft(f, grid, A_PROP).values
+        np.testing.assert_allclose(shifted, modulated, rtol=0, atol=1e-11)
+
+    @settings(max_examples=10, deadline=None)
+    @given(bumps)
+    def test_plancherel(self, p):
+        # with the 1/(2pi) on the forward side: int |f|^2 dx = 2pi int |F|^2 dlam
+        c, s, amp = p
+        grid = Grid.uniform(-12.0, 12.0, 241)
+        F = forward_ft(_bump(c, s, amp), grid, A_PROP).values
+        spectral = 2.0 * math.pi * np.dot(grid.trapezoid_weights(), np.abs(F) ** 2)
+        energy = abs(amp) ** 2 * s * math.sqrt(math.pi)
+        assert spectral == pytest.approx(energy, rel=1e-10)
 
 
 class TestInverse:

@@ -12,8 +12,12 @@ from unitransform import (
     LaplaceSpectrum,
     SampledFunction,
     SampledFunction2D,
+    TruncationWarning,
+    bromwich_inverse_from_samples,
+    laplace_line,
 )
 from unitransform import io_formats as io
+from unitransform.numerics import composite_gauss_nodes
 
 
 def _write(tmp_path, name, payload):
@@ -86,6 +90,30 @@ class TestSpectrumFiles:
         assert isinstance(loaded, LaplaceSpectrum)
         assert loaded.sigma == 1.5
         np.testing.assert_allclose(loaded.values, spectrum.values)
+
+    def test_gauss_nodes_line_roundtrip(self, tmp_path):
+        # 300 five-node panels keep every step under the contour bound 0.05
+        nodes, _ = composite_gauss_nodes(-25.0, 25.0, 5, 300)
+        tau = Grid(nodes, kind="gauss-nodes")
+        line = laplace_line(lambda x: np.asarray(x, float) * np.exp(-np.asarray(x, float)) + 0j,
+                            0.5, tau, 40.0)
+        payload = io.spectrum_payload(line, {"request": {}})
+        assert list(payload)[3:5] == ["tau_grid", "tau_grid_kind"]
+        loaded = io.load_spectrum(_write(tmp_path, "line.json", payload))
+        assert loaded.tau_grid.kind == "gauss-nodes"
+        np.testing.assert_array_equal(loaded.tau_grid.points, tau.points)
+        np.testing.assert_array_equal(loaded.values, line.values)
+        exact = math.exp(-1.0)  # t e^{-t} at t = 1
+        with pytest.warns(TruncationWarning):
+            in_memory = bromwich_inverse_from_samples(line, 1.0)
+        with pytest.warns(TruncationWarning):
+            reloaded = bromwich_inverse_from_samples(loaded, 1.0)
+        assert abs(reloaded - exact) == abs(in_memory - exact) < 1e-3
+
+    def test_uniform_grids_record_no_kind(self):
+        grid = Grid.uniform(-1.0, 1.0, 3)
+        fn = SampledFunction2D(grid, grid, np.zeros((3, 3)))
+        assert list(io.function2d_payload(fn, {})) == ["kind", "x_grid", "t_grid", "values", "meta"]
 
     def test_fourier_laplace_roundtrip(self, tmp_path):
         lam = Grid.uniform(-1.0, 1.0, 3)

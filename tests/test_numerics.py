@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from unitransform import (
     integrate_halfline,
     oscillation_panels,
 )
-from unitransform.numerics import composite_gauss_nodes, exp_sum
+from unitransform import numerics
+from unitransform.numerics import composite_gauss_nodes, exp_sum, integrate_grid
 
 GL = QuadratureSpec(method="gauss-legendre", order=10)
 
@@ -184,6 +186,103 @@ class TestExpSum:
         for grid in (Grid([-3.0, -1.0, 0.5, 4.0], kind="gauss-nodes"), Grid.uniform(2.0, 3.0, 1)):
             direct = weighted @ np.exp(-1j * np.outer(nodes, grid.points))
             assert np.allclose(exp_sum(weighted, nodes, grid, -1), direct, rtol=0, atol=1e-15)
+
+
+def _gaussian(x):
+    return np.exp(-np.asarray(x, float) ** 2 / 2.0) + 0j
+
+
+class TestIntegrateGrid:
+    # The forward_ft cases of the benchmark: (f, truncation A, grid points on [-6, 6]).
+    CASES = {
+        "gaussian": (_gaussian, 12.0, 481),
+        "sech": (lambda x: 1.0 / np.cosh(np.asarray(x, float)) + 0j, 25.0, 241),
+        "kink": (lambda x: np.exp(-np.abs(np.asarray(x, float))) + 0j, 25.0, 121),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_agrees_with_per_frequency_integrate(self, name):
+        f, A, n = self.CASES[name]
+        lams = np.linspace(-6.0, 6.0, n)
+        got, _ = integrate_grid(f, (-A, A), lams, 1)
+        # the per-frequency loop forward_ft used to run, on every 8th frequency
+        for lam, value in zip(lams[::8], got[::8]):
+            ref = integrate(
+                lambda x: f(x) * np.exp(1j * lam * np.asarray(x)),
+                (-A, A),
+                panels=oscillation_panels(lam, -A, A),
+            )
+            assert abs(value - ref) <= 1e-12
+
+    def test_tolerance_met_at_every_frequency(self):
+        # Every panel's rule is exact for f = 1 at lam = 0, so only lam = 40
+        # asks for the splitting, which the panel must get.
+        lams = np.array([0.0, 40.0])
+        one = lambda x: np.ones_like(np.asarray(x, float)) + 0j
+        got, _ = integrate_grid(one, (-1.0, 1.0), lams, 1, QuadratureSpec(order=3))
+        exact = np.array([2.0, 2.0 * math.sin(40.0) / 40.0])
+        assert np.max(np.abs(got - exact)) <= 1e-10
+
+    def test_few_integrand_calls(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return _gaussian(x)
+
+        integrate_grid(f, (-12.0, 12.0), Grid.uniform(-12.0, 12.0, 481).points, 1)
+        assert len(calls) <= 10  # the per-frequency loop made 27,109
+
+    def test_scalar_only_integrand(self):
+        lams = np.linspace(-3.0, 3.0, 7)
+        scalar, _ = integrate_grid(lambda x: complex(math.exp(-x * x / 2.0)), (-8.0, 8.0), lams, -1)
+        vector, _ = integrate_grid(_gaussian, (-8.0, 8.0), lams, -1)
+        np.testing.assert_allclose(scalar, vector, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(vector, math.sqrt(2 * math.pi) * np.exp(-lams**2 / 2), atol=1e-12)
+
+    def test_nan_at_one_node_names_it(self):
+        lams = np.linspace(-2.0, 2.0, 5)
+        nodes, _ = composite_gauss_nodes(-1.0, 1.0, 10, oscillation_panels(2.0, -1.0, 1.0))
+        bad = float(nodes[7])
+        f = lambda x: np.where(np.asarray(x) == bad, np.nan, 1.0) + 0j
+        with pytest.raises(EvaluationError, match=re.escape(f"x={bad!r}") + "$"):
+            integrate_grid(f, (-1.0, 1.0), lams, 1)
+
+    def test_kernel_blocks_stay_within_cap(self, monkeypatch):
+        f, A, n = self.CASES["gaussian"]
+        lams = np.linspace(-6.0, 6.0, n)
+        plain, _ = integrate_grid(f, (-A, A), lams, 1)
+        shapes = []
+        kernel = numerics._kernel
+
+        def spy(nodes, freqs, sign):
+            shapes.append((nodes.size, freqs.size))
+            return kernel(nodes, freqs, sign)
+
+        monkeypatch.setattr(numerics, "_kernel", spy)
+        blocked, _ = integrate_grid(f, (-A, A), lams, 1)
+        np.testing.assert_array_equal(blocked, plain)
+        assert len(shapes) > 1
+        assert all(rows * cols <= numerics._GRID_BLOCK for rows, cols in shapes)
+        # more nodes than the cap: one frequency per block
+        shapes.clear()
+        spec = QuadratureSpec(method="trapezoid", order=9000)
+        integrate_grid(f, (-1.0, 1.0), np.array([0.0, 0.5, 1.0]), 1, spec)
+        assert shapes == [(9001, 1)] * 3
+
+    def test_fixed_rules_resolve_every_frequency(self):
+        # one rule for the whole grid, fine enough for its largest |lam|
+        lams = np.linspace(-6.0, 6.0, 25)
+        exact = math.sqrt(2 * math.pi) * np.exp(-lams**2 / 2)
+        for method in ("gauss-legendre", "trapezoid"):
+            got, magnitude = integrate_grid(_gaussian, (-12.0, 12.0), lams, 1, QuadratureSpec(method))
+            np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
+            assert magnitude[0] == magnitude[-1] == pytest.approx(math.exp(-72.0))
+
+    def test_bad_frequencies_rejected(self):
+        for freqs in ([], [[1.0]], [0.0, np.inf]):
+            with pytest.raises(ContractViolationError):
+                integrate_grid(_gaussian, (-1.0, 1.0), freqs, 1)
 
 
 class TestOscillationPanels:
