@@ -59,7 +59,6 @@ from .numerics import (
     SampledFunction,
     SampledFunction2D,
     integrate,
-    integrate_grid,
     integrate_halfline,
     oscillation_panels,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "forward_laplace",
     "gram_matrix",
     "integrate",
-    "integrate_grid",
     "integrate_halfline",
     "inverse_fl",
     "inverse_ft",

@@ -66,7 +66,7 @@ def forward_ft(
     A = float(truncation)
     if not A > 0:
         raise ContractViolationError("truncation A must be > 0")
-    values, magnitude = integrate_grid(f, (-A, A), lambda_grid.points, 1, spec)
+    values, magnitude = integrate_grid(f, (-A, A), lambda_grid, spec)
     _check_ends(magnitude, "integrand f", "the truncation A", stacklevel=3)
     return ContinuousSpectrum(lambda_grid=lambda_grid, values=values / (2.0 * math.pi))
 

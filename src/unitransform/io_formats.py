@@ -203,8 +203,15 @@ def _read(doc: dict, key: str, path: str, convert):
         raise ContractViolationError(f"{path}: malformed '{key}' entries") from exc
 
 
+def _grid_kind(value) -> str:
+    if value not in Grid.KINDS:
+        raise ValueError(f"unknown grid kind {value!r}")
+    return value
+
+
 def _grid(doc: dict, key: str, path: str) -> Grid:
-    kind = doc.get(f"{key}_kind", "uniform")
+    kind_key = f"{key}_kind"
+    kind = _read(doc, kind_key, path, _grid_kind) if kind_key in doc else "uniform"
     return _read(doc, key, path, lambda v: Grid(np.asarray(v, dtype=float), kind=kind))
 
 

@@ -4,7 +4,7 @@ All integrals in the toolkit go through :func:`integrate` (finite
 intervals) or :func:`integrate_halfline` (truncated ``[0, X]`` integrals
 with a tail estimate).  Oscillatory integrands are handled by panel
 subdivision, see :func:`oscillation_panels`; there is no Filon-type
-machinery here.  :func:`integrate_grid` integrates f against exp(+-i w x)
+machinery here.  :func:`integrate_grid` integrates f against exp(i w x)
 for a whole grid of w in one adaptive pass, and :func:`exp_sum` sums
 stored samples against the same kernel.  :func:`_eval_integrand`
 evaluates every callable, :func:`_check_decay` checks every half-line
@@ -37,8 +37,10 @@ _MAX_BISECTIONS = 48
 # Kernel columns per block in exp_sum: bounds both the kernel's memory and
 # the length of its phase recurrence.
 _EXP_BLOCK = 128
-# Complex entries per block of the exp(i w x) kernel in integrate_grid.
+# Complex entries per block of the exp(i w x) kernel in _panel_sums.
 _GRID_BLOCK = 8192
+# Panels-by-frequencies entries per batch of the adaptive pass in integrate_grid.
+_GRID_CELLS = 1 << 16
 # Largest |integrand| at a truncation end, relative to its peak, that passes
 # without a TruncationWarning.
 ENDPOINT_RATIO = 1e-6
@@ -80,6 +82,7 @@ class Grid:
     """
 
     __slots__ = ("points", "kind")
+    KINDS = ("uniform", "gauss-nodes")
 
     def __init__(self, points: Sequence[float] | np.ndarray, kind: str = "uniform"):
         pts = np.asarray(points, dtype=float)
@@ -89,7 +92,7 @@ class Grid:
             raise ContractViolationError("grid points must be finite")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise ContractViolationError("grid points must be strictly increasing")
-        if kind not in ("uniform", "gauss-nodes"):
+        if kind not in Grid.KINDS:
             raise ContractViolationError(f"unknown grid kind {kind!r}")
         if kind == "uniform" and pts.size > 2:
             d = np.diff(pts)
@@ -396,13 +399,13 @@ def _panel_rule(lo: np.ndarray, hi: np.ndarray, order: int):
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
-def _kernel(nodes: np.ndarray, freqs: np.ndarray, sign: int) -> np.ndarray:
-    return np.exp(sign * 1j * np.outer(nodes, freqs))
+def _kernel(nodes: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    return np.exp(1j * np.outer(nodes, freqs))
 
 
-def _panel_sums(weighted: np.ndarray, nodes: np.ndarray, size: int, freqs: np.ndarray,
-                sign: int) -> np.ndarray:
-    """Sums of ``weighted`` against exp(sign*i*w*nodes) over each run of ``size`` nodes.
+def _panel_sums(weighted: np.ndarray, nodes: np.ndarray, size: int,
+                freqs: np.ndarray) -> np.ndarray:
+    """Sums of ``weighted`` against exp(i*w*nodes) over each run of ``size`` nodes.
 
     Returns shape (nodes.size // size, freqs.size).  The kernel is built for
     as many frequencies at a time as fit in ``_GRID_BLOCK`` entries (one at a
@@ -412,7 +415,7 @@ def _panel_sums(weighted: np.ndarray, nodes: np.ndarray, size: int, freqs: np.nd
     step = max(1, _GRID_BLOCK // nodes.size)
     for start in range(0, freqs.size, step):
         cols = freqs[start:start + step]
-        kernel = _kernel(nodes, cols, sign)
+        kernel = _kernel(nodes, cols)
         kernel *= weighted[:, None]
         out[:, start:start + cols.size] = kernel.reshape(-1, size, cols.size).sum(axis=1)
     return out
@@ -421,53 +424,74 @@ def _panel_sums(weighted: np.ndarray, nodes: np.ndarray, size: int, freqs: np.nd
 def integrate_grid(
     f: Callable,
     interval: tuple[float, float],
-    freqs: Sequence[float] | np.ndarray,
-    sign: int,
+    grid: Grid,
     spec: QuadratureSpec | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of f(x) exp(sign*i*w*x) over [a, b] for every w in ``freqs``, in one pass.
+    """Integrals of f(x) exp(i*w*x) over [a, b] for every w on ``grid``, sharing the samples.
 
-    All frequencies share the integrand samples and the panels.  The pass
-    starts from ``oscillation_panels(max |w|)`` panels; each bisection level
-    evaluates f once, on both halves of every active panel (the first level
-    on the panels too).  A panel is accepted when
-    ``max over w |fine - coarse| <= tol * width / span``, the test of
-    :func:`integrate` at its worst frequency, and ``_MAX_BISECTIONS`` and the
-    unresolved-defect :class:`QuadratureError` apply per frequency as there.
-    ``gauss-legendre`` and ``trapezoid`` are the first pass without bisection.
+    The rule starts from ``oscillation_panels(max |w|)`` panels.
+    ``gauss-legendre`` and ``trapezoid`` evaluate f once on them and sum
+    through :func:`exp_sum`.  ``adaptive`` bisects them, see
+    :func:`_adaptive_grid`, over runs of the grid small enough that the
+    starting panels times the run fit in ``_GRID_CELLS``.
 
-    Returns the integrals and |f| on the first level's samples, a and b
-    included as its first and last entries, for :func:`_check_ends`.
+    Returns the integrals and |f| at a, the starting Gauss nodes (the
+    first run's) and b, for :func:`_check_ends`.
     """
     spec = spec or DEFAULT_SPEC
     a, b = _bounds(interval)
-    w = np.asarray(freqs, dtype=float)
-    if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
-        raise ContractViolationError("frequencies must form a non-empty 1-D finite sequence")
+    w = grid.points
     panels = oscillation_panels(float(np.max(np.abs(w))), a, b)
     if spec.method == "trapezoid":
         x = np.linspace(a, b, spec.order * panels + 1)
         fx = _eval_integrand(f, x)
-        return _panel_sums(Grid(x).trapezoid_weights() * fx, x, x.size, w, sign)[0], np.abs(fx)
-    order = spec.order
-    edges = np.linspace(a, b, panels + 1)
-    lo, hi = edges[:-1], edges[1:]
+        return exp_sum(Grid(x).trapezoid_weights() * fx, x, grid, 1), np.abs(fx)
     if spec.method == "gauss-legendre":
-        x, weights = _panel_rule(lo, hi, order)
+        x, weights = composite_gauss_nodes(a, b, spec.order, panels)
         fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
-        return _panel_sums(weights * fx[1:-1], x, x.size, w, sign)[0], np.abs(fx)
-    tol, span = spec.tolerance, b - a
-    mid = (lo + hi) / 2.0
-    x0, w0 = _panel_rule(lo, hi, order)
-    x, weights = _panel_rule(np.concatenate((lo, mid)), np.concatenate((mid, hi)), order)
-    fx = _eval_integrand(f, np.concatenate(([a], x0, x, [b])))
-    magnitude = np.abs(fx)
-    coarse = _panel_sums(w0 * fx[1:1 + x0.size], x0, order, w, sign)
-    halves = _panel_sums(weights * fx[1 + x0.size:-1], x, order, w, sign)
+        return exp_sum(weights * fx[1:-1], x, grid, 1), np.abs(fx)
+    run = max(1, _GRID_CELLS // (2 * panels))
+    total = np.empty(w.size, dtype=complex)
+    for start in range(0, w.size, run):
+        total[start:start + run], ends = _adaptive_grid(f, a, b, w[start:start + run], spec)
+        if start == 0:
+            magnitude = ends
+    return total, magnitude
+
+
+def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec):
+    """Adaptive integrals of f(x) exp(i*w*x) over [a, b] for every w, sharing the bisection.
+
+    Panels go through a depth-first stack in batches of at most
+    ``_GRID_CELLS // (2 * w.size)``, so the panels-by-frequencies sums of a
+    batch's halves fit in ``_GRID_CELLS`` entries; the stack holds the
+    starting panels' sums and at most one more batch per bisection level.
+    Each batch evaluates f once, on both halves of its panels.  A panel is accepted
+    when ``max over w |fine - coarse| <= tol * width / span``, the test of
+    :func:`integrate` at its worst frequency; ``_MAX_BISECTIONS`` and the
+    unresolved-defect :class:`QuadratureError` apply per frequency as there.
+
+    Returns the integrals and |f| at a, the starting Gauss nodes and b.
+    """
+    order, tol, span = spec.order, spec.tolerance, b - a
+    rows = max(1, _GRID_CELLS // (2 * w.size))
+    edges = np.linspace(a, b, oscillation_panels(float(np.max(np.abs(w))), a, b) + 1)
+    lo, hi = edges[:-1], edges[1:]
+    x, weights = _panel_rule(lo, hi, order)
+    fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
+    weighted = weights * fx[1:-1]
+    stack = []
+    for s in reversed(range(0, lo.size, rows)):
+        nodes = slice(s * order, (s + rows) * order)
+        coarse = _panel_sums(weighted[nodes], x[nodes], order, w)
+        stack.append((lo[s:s + rows], hi[s:s + rows], coarse, 0))
     total = np.zeros(w.size, dtype=complex)
     defect = np.zeros(w.size)
-    depth = 0
-    while True:
+    while stack:
+        lo, hi, coarse, depth = stack.pop()
+        mid = (lo + hi) / 2.0
+        x, weights = _panel_rule(np.concatenate((lo, mid)), np.concatenate((mid, hi)), order)
+        halves = _panel_sums(weights * _eval_integrand(f, x), x, order, w)
         left, right = halves[:lo.size], halves[lo.size:]
         fine = left + right
         change = np.abs(fine - coarse)
@@ -478,20 +502,16 @@ def integrate_grid(
         total += fine[done | stuck].sum(axis=0)
         defect += change[stuck].sum(axis=0)
         split = ~(done | stuck)
-        if not split.any():
-            break
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
         coarse = np.concatenate((left[split], right[split]))
-        mid = (lo + hi) / 2.0
-        x, weights = _panel_rule(np.concatenate((lo, mid)), np.concatenate((mid, hi)), order)
-        halves = _panel_sums(weights * _eval_integrand(f, x), x, order, w, sign)
-        depth += 1
+        for s in reversed(range(0, lo.size, rows)):
+            stack.append((lo[s:s + rows], hi[s:s + rows], coarse[s:s + rows], depth + 1))
     worst = float(np.max(defect))
     if worst > tol:
         raise QuadratureError(
             f"adaptive quadrature error estimate {worst:.3e} exceeds tolerance {tol:.3e}"
         )
-    return total, magnitude
+    return total, np.abs(fx)
 
 
 def integrate_halfline(

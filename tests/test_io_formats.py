@@ -157,6 +157,14 @@ class TestMalformedFiles:
             io.load_function2d(self._file(tmp_path, doc))
 
 
+    def test_unknown_grid_kind(self, tmp_path):
+        doc = {"kind": "spectrum", "convention": "laplace-line", "sigma": 1.0,
+               "tau_grid": [0.0, 1.0], "tau_grid_kind": "chebyshev",
+               "values": [[1.0, 0.0], [0.5, 0.0]]}
+        with pytest.raises(ContractViolationError, match=r"bad\.json: malformed 'tau_grid_kind'"):
+            io.load_spectrum(self._file(tmp_path, doc))
+
+
 class TestCsv:
     def test_function_rows(self):
         grid = Grid.uniform(0.0, 1.0, 3)

@@ -203,10 +203,10 @@ class TestIntegrateGrid:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_agrees_with_per_frequency_integrate(self, name):
         f, A, n = self.CASES[name]
-        lams = np.linspace(-6.0, 6.0, n)
-        got, _ = integrate_grid(f, (-A, A), lams, 1)
+        lams = Grid.uniform(-6.0, 6.0, n)
+        got, _ = integrate_grid(f, (-A, A), lams)
         # the per-frequency loop forward_ft used to run, on every 8th frequency
-        for lam, value in zip(lams[::8], got[::8]):
+        for lam, value in zip(lams.points[::8], got[::8]):
             ref = integrate(
                 lambda x: f(x) * np.exp(1j * lam * np.asarray(x)),
                 (-A, A),
@@ -217,9 +217,8 @@ class TestIntegrateGrid:
     def test_tolerance_met_at_every_frequency(self):
         # Every panel's rule is exact for f = 1 at lam = 0, so only lam = 40
         # asks for the splitting, which the panel must get.
-        lams = np.array([0.0, 40.0])
         one = lambda x: np.ones_like(np.asarray(x, float)) + 0j
-        got, _ = integrate_grid(one, (-1.0, 1.0), lams, 1, QuadratureSpec(order=3))
+        got, _ = integrate_grid(one, (-1.0, 1.0), Grid([0.0, 40.0]), QuadratureSpec(order=3))
         exact = np.array([2.0, 2.0 * math.sin(40.0) / 40.0])
         assert np.max(np.abs(got - exact)) <= 1e-10
 
@@ -230,59 +229,84 @@ class TestIntegrateGrid:
             calls.append(np.size(x))
             return _gaussian(x)
 
-        integrate_grid(f, (-12.0, 12.0), Grid.uniform(-12.0, 12.0, 481).points, 1)
+        integrate_grid(f, (-12.0, 12.0), Grid.uniform(-12.0, 12.0, 481))
         assert len(calls) <= 10  # the per-frequency loop made 27,109
 
     def test_scalar_only_integrand(self):
-        lams = np.linspace(-3.0, 3.0, 7)
-        scalar, _ = integrate_grid(lambda x: complex(math.exp(-x * x / 2.0)), (-8.0, 8.0), lams, -1)
-        vector, _ = integrate_grid(_gaussian, (-8.0, 8.0), lams, -1)
+        lams = Grid.uniform(-3.0, 3.0, 7)
+        scalar, _ = integrate_grid(lambda x: complex(math.exp(-x * x / 2.0)), (-8.0, 8.0), lams)
+        vector, _ = integrate_grid(_gaussian, (-8.0, 8.0), lams)
         np.testing.assert_allclose(scalar, vector, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(vector, math.sqrt(2 * math.pi) * np.exp(-lams**2 / 2), atol=1e-12)
+        exact = math.sqrt(2 * math.pi) * np.exp(-lams.points**2 / 2)
+        np.testing.assert_allclose(vector, exact, atol=1e-12)
 
     def test_nan_at_one_node_names_it(self):
-        lams = np.linspace(-2.0, 2.0, 5)
         nodes, _ = composite_gauss_nodes(-1.0, 1.0, 10, oscillation_panels(2.0, -1.0, 1.0))
         bad = float(nodes[7])
         f = lambda x: np.where(np.asarray(x) == bad, np.nan, 1.0) + 0j
         with pytest.raises(EvaluationError, match=re.escape(f"x={bad!r}") + "$"):
-            integrate_grid(f, (-1.0, 1.0), lams, 1)
+            integrate_grid(f, (-1.0, 1.0), Grid.uniform(-2.0, 2.0, 5))
 
     def test_kernel_blocks_stay_within_cap(self, monkeypatch):
         f, A, n = self.CASES["gaussian"]
-        lams = np.linspace(-6.0, 6.0, n)
-        plain, _ = integrate_grid(f, (-A, A), lams, 1)
+        lams = Grid.uniform(-6.0, 6.0, n)
+        plain, _ = integrate_grid(f, (-A, A), lams)
         shapes = []
         kernel = numerics._kernel
 
-        def spy(nodes, freqs, sign):
+        def spy(nodes, freqs):
             shapes.append((nodes.size, freqs.size))
-            return kernel(nodes, freqs, sign)
+            return kernel(nodes, freqs)
 
         monkeypatch.setattr(numerics, "_kernel", spy)
-        blocked, _ = integrate_grid(f, (-A, A), lams, 1)
+        blocked, _ = integrate_grid(f, (-A, A), lams)
         np.testing.assert_array_equal(blocked, plain)
         assert len(shapes) > 1
         assert all(rows * cols <= numerics._GRID_BLOCK for rows, cols in shapes)
-        # more nodes than the cap: one frequency per block
+        # more nodes than the cap (573 panels for |lam| = 100): one frequency per block
         shapes.clear()
-        spec = QuadratureSpec(method="trapezoid", order=9000)
-        integrate_grid(f, (-1.0, 1.0), np.array([0.0, 0.5, 1.0]), 1, spec)
-        assert shapes == [(9001, 1)] * 3
+        integrate_grid(f, (-A, A), Grid.uniform(-100.0, 100.0, 3))
+        assert max(rows for rows, _ in shapes) > numerics._GRID_BLOCK
+        assert all(cols == 1 for _, cols in shapes)
+
+    def test_panel_arrays_stay_within_cells(self, monkeypatch):
+        sizes = []
+        panel_sums = numerics._panel_sums
+
+        def spy(*args):
+            out = panel_sums(*args)
+            sizes.append(out.size)
+            return out
+
+        # A wide grid runs in pieces of the grid.  Its 35 starting panels by
+        # one frequency already exceed 64 // 2 = 32, so each frequency runs
+        # alone and its starting panels go in two batches.
+        lams = Grid.uniform(-6.0, 6.0, 481)
+        monkeypatch.setattr(numerics, "_GRID_CELLS", 64)
+        monkeypatch.setattr(numerics, "_panel_sums", spy)
+        got, _ = integrate_grid(_gaussian, (-12.0, 12.0), lams)
+        exact = math.sqrt(2 * math.pi) * np.exp(-lams.points**2 / 2)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
+        assert len(sizes) > 481 and max(sizes) <= 64
+        # f oscillates faster than the grid's largest |lam| asks for, so the
+        # bisection multiplies the panels; pieces of 64 // 12 = 5 frequencies
+        # split them in batches of 64 // 10 = 6 panels.
+        sizes.clear()
+        lams = Grid.uniform(-1.0, 1.0, 41)
+        chirp = lambda x: _gaussian(x) * np.exp(-4j * np.asarray(x))
+        got, _ = integrate_grid(chirp, (-12.0, 12.0), lams)
+        exact = math.sqrt(2 * math.pi) * np.exp(-(lams.points - 4.0) ** 2 / 2)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
+        assert max(sizes) <= 64
 
     def test_fixed_rules_resolve_every_frequency(self):
         # one rule for the whole grid, fine enough for its largest |lam|
-        lams = np.linspace(-6.0, 6.0, 25)
-        exact = math.sqrt(2 * math.pi) * np.exp(-lams**2 / 2)
+        lams = Grid.uniform(-6.0, 6.0, 25)
+        exact = math.sqrt(2 * math.pi) * np.exp(-lams.points**2 / 2)
         for method in ("gauss-legendre", "trapezoid"):
-            got, magnitude = integrate_grid(_gaussian, (-12.0, 12.0), lams, 1, QuadratureSpec(method))
+            got, magnitude = integrate_grid(_gaussian, (-12.0, 12.0), lams, QuadratureSpec(method))
             np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
             assert magnitude[0] == magnitude[-1] == pytest.approx(math.exp(-72.0))
-
-    def test_bad_frequencies_rejected(self):
-        for freqs in ([], [[1.0]], [0.0, np.inf]):
-            with pytest.raises(ContractViolationError):
-                integrate_grid(_gaussian, (-1.0, 1.0), freqs, 1)
 
 
 class TestOscillationPanels:
