@@ -16,7 +16,8 @@ command reads is echoed in ``meta.request`` when given (except --output
 and --format, which only choose where and how the bytes are written),
 and no flag is accepted that is not read; a flag the request's mode does
 not read (``lt --s`` with a --sigma/--tau-* line, ``estimate-abscissa
---input`` with --x-*) is a validation error.
+--input`` with --x-*, --quad-method or --quad-tol for the fixed Gauss
+rule of ``lt --sigma`` and ``flt``) is a validation error.
 
 Numeric flags accept plain decimals and pi multiples ("pi", "0.5pi",
 "-2pi").  The environment variable UNITRANSFORM_QUAD_TOL overrides the
@@ -190,7 +191,12 @@ def _given(*values) -> bool:
     return any(v is not None for v in values)
 
 
-def _quad_spec(args) -> QuadratureSpec:
+def _quad_spec(args, fixed_rule: bool = False) -> QuadratureSpec:
+    """The quadrature in use; a fixed Gauss rule (``lt --sigma``, ``flt``) reads --quad-order."""
+    if fixed_rule:
+        if _given(args.quad_method, args.quad_tol):
+            raise UsageError(f"{args.command} uses a fixed Gauss rule; give only --quad-order")
+        return QuadratureSpec(order=args.quad_order)
     tol = args.quad_tol
     if tol is None:
         env = os.environ.get(QUAD_TOL_ENV)
@@ -201,13 +207,11 @@ def _quad_spec(args) -> QuadratureSpec:
                 raise UsageError(f"{QUAD_TOL_ENV} is not a number: {env!r}") from None
         else:
             tol = DEFAULT_TOLERANCE
-    try:
-        return QuadratureSpec(method=args.quad_method, order=args.quad_order, tolerance=tol)
-    except ContractViolationError as exc:
-        raise UsageError(str(exc)) from None
+    return QuadratureSpec(method=args.quad_method or "adaptive", order=args.quad_order,
+                          tolerance=tol)
 
 
-def _echo(args) -> dict:
+def _echo(args, fixed_rule: bool = False) -> dict:
     """``meta.request``: the source, every own flag given, and the quadrature in use."""
     command = _COMMANDS[args.command]
     request: dict[str, Any] = {"command": args.command}
@@ -224,10 +228,11 @@ def _echo(args) -> dict:
         if isinstance(value, complex):
             value = [value.real, value.imag]
         request[name] = value
-    if command.quad:
-        request["quad_method"] = args.quad_method
+    if fixed_rule:
         request["quad_order"] = args.quad_order
-        request["quad_tol"] = _quad_spec(args).tolerance
+    elif command.quad:
+        spec = _quad_spec(args)
+        request.update(quad_method=spec.method, quad_order=spec.order, quad_tol=spec.tolerance)
     return {"request": request}
 
 
@@ -276,8 +281,8 @@ def _cmd_lt(args) -> dict:
     if args.sigma is None:
         raise UsageError("lt needs --s, or --sigma with --tau-min/--tau-max/--tau-step")
     tau_grid = _grid_from_flags("tau", args.tau_min, args.tau_max, args.tau_step)
-    spectrum = laplace_line(f, args.sigma, tau_grid, args.X, _quad_spec(args))
-    return io.spectrum_payload(spectrum, _echo(args))
+    spectrum = laplace_line(f, args.sigma, tau_grid, args.X, _quad_spec(args, fixed_rule=True))
+    return io.spectrum_payload(spectrum, _echo(args, fixed_rule=True))
 
 
 def _cmd_ilt(args) -> dict:
@@ -294,10 +299,9 @@ def _cmd_flt(args) -> dict:
     f = _function_of_xt(args)
     lam_grid = _grid_from_flags("lambda", args.lambda_min, args.lambda_max, args.lambda_step)
     tau_grid = _grid_from_flags("tau", args.tau_min, args.tau_max, args.tau_step)
-    spectrum = forward_fl(
-        f, lam_grid, args.sigma, tau_grid, (args.A, args.X), _quad_spec(args)
-    )
-    return io.spectrum_payload(spectrum, _echo(args))
+    spec = _quad_spec(args, fixed_rule=True)
+    spectrum = forward_fl(f, lam_grid, args.sigma, tau_grid, (args.A, args.X), spec)
+    return io.spectrum_payload(spectrum, _echo(args, fixed_rule=True))
 
 
 def _cmd_iflt(args) -> dict:
@@ -424,7 +428,8 @@ class _Command:
     ``flags`` are the command's own flags in ``meta.request`` order.
     ``source`` is how f arrives: ``("expr", "input")`` (exactly one),
     ``("expr",)`` or ``("input",)`` (required), or ``()``.  ``quad``
-    adds --quad-method/--quad-order/--quad-tol, echoed on every request;
+    adds --quad-method/--quad-order/--quad-tol, echoed on every request
+    (a fixed Gauss rule build takes and echoes --quad-order only);
     ``csv`` adds --format json|csv.  Every command takes --output.
     """
 
@@ -488,7 +493,7 @@ _FLAGS: dict[str, dict] = {
                 help="eigenvalue to test (repeatable; default 0 1 5)"),
     "n": dict(type=int, action="append", help="window width index (repeatable; default 4 8 16)"),
     **{name: dict(type=parse_pi_float) for axis in ("lambda", "tau", "x") for name in _grid(axis)},
-    "quad-method": dict(choices=("trapezoid", "gauss-legendre", "adaptive"), default="adaptive"),
+    "quad-method": dict(choices=("trapezoid", "gauss-legendre", "adaptive"), default=None),
     "quad-order": dict(type=int, default=10),
     "quad-tol": dict(type=parse_pi_float, default=None,
                      help=f"absolute quadrature tolerance (default {DEFAULT_TOLERANCE}, "

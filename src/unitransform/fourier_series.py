@@ -171,23 +171,18 @@ def gram_matrix(L: float, K: int, spec: QuadratureSpec | None = None) -> np.ndar
     """Pairwise inner products of the eigenfunctions exp(-i*k*pi*x/L).
 
     Entry (i, j) corresponds to indices k = i - K and l = j - K and is
-    computed by quadrature of exp(-i*(k-l)*pi*x/L) over (-L, L).  The
+    the quadrature of exp(-i*(k-l)*pi*x/L) over (-L, L).  It depends on
+    i - j only, so each of the 4K+1 differences is integrated once.  The
     exact value is 2L on the diagonal and 0 elsewhere.
     """
     if not L > 0:
         raise ContractViolationError("L must be > 0")
     if K < 0:
         raise ContractViolationError("K must be >= 0")
-    size = 2 * K + 1
-    out = np.empty((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            diff = (i - j) * math.pi / L
-            panels = oscillation_panels(diff, -L, L)
-            out[i, j] = integrate(
-                lambda x, d=diff: np.exp(-1j * d * np.asarray(x)),
-                (-L, L),
-                spec,
-                panels=panels,
-            )
-    return out
+    by_difference = np.array([
+        integrate(lambda x, d=d: np.exp(-1j * d * np.asarray(x)), (-L, L), spec,
+                  panels=oscillation_panels(d, -L, L))
+        for d in (m * math.pi / L for m in range(-2 * K, 2 * K + 1))
+    ])
+    index = np.arange(2 * K + 1)
+    return by_difference[index[:, None] - index + 2 * K]

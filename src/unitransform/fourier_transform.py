@@ -88,14 +88,22 @@ def inverse_ft(spectrum: ContinuousSpectrum, x_grid: Grid) -> SampledFunction:
     trapezoid sum over that grid.  Requests with |x| * grid-step above
     pi/4 are rejected as aliased.
     """
-    lams = spectrum.lambda_grid.points
-    if lams.size < 2:
-        raise ContractViolationError("spectrum grid needs at least two points")
-    if spectrum.lambda_grid.kind != "uniform":
-        raise ContractViolationError("inverse transform requires a uniform frequency grid")
-    _check_aliasing(spectrum.lambda_grid.spacing, float(np.max(np.abs(x_grid.points))))
-    w = spectrum.lambda_grid.trapezoid_weights()
-    return SampledFunction(x_grid, exp_sum(w * spectrum.values, lams, x_grid, -1))
+    return SampledFunction(x_grid, _inverse_sum(spectrum.lambda_grid, spectrum.values, x_grid))
+
+
+def _inverse_sum(lambda_grid: Grid, values: np.ndarray, x: Grid | float, axis: str = ""):
+    """Trapezoid sum over the stored grid of ``values`` * exp(-i*lam*x), at every x on a grid or
+    one x.  The grid must be uniform, with two points or more, and obey :func:`_check_aliasing`."""
+    if len(lambda_grid) < 2:
+        raise ContractViolationError(f"{axis}spectrum grid needs at least two points")
+    if lambda_grid.kind != "uniform":
+        raise ContractViolationError(f"{axis}inverse transform requires a uniform frequency grid")
+    w, lams = lambda_grid.trapezoid_weights(), lambda_grid.points
+    if isinstance(x, Grid):
+        _check_aliasing(lambda_grid.spacing, float(np.max(np.abs(x.points))), axis)
+        return exp_sum(w * values, lams, x, -1)
+    _check_aliasing(lambda_grid.spacing, abs(x), axis)
+    return np.dot(values, np.exp(-1j * lams * x) * w)
 
 
 def dirichlet_delta(a: float, A: float) -> float:

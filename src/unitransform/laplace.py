@@ -2,15 +2,16 @@
 
 The forward transform is the half-line integral of f(x) exp(-s*x) with a
 truncation point and a tail estimate; a whole line of s values is one
-:func:`numerics.exp_sum`.  Inversion integrates along the vertical line
-Re(s) = sigma, truncated at height T, with uniform quadrature in the
-imaginary coordinate; there is no contour deformation or series
-acceleration, so convergence in T is slow (O(1/T)) whenever the
-transform decays like 1/s.  The contour guards, shared with
-:mod:`fourier_laplace`, live here: :func:`_contour_step` (a coarser
-stored contour raises :class:`AliasingError`); the endpoint guard is
-:func:`numerics._check_ends` (a :class:`TruncationWarning` when the
-integrand at the endpoints exceeds 1e-6 of its peak).
+damped sum, :func:`_line_sum`.  Inversion, :func:`_line_inverse`,
+integrates along the vertical line Re(s) = sigma, truncated at height T,
+by the trapezoid rule in the imaginary coordinate; there is no contour
+deformation or series acceleration, so convergence in T is slow (O(1/T))
+whenever the transform decays like 1/s.  Both sums, with the contour
+guards, also serve the s axis of :mod:`fourier_laplace`:
+:func:`_contour_step` (a coarser stored contour raises
+:class:`AliasingError`) and :func:`numerics._check_ends` (a
+:class:`TruncationWarning` when the integrand at the endpoints exceeds
+1e-6 of its peak).
 
 The evaluation line matters: the inversion is only valid for sigma above
 the abscissa of convergence of the original function, which
@@ -40,7 +41,7 @@ from .numerics import (
     _check_decay,
     _check_ends,
     _eval_integrand,
-    composite_gauss_nodes,
+    _grid_rule,
     exp_sum,
     integrate_halfline,
     oscillation_panels,
@@ -117,21 +118,26 @@ def laplace_line(
     X = float(truncation)
     if not X > 0:
         raise ContractViolationError("truncation point must be > 0")
-    panels = oscillation_panels(float(np.max(np.abs(tau_grid.points))), 0.0, X)
-    nodes, weights = composite_gauss_nodes(0.0, X, (spec or DEFAULT_SPEC).order, panels)
+    nodes, weights = _grid_rule(0.0, X, tau_grid, (spec or DEFAULT_SPEC).order)
     fx = _eval_integrand(f, nodes)
     _check_decay(np.abs(_eval_integrand(f, np.array([X / 2.0, X]))), X)
-    values = exp_sum(fx * weights * np.exp(-sigma * nodes), nodes, tau_grid, -1)
+    values = _line_sum(fx, nodes, weights, sigma, tau_grid)
     return LaplaceSpectrum(sigma=sigma, tau_grid=tau_grid, values=values)
 
 
+def _line_sum(samples: np.ndarray, nodes, weights, sigma: float, tau_grid: Grid) -> np.ndarray:
+    """Rule sums of ``samples`` (f at ``nodes``) * e^{-(sigma + i*tau) t}; damps them in place."""
+    samples *= weights * np.exp(-sigma * nodes)
+    return exp_sum(samples, nodes, tau_grid, -1)
+
+
 def _contour_step(t: float, spacing: float | None = None, axis: str = "") -> float:
-    """Largest contour step for evaluation time t > 0: min(CONTOUR_STEP, pi/(8t)).
+    """Largest contour step for a finite evaluation time t > 0: min(CONTOUR_STEP, pi/(8t)).
 
     A stored contour whose ``spacing`` exceeds it raises :class:`AliasingError`.
     """
-    if not t > 0:
-        raise ContractViolationError("evaluation time t must be > 0")
+    if not (t > 0 and math.isfinite(t)):
+        raise ContractViolationError(f"evaluation time t must be finite and > 0, got {t!r}")
     bound = min(CONTOUR_STEP, math.pi / (8.0 * t))
     if spacing is not None and spacing > bound * (1 + 1e-9):
         raise AliasingError(
@@ -140,10 +146,23 @@ def _contour_step(t: float, spacing: float | None = None, axis: str = "") -> flo
     return bound
 
 
-def _contour_sum(s: np.ndarray, fhat_values: np.ndarray, weights: np.ndarray, t: float) -> complex:
-    g = fhat_values * np.exp(s * t)
-    _check_ends(np.abs(g), "contour integrand", "the contour half-height T")
-    return complex(np.dot(weights, g) / (2.0 * math.pi))
+def _contour_sum(s: np.ndarray, values: np.ndarray, weights: np.ndarray, t: float,
+                 axis: str = "", stacklevel: int = 4):
+    """(1/2pi) sum_k weights_k values[..., k] e^{s_k t} along the last axis, behind the endpoint
+    guard; |e^{st}| is constant on the line, so it reads |values| (largest over leading axes)."""
+    magnitude = np.abs(values).reshape(-1, s.size).max(axis=0)
+    _check_ends(magnitude, f"{axis}contour integrand", "the contour half-height T", stacklevel)
+    return (values @ (np.exp(s * t) * weights)) / (2.0 * math.pi)
+
+
+def _line_inverse(sigma: float, tau_grid: Grid, values: np.ndarray, t: float, axis: str = ""):
+    """:func:`_contour_sum` on a stored line, by the trapezoid rule: the tau grid, of any kind,
+    needs three points and its largest step must obey :func:`_contour_step`."""
+    if len(tau_grid) < 3:
+        raise ContractViolationError(f"{axis}contour needs at least three samples")
+    _contour_step(t, float(np.max(np.diff(tau_grid.points))), axis)
+    s = sigma + 1j * tau_grid.points
+    return _contour_sum(s, values, tau_grid.trapezoid_weights(), t, axis, stacklevel=5)
 
 
 def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
@@ -159,10 +178,9 @@ def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
         raise ContractViolationError("contour half-height T must be > 0")
     n = int(math.ceil(T / _contour_step(t)))
     s = sigma + 1j * np.linspace(-T, T, 2 * n + 1)
-    h = T / n
-    weights = np.full(s.size, h)
-    weights[0] = weights[-1] = h / 2.0
-    return _contour_sum(s, _eval_integrand(fhat, s, at="s"), weights, t)
+    weights = np.full(s.size, T / n)
+    weights[0] = weights[-1] = T / n / 2.0
+    return complex(_contour_sum(s, _eval_integrand(fhat, s, at="s"), weights, t))
 
 
 def bromwich_inverse_from_samples(spectrum: LaplaceSpectrum, t: float) -> complex:
@@ -172,12 +190,7 @@ def bromwich_inverse_from_samples(spectrum: LaplaceSpectrum, t: float) -> comple
     largest step, on any grid kind, must satisfy the same step bound as
     :func:`bromwich_inverse`.
     """
-    grid = spectrum.tau_grid
-    if len(grid) < 3:
-        raise ContractViolationError("contour needs at least three samples")
-    _contour_step(t, float(np.max(np.diff(grid.points))))
-    s = spectrum.sigma + 1j * grid.points
-    return _contour_sum(s, spectrum.values, grid.trapezoid_weights(), t)
+    return complex(_line_inverse(spectrum.sigma, spectrum.tau_grid, spectrum.values, t))
 
 
 def weighted_orthogonality_check(lam: float, mu: float, sigma: float, A: float) -> complex:

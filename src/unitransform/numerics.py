@@ -3,10 +3,10 @@
 All integrals in the toolkit go through :func:`integrate` (finite
 intervals) or :func:`integrate_halfline` (truncated ``[0, X]`` integrals
 with a tail estimate).  Oscillatory integrands are handled by panel
-subdivision, see :func:`oscillation_panels`; there is no Filon-type
-machinery here.  :func:`integrate_grid` integrates f against exp(i w x)
-for a whole grid of w in one adaptive pass, and :func:`exp_sum` sums
-stored samples against the same kernel.  :func:`_eval_integrand`
+subdivision, see :func:`oscillation_panels`; no Filon-type machinery.
+:func:`integrate_grid` integrates f against exp(i w x) for a whole grid
+of w in one pass, and :func:`exp_sum` sums samples on the fixed rule of
+:func:`_grid_rule`, or stored ones, against it.  :func:`_eval_integrand`
 evaluates every callable, :func:`_check_decay` checks every half-line
 truncation and :func:`_check_ends` every truncated interval or contour
 whose integrand should have died out at its ends.
@@ -286,19 +286,6 @@ def _gauss_panel(f, lo: float, hi: float, xg: np.ndarray, wg: np.ndarray) -> com
     return complex(half * np.dot(wg, vals))
 
 
-def _gauss_composite(f, a: float, b: float, order: int, panels: int) -> complex:
-    nodes, weights = composite_gauss_nodes(a, b, order, panels)
-    vals = _eval_integrand(f, nodes)
-    return complex(np.dot(weights, vals))
-
-
-def _trapezoid_composite(f, a: float, b: float, panels: int) -> complex:
-    xs = np.linspace(a, b, panels + 1)
-    vals = _eval_integrand(f, xs)
-    h = (b - a) / panels
-    return complex(h * (vals.sum() - (vals[0] + vals[-1]) / 2.0))
-
-
 def _adaptive(f, a: float, b: float, order: int, tol: float, panels: int) -> complex:
     xg, wg = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
@@ -347,6 +334,12 @@ def oscillation_panels(frequency: float, a: float, b: float, per_period: float =
     return max(1, math.ceil(periods * per_period))
 
 
+def _grid_rule(a: float, b: float, grid: Grid, order: int):
+    """The fixed rule of the whole-grid sums: oscillation_panels(max |w|) Gauss panels on [a, b]."""
+    panels = oscillation_panels(float(np.max(np.abs(grid.points))), a, b)
+    return composite_gauss_nodes(a, b, order, panels)
+
+
 def _bounds(interval: tuple[float, float]) -> tuple[float, float]:
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -385,9 +378,12 @@ def integrate(
     if panels < 1:
         raise ContractViolationError("panel count must be >= 1")
     if spec.method == "trapezoid":
-        return _trapezoid_composite(f, a, b, spec.order * panels)
+        n = spec.order * panels
+        vals = _eval_integrand(f, np.linspace(a, b, n + 1))
+        return complex((b - a) / n * (vals.sum() - (vals[0] + vals[-1]) / 2.0))
     if spec.method == "gauss-legendre":
-        return _gauss_composite(f, a, b, spec.order, panels)
+        nodes, weights = composite_gauss_nodes(a, b, spec.order, panels)
+        return complex(np.dot(weights, _eval_integrand(f, nodes)))
     return _adaptive(f, a, b, spec.order, spec.tolerance, panels)
 
 
@@ -447,7 +443,7 @@ def integrate_grid(
         fx = _eval_integrand(f, x)
         return exp_sum(Grid(x).trapezoid_weights() * fx, x, grid, 1), np.abs(fx)
     if spec.method == "gauss-legendre":
-        x, weights = composite_gauss_nodes(a, b, spec.order, panels)
+        x, weights = _grid_rule(a, b, grid, spec.order)
         fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
         return exp_sum(weights * fx[1:-1], x, grid, 1), np.abs(fx)
     run = max(1, _GRID_CELLS // (2 * panels))

@@ -424,6 +424,47 @@ class TestCommandTable:
         assert request["n"] == [4, 8]
         assert list(request)[-3:] == ["quad_method", "quad_order", "quad_tol"]
 
+    FIXED_RULE = {
+        "lt": ["lt", "--expr", "x*exp(-x)", "--sigma", "0.5", "--X", "40",
+               "--tau-min", "-1", "--tau-max", "1", "--tau-step", "0.5"],
+        "flt": ["flt", "--expr", "exp(-x^2/2)*exp(-t)", "--sigma", "0.5", "--A", "12",
+                "--X", "40", "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.5",
+                "--tau-min", "-1", "--tau-max", "1", "--tau-step", "0.5"],
+    }
+
+    @pytest.mark.parametrize("command", ["lt", "flt"])
+    @pytest.mark.parametrize("flag", [["--quad-method", "adaptive"], ["--quad-tol", "1e-8"]],
+                             ids=["method", "tol"])
+    def test_fixed_rule_rejects_unread_quad_flags(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, *self.FIXED_RULE[command], *flag)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: validation: {command} uses a fixed Gauss rule; give only --quad-order\n"
+
+    @pytest.mark.parametrize("command", ["lt", "flt"])
+    def test_fixed_rule_echoes_only_quad_order(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("UNITRANSFORM_QUAD_TOL", "1e-6")
+        doc = run_json(capsys, *self.FIXED_RULE[command], "--quad-order", "12")
+        request = doc["meta"]["request"]
+        assert list(request)[-1] == "quad_order"
+        assert request["quad_order"] == 12
+        assert "quad_method" not in request and "quad_tol" not in request
+
+    def test_point_laplace_still_echoes_all_quadrature(self, capsys):
+        doc = run_json(capsys, "lt", "--expr", "1", "--s", "2+0i", "--X", "40",
+                       "--quad-method", "gauss-legendre")
+        request = doc["meta"]["request"]
+        assert [request[k] for k in ("quad_method", "quad_order", "quad_tol")] == [
+            "gauss-legendre", 10, 1e-10,
+        ]
+
+    def test_non_finite_time_is_a_validation_error(self, capsys, stored):
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "ilt", "--input", "line.json", "--t", "inf")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: validation: evaluation time t must be finite")
+
     def test_too_few_samples_is_a_validation_error(self, capsys):
         code, out, err = run_cli(
             capsys, "estimate-abscissa", "--expr", "exp(x)",

@@ -174,6 +174,52 @@ class TestInverse:
             inverse_fl(spectrum, 0.0, 0.0)
 
 
+class TestInverseOnGaussNodesContour:
+    # F(lam, s) = e^{-lam^2/2} / sqrt(2 pi) * 6 / (s + 1)^4 is the spectrum of
+    # f(x, t) = e^{-x^2/2} t^3 e^{-t}.
+    SIGMA = 0.5
+    LAM_GRID = Grid.uniform(-8.0, 8.0, 81)
+
+    def _spectrum(self, panels):
+        nodes, _ = composite_gauss_nodes(-50.0, 50.0, 4, panels)
+        tau_grid = Grid(nodes, kind="gauss-nodes")
+        values = np.outer(
+            np.exp(-self.LAM_GRID.points**2 / 2.0) / math.sqrt(2.0 * math.pi),
+            6.0 / (self.SIGMA + 1j * tau_grid.points + 1.0) ** 4,
+        )
+        return FourierLaplaceSpectrum(self.LAM_GRID, self.SIGMA, tau_grid, values)
+
+    def test_fine_contour_inverts(self):
+        spectrum = self._spectrum(700)  # largest step 0.049
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, t in ((0.3, 1.0), (-0.5, 2.0)):
+                exact = math.exp(-x * x / 2.0) * t**3 * math.exp(-t)
+                assert inverse_fl(spectrum, x, t) == pytest.approx(exact, abs=1e-6)
+
+    def test_coarse_contour_rejected_on_s_axis(self):
+        spectrum = self._spectrum(400)  # largest step 0.085
+        with pytest.raises(AliasingError, match="s axis"):
+            inverse_fl(spectrum, 0.3, 1.0)
+
+
+class TestNonFiniteEvaluationPoint:
+    SPECTRUM = FourierLaplaceSpectrum(
+        Grid.uniform(-2.0, 2.0, 11), 0.0, Grid.uniform(-2.0, 2.0, 81),
+        np.ones((11, 81), dtype=complex),
+    )
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_x_rejected(self, x):
+        with pytest.raises(ContractViolationError, match="x must be finite"):
+            inverse_fl(self.SPECTRUM, x, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_t_rejected(self, t):
+        with pytest.raises(ContractViolationError, match="t must be finite"):
+            inverse_fl(self.SPECTRUM, 0.0, t)
+
+
 class TestTwoDimensionalOrthogonality:
     def test_doubly_truncated_inner_product_factors(self):
         # the regularized inner product of two 2-D eigenfunctions equals the

@@ -246,3 +246,33 @@ class TestSeriesTransformConvention:
             assert coeffs.c[k] == pytest.approx(math.pi / L * F, abs=1e-10)
         # c_0 is the bump's mean, so the two sides cannot agree by both missing it
         assert coeffs.c[0].real == pytest.approx(w * math.sqrt(2.0 * math.pi) / (2.0 * L), rel=1e-8)
+
+
+class TestGramMatrixByDifference:
+    @pytest.mark.parametrize("K, L", [(3, 1.0), (8, math.pi), (5, 2.5)])
+    def test_one_integral_per_difference(self, monkeypatch, K, L):
+        import unitransform.fourier_series as fs
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(fs, "integrate", spy)
+        gram = gram_matrix(L, K)
+        assert len(calls) == 4 * K + 1
+        monkeypatch.undo()
+
+        # The per-entry loop: one quadrature of exp(-i (k - l) pi x / L) per (i, j).
+        size = 2 * K + 1
+        entries = np.empty((size, size), dtype=complex)
+        for i in range(size):
+            for j in range(size):
+                diff = (i - j) * math.pi / L
+                entries[i, j] = integrate(
+                    lambda x, d=diff: np.exp(-1j * d * np.asarray(x)),
+                    (-L, L),
+                    panels=oscillation_panels(diff, -L, L),
+                )
+        assert np.array_equal(gram, entries)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitransform import (
     AliasingError,
@@ -19,6 +21,7 @@ from unitransform import (
     bromwich_inverse,
     bromwich_inverse_from_samples,
     estimate_abscissa,
+    forward_ft,
     forward_laplace,
     integrate,
     laplace_line,
@@ -286,3 +289,41 @@ class TestEstimateAbscissa:
         values = np.exp(grid.points).astype(complex)
         est = estimate_abscissa(SampledFunction(grid, values))
         assert est.sigma_hat == pytest.approx(1.0, abs=0.01)
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_callable_route(self, t):
+        with pytest.raises(ContractViolationError, match="finite"):
+            bromwich_inverse(lambda s: 1.0 / (s + 1.0) ** 2, 0.5, 10.0, t)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_stored_route(self, t):
+        tau_grid = Grid.uniform(-2.0, 2.0, 81)
+        spectrum = LaplaceSpectrum(0.5, tau_grid, 1.0 / (1.5 + 1j * tau_grid.points) ** 2)
+        with pytest.raises(ContractViolationError, match="finite"):
+            bromwich_inverse_from_samples(spectrum, t)
+
+
+class TestLineIsDampedFourierTransform:
+    # L[f](sigma + i tau) = int_0^X f e^{-sigma t} e^{-i tau t} dt = 2 pi F[g](-tau)
+    # for g(x) = f(x) e^{-sigma x} [x >= 0] and F(lam) = (1/2pi) int g e^{i lam x}.
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.0, max_value=1.0))
+    def test_cubic_decay(self, a, sigma):
+        X = 60.0
+        tau_grid = Grid.uniform(-3.0, 3.0, 13)
+
+        def f(t):
+            t = np.asarray(t, float)
+            return t**3 * np.exp(-a * t) + 0j
+
+        def g(x):
+            x = np.asarray(x, float)
+            xp = np.maximum(x, 0.0)
+            return np.where(x >= 0.0, xp**3 * np.exp(-(a + sigma) * xp), 0.0) + 0j
+
+        line = laplace_line(f, sigma, tau_grid, X).values
+        # tau_grid is symmetric, so lambda = -tau is the same grid reversed.
+        ft = forward_ft(g, tau_grid, X).values[::-1]
+        np.testing.assert_allclose(line, 2.0 * math.pi * ft, rtol=1e-8, atol=0)
