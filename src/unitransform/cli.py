@@ -59,7 +59,7 @@ from .laplace import (
     forward_laplace,
     laplace_line,
 )
-from .numerics import DEFAULT_TOLERANCE, Grid, QuadratureSpec, SampledFunction
+from .numerics import DEFAULT_TOLERANCE, Grid, QuadratureSpec, SampledFunction, _scalar
 
 QUAD_TOL_ENV = "UNITRANSFORM_QUAD_TOL"
 
@@ -112,8 +112,8 @@ def _grid_from_flags(name: str, lo, hi, step) -> Grid:
     ]
     if missing:
         raise UsageError(f"missing {', '.join(missing)}")
-    if not step > 0:
-        raise UsageError(f"--{name}-step must be > 0")
+    lo, hi = _scalar(lo, f"--{name}-min"), _scalar(hi, f"--{name}-max")
+    step = _scalar(step, f"--{name}-step", "positive")
     if not hi > lo:
         raise UsageError(f"--{name}-max must exceed --{name}-min")
     num = int(round((hi - lo) / step)) + 1
@@ -255,16 +255,16 @@ def _cmd_ft(args) -> dict:
     return io.spectrum_payload(spectrum, _echo(args))
 
 
-def _stored_spectrum(args, kind: type, convention: str):
+def _stored_spectrum(args, kind: type):
     """The spectrum in the --input file; it must be a ``kind`` spectrum."""
     spectrum = io.load_spectrum(args.input)
     if not isinstance(spectrum, kind):
-        raise UsageError(f"{args.command} needs a spectrum with convention {convention}")
+        raise UsageError(f"{args.command} needs a spectrum with convention {kind.convention}")
     return spectrum
 
 
 def _cmd_ift(args) -> dict:
-    spectrum = _stored_spectrum(args, ContinuousSpectrum, "paper-fourier")
+    spectrum = _stored_spectrum(args, ContinuousSpectrum)
     x_grid = _grid_from_flags("x", args.x_min, args.x_max, args.x_step)
     return io.function_payload(inverse_ft(spectrum, x_grid), _echo(args))
 
@@ -286,7 +286,7 @@ def _cmd_lt(args) -> dict:
 
 
 def _cmd_ilt(args) -> dict:
-    spectrum = _stored_spectrum(args, LaplaceSpectrum, "laplace-line")
+    spectrum = _stored_spectrum(args, LaplaceSpectrum)
     value = bromwich_inverse_from_samples(spectrum, args.t)
     meta = _echo(args)
     meta["imag_residual"] = abs(value.imag)
@@ -305,7 +305,7 @@ def _cmd_flt(args) -> dict:
 
 
 def _cmd_iflt(args) -> dict:
-    spectrum = _stored_spectrum(args, FourierLaplaceSpectrum, "fourier-laplace")
+    spectrum = _stored_spectrum(args, FourierLaplaceSpectrum)
     value = inverse_fl(spectrum, args.x, args.t)
     meta = _echo(args)
     meta["imag_residual"] = abs(value.imag)
@@ -334,8 +334,6 @@ def _cmd_verify_orthogonality(args) -> dict:
 def _cmd_verify_residual(args) -> dict:
     lams = args.lam if args.lam else [0.0, 1.0, 5.0]
     ns = args.n if args.n else [4, 8, 16]
-    if any(n < 1 for n in ns):
-        raise UsageError("--n entries must be >= 1")
     problem = EigenProblemSpec.whole_line()
     spec = _quad_spec(args)
     ratios = {

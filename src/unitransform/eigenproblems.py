@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .numerics import Grid, QuadratureSpec, integrate
+from .numerics import Grid, QuadratureSpec, _scalar, integrate
 
 KINDS = ("periodic-interval", "whole-line", "weighted-halfline", "product-2d")
 
@@ -46,11 +46,9 @@ class EigenProblemSpec:
         if self.kind not in KINDS:
             raise ContractViolationError(f"unknown problem kind {self.kind!r}")
         if self.kind == "periodic-interval":
-            if self.L is None or not self.L > 0:
-                raise ContractViolationError("periodic-interval problems need L > 0")
+            _scalar(self.L, "L", "positive")
         if self.kind in ("weighted-halfline", "product-2d"):
-            if self.sigma is None or not math.isfinite(self.sigma):
-                raise ContractViolationError(f"{self.kind} problems need a finite sigma")
+            _scalar(self.sigma, "sigma")
 
     @classmethod
     def periodic(cls, L: float) -> "EigenProblemSpec":
@@ -97,6 +95,7 @@ class WindowedTestSequence:
     shape: str = "gaussian"
 
     def __post_init__(self):
+        _scalar(self.lam, "lam")
         if self.n < 1:
             raise ContractViolationError("window-width index n must be >= 1")
         if self.shape != "gaussian":
@@ -105,10 +104,7 @@ class WindowedTestSequence:
 
 def discrete_eigenvalues(L: float, k_max: int) -> list[Eigenvalue]:
     """Eigenvalues k*pi/L of the periodic problem for k = -k_max .. k_max."""
-    if not L > 0:
-        raise ContractViolationError("L must be > 0")
-    if k_max < 0:
-        raise ContractViolationError("k_max must be >= 0")
+    L, k_max = _scalar(L, "L", "positive"), _scalar(k_max, "k_max", "count")
     return [
         Eigenvalue(value=k * math.pi / L, spectrum_kind="discrete")
         for k in range(-k_max, k_max + 1)
@@ -211,8 +207,7 @@ def periodic_boundary_values(L: float, k: int) -> tuple[complex, complex]:
     At x = +-L the phase is an exact multiple of pi, so the values
     reduce by parity to (-1)**k with no rounding.
     """
-    if not L > 0:
-        raise ContractViolationError("L must be > 0")
+    _scalar(L, "L", "positive")
     v = complex(-1.0 if k % 2 else 1.0)
     return v, v
 
@@ -226,9 +221,7 @@ def sl_residual(L: float, k: int, x_grid: Grid) -> float:
     boundary conditions y(-L) = y(L) and y'(-L) = y'(L) exactly via the
     parity reduction at the endpoints.
     """
-    if not L > 0:
-        raise ContractViolationError("L must be > 0")
-    lam = k * math.pi / L
+    lam = k * math.pi / _scalar(L, "L", "positive")
     x = x_grid.points
     y = np.exp(-1j * lam * x)
     y_second = (-1j * lam) ** 2 * y

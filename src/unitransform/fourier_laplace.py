@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import ContractViolationError
 from .fourier_transform import _inverse_sum
 from .laplace import _line_inverse, _line_sum
 from .numerics import (
@@ -32,27 +32,28 @@ from .numerics import (
     _check_decay,
     _eval_integrand,
     _grid_rule,
+    _sampled,
+    _scalar,
     exp_sum,
 )
 
 
 @dataclass(frozen=True)
 class FourierLaplaceSpectrum:
-    """F(lam, sigma + i*tau) indexed by a frequency grid and a contour grid."""
+    """F(lam, sigma + i*tau) indexed by a frequency grid and a contour grid.
 
+    ``convention`` is the tag of its spectrum files.
+    """
+
+    convention: ClassVar[str] = "fourier-laplace"
     lambda_grid: Grid
     sigma: float
     tau_grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (len(self.lambda_grid), len(self.tau_grid)):
-            raise ContractViolationError(
-                f"value shape {vals.shape} does not match grids "
-                f"({len(self.lambda_grid)}, {len(self.tau_grid)})"
-            )
-        object.__setattr__(self, "values", vals)
+        _scalar(self.sigma, "sigma")
+        object.__setattr__(self, "values", _sampled(self.values, self.lambda_grid, self.tau_grid))
 
 
 def forward_fl(
@@ -70,9 +71,8 @@ def forward_fl(
     exponential type below sigma in t; growth of |f| toward t = X raises
     :class:`DivergenceError` naming the t axis.
     """
-    A, X = (float(truncations[0]), float(truncations[1]))
-    if not (A > 0 and X > 0):
-        raise ContractViolationError("truncations (A, X) must both be > 0")
+    A = _scalar(truncations[0], "truncation A", "positive")
+    X, sigma = _scalar(truncations[1], "truncation X", "positive"), _scalar(sigma, "sigma")
     order = (spec or DEFAULT_SPEC).order
     x_nodes, x_weights = _grid_rule(-A, A, lambda_grid, order)
     t_nodes, t_weights = _grid_rule(0.0, X, tau_grid, order)
@@ -106,7 +106,6 @@ def inverse_fl(spectrum: FourierLaplaceSpectrum, x: float, t: float) -> complex:
     :func:`laplace.bromwich_inverse_from_samples`, the lambda grid those
     of :func:`fourier_transform.inverse_ft`.
     """
-    if not math.isfinite(x):
-        raise ContractViolationError(f"evaluation point x must be finite, got {x!r}")
+    x = _scalar(x, "evaluation point x")
     per_lambda = _line_inverse(spectrum.sigma, spectrum.tau_grid, spectrum.values, t, "s axis: ")
     return complex(_inverse_sum(spectrum.lambda_grid, per_lambda, x, "lambda axis: "))

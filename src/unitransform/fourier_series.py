@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, EvaluationError, QuadratureError
-from .numerics import QuadratureSpec, integrate, oscillation_panels
+from .numerics import QuadratureSpec, _scalar, integrate, oscillation_panels
 
 CONJUGATE_SYMMETRY_TOL = 1e-8
 
@@ -30,8 +30,7 @@ class FourierCoefficientSet:
     c: dict[int, complex]
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ContractViolationError("L must be > 0")
+        _scalar(self.L, "L", "positive")
         ks = sorted(self.c)
         if not ks:
             raise ContractViolationError("coefficient set may not be empty")
@@ -64,17 +63,14 @@ class RealFourierCoefficientSet:
     b: dict[int, float]
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ContractViolationError("L must be > 0")
+        _scalar(self.L, "L", "positive")
         K = max(self.a) if self.a else -1
         if sorted(self.a) != list(range(0, K + 1)):
             raise ContractViolationError("a-coefficients must cover k = 0..K")
         if sorted(self.b) != list(range(1, K + 1)):
             raise ContractViolationError("b-coefficients must cover k = 1..K")
-        for d in (self.a, self.b):
-            for k, v in d.items():
-                if not math.isfinite(v):
-                    raise ContractViolationError(f"coefficient with k={k} is not finite")
+        for k, v in (*self.a.items(), *self.b.items()):
+            _scalar(v, f"coefficient with k={k}")
 
     @property
     def K(self) -> int:
@@ -98,10 +94,7 @@ def complex_coefficients(
     The integrand for index k oscillates with |k| periods over the
     interval, so the quadrature is subdivided proportionally.
     """
-    if not L > 0:
-        raise ContractViolationError("L must be > 0")
-    if K < 0:
-        raise ContractViolationError("K must be >= 0")
+    L, K = _scalar(L, "L", "positive"), _scalar(K, "K", "count")
     c = {}
     for k in range(-K, K + 1):
         c[k] = _coefficient_integral(f, k * math.pi / L, L, spec, k) / (2.0 * L)
@@ -124,10 +117,7 @@ def real_coefficients(
     f, L: float, K: int, spec: QuadratureSpec | None = None
 ) -> RealFourierCoefficientSet:
     """Cosine/sine coefficients a_k = (1/L) int f cos(k pi x / L), b_k likewise with sin."""
-    if not L > 0:
-        raise ContractViolationError("L must be > 0")
-    if K < 0:
-        raise ContractViolationError("K must be >= 0")
+    L, K = _scalar(L, "L", "positive"), _scalar(K, "K", "count")
 
     def checked(x):
         out = np.asarray(f(x))
@@ -175,10 +165,7 @@ def gram_matrix(L: float, K: int, spec: QuadratureSpec | None = None) -> np.ndar
     i - j only, so each of the 4K+1 differences is integrated once.  The
     exact value is 2L on the diagonal and 0 elsewhere.
     """
-    if not L > 0:
-        raise ContractViolationError("L must be > 0")
-    if K < 0:
-        raise ContractViolationError("K must be >= 0")
+    L, K = _scalar(L, "L", "positive"), _scalar(K, "K", "count")
     by_difference = np.array([
         integrate(lambda x, d=d: np.exp(-1j * d * np.asarray(x)), (-L, L), spec,
                   panels=oscillation_panels(d, -L, L))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .numerics import (
     QuadratureSpec,
     SampledFunction,
     _check_ends,
+    _sampled,
+    _scalar,
     exp_sum,
     integrate_grid,
 )
@@ -34,20 +37,17 @@ ALIASING_PHASE_BOUND = math.pi / 4
 
 @dataclass(frozen=True)
 class ContinuousSpectrum:
-    """Samples F(lam) on a real frequency grid."""
+    """Samples F(lam) on a real frequency grid.
 
+    ``convention`` is the tag of its spectrum files.
+    """
+
+    convention: ClassVar[str] = "paper-fourier"
     lambda_grid: Grid
     values: np.ndarray
-    convention: str = "paper-fourier"
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1 or vals.size != len(self.lambda_grid):
-            raise ContractViolationError(
-                f"value count {vals.size} does not match frequency grid size "
-                f"{len(self.lambda_grid)}"
-            )
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _sampled(self.values, self.lambda_grid))
 
 
 def forward_ft(
@@ -63,9 +63,7 @@ def forward_ft(
     beyond the truncation A: a :class:`TruncationWarning` says when
     |f(-A)| or |f(A)| exceeds 1e-6 of the peak |f| on the nodes.
     """
-    A = float(truncation)
-    if not A > 0:
-        raise ContractViolationError("truncation A must be > 0")
+    A = _scalar(truncation, "truncation A", "positive")
     values, magnitude = integrate_grid(f, (-A, A), lambda_grid, spec)
     _check_ends(magnitude, "integrand f", "the truncation A", stacklevel=3)
     return ContinuousSpectrum(lambda_grid=lambda_grid, values=values / (2.0 * math.pi))
@@ -108,8 +106,7 @@ def _inverse_sum(lambda_grid: Grid, values: np.ndarray, x: Grid | float, axis: s
 
 def dirichlet_delta(a: float, A: float) -> float:
     """Truncated delta kernel sin(a*A) / (pi*a), with the a -> 0 limit A/pi."""
-    if not A > 0:
-        raise ContractViolationError("truncation A must be > 0")
+    a, A = _scalar(a, "a"), _scalar(A, "truncation A", "positive")
     if abs(a) < 1e-12:
         return A / math.pi
     return math.sin(a * A) / (math.pi * a)

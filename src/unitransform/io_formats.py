@@ -26,6 +26,7 @@ Every file embeds the request that produced it under meta.request.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any
@@ -37,6 +38,10 @@ from .fourier_laplace import FourierLaplaceSpectrum
 from .fourier_transform import ContinuousSpectrum
 from .laplace import LaplaceSpectrum
 from .numerics import Grid, SampledFunction, SampledFunction2D
+
+# Spectrum classes by the convention tag of their files.
+_SPECTRA = {cls.convention: cls
+            for cls in (ContinuousSpectrum, LaplaceSpectrum, FourierLaplaceSpectrum)}
 
 
 def format_float(v: float) -> str:
@@ -92,6 +97,11 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _pairs(values: np.ndarray) -> list:
+    """[re, im] pairs of ``values``, nested like its rows."""
+    return [_pairs(row) for row in values] if values.ndim > 1 else [_pair(v) for v in values]
+
+
 def _grid_fields(key: str, grid: Grid) -> dict:
     """``{key: points}``, plus ``{key}_kind`` for a grid that is not uniform."""
     fields: dict = {key: [float(v) for v in grid.points]}
@@ -104,7 +114,7 @@ def function_payload(fn: SampledFunction, meta: dict) -> dict:
     return {
         "kind": "function",
         **_grid_fields("grid", fn.grid),
-        "values": [_pair(v) for v in fn.values],
+        "values": _pairs(fn.values),
         "meta": meta,
     }
 
@@ -114,7 +124,7 @@ def function2d_payload(fn: SampledFunction2D, meta: dict) -> dict:
         "kind": "function2d",
         **_grid_fields("x_grid", fn.x_grid),
         **_grid_fields("t_grid", fn.t_grid),
-        "values": [[_pair(v) for v in row] for row in fn.values],
+        "values": _pairs(fn.values),
         "meta": meta,
     }
 
@@ -141,34 +151,20 @@ def real_coefficients_payload(coeffs, meta: dict) -> dict:
 
 
 def spectrum_payload(spectrum, meta: dict) -> dict:
-    if isinstance(spectrum, ContinuousSpectrum):
-        return {
-            "kind": "spectrum",
-            "convention": spectrum.convention,
-            **_grid_fields("lambda_grid", spectrum.lambda_grid),
-            "values": [_pair(v) for v in spectrum.values],
-            "meta": meta,
-        }
-    if isinstance(spectrum, LaplaceSpectrum):
-        return {
-            "kind": "spectrum",
-            "convention": "laplace-line",
-            "sigma": float(spectrum.sigma),
-            **_grid_fields("tau_grid", spectrum.tau_grid),
-            "values": [_pair(v) for v in spectrum.values],
-            "meta": meta,
-        }
-    if isinstance(spectrum, FourierLaplaceSpectrum):
-        return {
-            "kind": "spectrum",
-            "convention": "fourier-laplace",
-            **_grid_fields("lambda_grid", spectrum.lambda_grid),
-            "sigma": float(spectrum.sigma),
-            **_grid_fields("tau_grid", spectrum.tau_grid),
-            "values": [[_pair(v) for v in row] for row in spectrum.values],
-            "meta": meta,
-        }
-    raise ContractViolationError(f"not a spectrum: {type(spectrum).__name__}")
+    """The spectrum's convention, then its fields in declaration order: grids, sigma, values."""
+    if not isinstance(spectrum, tuple(_SPECTRA.values())):
+        raise ContractViolationError(f"not a spectrum: {type(spectrum).__name__}")
+    payload: dict = {"kind": "spectrum", "convention": spectrum.convention}
+    for field in dataclasses.fields(spectrum):
+        value = getattr(spectrum, field.name)
+        if isinstance(value, Grid):
+            payload.update(_grid_fields(field.name, value))
+        elif field.name == "values":
+            payload["values"] = _pairs(value)
+        else:
+            payload[field.name] = float(value)
+    payload["meta"] = meta
+    return payload
 
 
 def value_payload(value: complex, meta: dict) -> dict:
@@ -182,7 +178,7 @@ def report_payload(check: str, fields: dict, meta: dict) -> dict:
     return payload
 
 
-def _load(path: str) -> dict:
+def _load(path: str, kind: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -190,6 +186,8 @@ def _load(path: str) -> dict:
         raise ContractViolationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ContractViolationError(f"{path} is not a toolkit file (missing 'kind')")
+    if doc["kind"] != kind:
+        raise ContractViolationError(f"{path}: expected kind '{kind}', got {doc['kind']!r}")
     return doc
 
 
@@ -215,57 +213,42 @@ def _grid(doc: dict, key: str, path: str) -> Grid:
     return _read(doc, key, path, lambda v: Grid(np.asarray(v, dtype=float), kind=kind))
 
 
-def _values_1d(doc: dict, key: str, path: str) -> np.ndarray:
-    return _read(doc, key, path, lambda v: np.array([complex(re, im) for re, im in v]))
+def _complex(pairs) -> np.ndarray:
+    """Nested [re, im] pairs as a complex array one level shallower."""
+    parts = np.array(pairs, dtype=float)
+    if parts.shape[-1:] != (2,):
+        raise ValueError("values must be [re, im] pairs")
+    return parts.view(complex)[..., 0]
 
 
-def _values_2d(doc: dict, key: str, path: str) -> np.ndarray:
-    return _read(
-        doc, key, path, lambda v: np.array([[complex(re, im) for re, im in row] for row in v])
-    )
+def _entry(doc: dict, key: str, path: str):
+    """``doc[key]`` as the field of that name: complex values, a float sigma, or a grid."""
+    if key == "values":
+        return _read(doc, key, path, _complex)
+    if key == "sigma":
+        return _read(doc, key, path, float)
+    return _grid(doc, key, path)
 
 
 def load_function(path: str) -> SampledFunction:
-    doc = _load(path)
-    if doc["kind"] != "function":
-        raise ContractViolationError(f"{path}: expected kind 'function', got {doc['kind']!r}")
-    return SampledFunction(grid=_grid(doc, "grid", path), values=_values_1d(doc, "values", path))
+    doc = _load(path, "function")
+    return SampledFunction(_entry(doc, "grid", path), _entry(doc, "values", path))
 
 
 def load_function2d(path: str) -> SampledFunction2D:
-    doc = _load(path)
-    if doc["kind"] != "function2d":
-        raise ContractViolationError(f"{path}: expected kind 'function2d', got {doc['kind']!r}")
-    return SampledFunction2D(
-        x_grid=_grid(doc, "x_grid", path),
-        t_grid=_grid(doc, "t_grid", path),
-        values=_values_2d(doc, "values", path),
-    )
+    doc = _load(path, "function2d")
+    return SampledFunction2D(*(_entry(doc, key, path) for key in ("x_grid", "t_grid", "values")))
 
 
 def load_spectrum(path: str):
-    doc = _load(path)
-    if doc["kind"] != "spectrum":
-        raise ContractViolationError(f"{path}: expected kind 'spectrum', got {doc['kind']!r}")
-    convention = doc.get("convention")
-    if convention == "paper-fourier":
-        return ContinuousSpectrum(
-            lambda_grid=_grid(doc, "lambda_grid", path), values=_values_1d(doc, "values", path)
+    """The spectrum class is looked up by the file's convention tag."""
+    doc = _load(path, "spectrum")
+    cls = _SPECTRA.get(doc.get("convention"))
+    if cls is None:
+        raise ContractViolationError(
+            f"{path}: unknown spectrum convention {doc.get('convention')!r}"
         )
-    if convention == "laplace-line":
-        return LaplaceSpectrum(
-            sigma=_read(doc, "sigma", path, float),
-            tau_grid=_grid(doc, "tau_grid", path),
-            values=_values_1d(doc, "values", path),
-        )
-    if convention == "fourier-laplace":
-        return FourierLaplaceSpectrum(
-            lambda_grid=_grid(doc, "lambda_grid", path),
-            sigma=_read(doc, "sigma", path, float),
-            tau_grid=_grid(doc, "tau_grid", path),
-            values=_values_2d(doc, "values", path),
-        )
-    raise ContractViolationError(f"{path}: unknown spectrum convention {convention!r}")
+    return cls(**{field.name: _entry(doc, field.name, path) for field in dataclasses.fields(cls)})
 
 
 def to_csv_bytes(payload: dict) -> bytes:
@@ -276,11 +259,11 @@ def to_csv_bytes(payload: dict) -> bytes:
         lines.append("x,re,im")
         for x, (re, im) in zip(payload["grid"], payload["values"]):
             lines.append(f"{format_float(x)},{format_float(re)},{format_float(im)}")
-    elif kind == "spectrum" and payload["convention"] == "paper-fourier":
+    elif kind == "spectrum" and payload["convention"] == ContinuousSpectrum.convention:
         lines.append("lambda,re,im")
         for lam, (re, im) in zip(payload["lambda_grid"], payload["values"]):
             lines.append(f"{format_float(lam)},{format_float(re)},{format_float(im)}")
-    elif kind == "spectrum" and payload["convention"] == "laplace-line":
+    elif kind == "spectrum" and payload["convention"] == LaplaceSpectrum.convention:
         lines.append("tau,re,im")
         for tau, (re, im) in zip(payload["tau_grid"], payload["values"]):
             lines.append(f"{format_float(tau)},{format_float(re)},{format_float(im)}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,6 +43,8 @@ from .numerics import (
     _check_ends,
     _eval_integrand,
     _grid_rule,
+    _sampled,
+    _scalar,
     exp_sum,
     integrate_halfline,
     oscillation_panels,
@@ -53,19 +56,19 @@ CONTOUR_STEP = 0.05
 
 @dataclass(frozen=True)
 class LaplaceSpectrum:
-    """Samples of a transform along the vertical line sigma + i*tau."""
+    """Samples of a transform along the vertical line sigma + i*tau.
 
+    ``convention`` is the tag of its spectrum files.
+    """
+
+    convention: ClassVar[str] = "laplace-line"
     sigma: float
     tau_grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1 or vals.size != len(self.tau_grid):
-            raise ContractViolationError(
-                f"value count {vals.size} does not match tau grid size {len(self.tau_grid)}"
-            )
-        object.__setattr__(self, "values", vals)
+        _scalar(self.sigma, "sigma")
+        object.__setattr__(self, "values", _sampled(self.values, self.tau_grid))
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,7 @@ class ExponentialTypeEstimate:
     fit_residual: float
 
     def __post_init__(self):
-        if not math.isfinite(self.fit_residual):
-            raise ContractViolationError("fit residual must be finite")
+        _scalar(self.fit_residual, "fit residual")
 
 
 def forward_laplace(
@@ -92,8 +94,9 @@ def forward_laplace(
     Re(s) must exceed the growth rate of f; a growing integrand at the
     truncation point raises :class:`DivergenceError`.
     """
-    s = complex(s)
-    X = float(truncation)
+    z = complex(s)
+    s = complex(_scalar(z.real, "Re s"), _scalar(z.imag, "Im s"))
+    X = _scalar(truncation, "truncation X", "positive")
     panels = oscillation_panels(s.imag, 0.0, X)
 
     def integrand(x):
@@ -115,9 +118,7 @@ def laplace_line(
     oscillation on the grid, so the whole line costs a single sweep of
     function evaluations.
     """
-    X = float(truncation)
-    if not X > 0:
-        raise ContractViolationError("truncation point must be > 0")
+    X, sigma = _scalar(truncation, "truncation X", "positive"), _scalar(sigma, "sigma")
     nodes, weights = _grid_rule(0.0, X, tau_grid, (spec or DEFAULT_SPEC).order)
     fx = _eval_integrand(f, nodes)
     _check_decay(np.abs(_eval_integrand(f, np.array([X / 2.0, X]))), X)
@@ -136,9 +137,7 @@ def _contour_step(t: float, spacing: float | None = None, axis: str = "") -> flo
 
     A stored contour whose ``spacing`` exceeds it raises :class:`AliasingError`.
     """
-    if not (t > 0 and math.isfinite(t)):
-        raise ContractViolationError(f"evaluation time t must be finite and > 0, got {t!r}")
-    bound = min(CONTOUR_STEP, math.pi / (8.0 * t))
+    bound = min(CONTOUR_STEP, math.pi / (8.0 * _scalar(t, "evaluation time t", "positive")))
     if spacing is not None and spacing > bound * (1 + 1e-9):
         raise AliasingError(
             f"{axis}contour step {spacing:.6g} exceeds the bound {bound:.6g} for t={t:g}"
@@ -174,8 +173,7 @@ def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
     result should be near zero for real originals and serves as a
     consistency diagnostic.
     """
-    if not T > 0:
-        raise ContractViolationError("contour half-height T must be > 0")
+    T, sigma = _scalar(T, "contour half-height T", "positive"), _scalar(sigma, "sigma")
     n = int(math.ceil(T / _contour_step(t)))
     s = sigma + 1j * np.linspace(-T, T, 2 * n + 1)
     weights = np.full(s.size, T / n)
@@ -202,9 +200,8 @@ def weighted_orthogonality_check(lam: float, mu: float, sigma: float, A: float) 
     truncation grows; off the diagonal it stays bounded, the half-line
     analogue of the truncated delta kernel.
     """
-    if not A > 0:
-        raise ContractViolationError("truncation A must be > 0")
-    d = lam - mu
+    A = _scalar(A, "truncation A", "positive")
+    d = _scalar(lam, "lam") - _scalar(mu, "mu")
     if d == 0.0:
         return complex(A)
     # (1 - exp(-i*A*d)) / (i*d), written with expm1 for small phases

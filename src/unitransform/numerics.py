@@ -9,12 +9,15 @@ of w in one pass, and :func:`exp_sum` sums samples on the fixed rule of
 :func:`_grid_rule`, or stored ones, against it.  :func:`_eval_integrand`
 evaluates every callable, :func:`_check_decay` checks every half-line
 truncation and :func:`_check_ends` every truncated interval or contour
-whose integrand should have died out at its ends.
+whose integrand should have died out at its ends.  The input contract is
+two guards: :func:`_scalar` for every scalar that defines a problem and
+:func:`_sampled` for every array of sampled values.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,6 +49,42 @@ _GRID_CELLS = 1 << 16
 ENDPOINT_RATIO = 1e-6
 
 
+_RULES = {"finite": "finite", "positive": "finite and > 0", "count": "a non-negative integer"}
+
+
+def _scalar(value, name: str, rule: str = "finite"):
+    """``value`` as a float (an int for rule "count") if it obeys ``rule``.
+
+    ``rule`` is "finite", "positive" (finite and > 0) or "count" (a
+    non-negative integer).  Anything else, None and strings included,
+    raises :class:`ContractViolationError` "<name> must be <rule>, got <value>".
+    """
+    v = float(value) if isinstance(value, numbers.Real) else math.nan
+    ok = {"finite": True, "positive": v > 0, "count": v >= 0 and v.is_integer()}[rule]
+    if not (ok and math.isfinite(v)):
+        raise ContractViolationError(f"{name} must be {_RULES[rule]}, got {value}")
+    return int(v) if rule == "count" else v
+
+
+def _sampled(values, *grids: Grid) -> np.ndarray:
+    """``values`` as a read-only complex array of shape (len(g) for g in grids), all finite.
+
+    The caller's array is not frozen: the result is a view or a copy.
+    """
+    vals = np.asarray(values, dtype=complex).view()
+    shape = tuple(len(g) for g in grids)
+    if vals.shape != shape:
+        raise ContractViolationError(f"value shape {vals.shape} does not match grid sizes {shape}")
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        at = tuple(int(i) for i in np.unravel_index(np.argmax(bad), shape))
+        raise ContractViolationError(
+            f"values must be finite, got {vals[at]} at index {', '.join(map(str, at))}"
+        )
+    vals.flags.writeable = False
+    return vals
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Quadrature method selection.
@@ -67,8 +106,7 @@ class QuadratureSpec:
             )
         if self.order < 2:
             raise ContractViolationError("quadrature order must be >= 2")
-        if not self.tolerance > 0:
-            raise ContractViolationError("quadrature tolerance must be > 0")
+        _scalar(self.tolerance, "quadrature tolerance", "positive")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -145,14 +183,8 @@ class SampledFunction:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values: Sequence[complex] | np.ndarray):
-        vals = np.asarray(values, dtype=complex)
-        if vals.ndim != 1 or vals.size != len(grid):
-            raise ContractViolationError(
-                f"value count {vals.size} does not match grid size {len(grid)}"
-            )
-        vals.flags.writeable = False
         self.grid = grid
-        self.values = vals
+        self.values = _sampled(values, grid)
 
     def __len__(self) -> int:
         return self.values.size
@@ -167,16 +199,9 @@ class SampledFunction2D:
     __slots__ = ("x_grid", "t_grid", "values")
 
     def __init__(self, x_grid: Grid, t_grid: Grid, values: np.ndarray):
-        vals = np.asarray(values, dtype=complex)
-        if vals.shape != (len(x_grid), len(t_grid)):
-            raise ContractViolationError(
-                f"value shape {vals.shape} does not match grids "
-                f"({len(x_grid)}, {len(t_grid)})"
-            )
-        vals.flags.writeable = False
         self.x_grid = x_grid
         self.t_grid = t_grid
-        self.values = vals
+        self.values = _sampled(values, x_grid, t_grid)
 
 
 @dataclass(frozen=True)
@@ -524,9 +549,7 @@ def integrate_halfline(
     bound uses the supplied exponential ``damping`` rate when given,
     otherwise a rate estimated from the last two magnitude samples.
     """
-    X = float(truncation)
-    if not X > 0:
-        raise ContractViolationError("truncation point must be > 0")
+    X = _scalar(truncation, "truncation X", "positive")
     f_mid, f_end = _check_decay(np.abs(_eval_integrand(f, np.array([X / 2.0, X]))), X)
     value = integrate(f, (0.0, X), spec, panels=panels)
     if damping is not None and damping > 0:

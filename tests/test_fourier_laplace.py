@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitransform import (
     AliasingError,
@@ -21,7 +23,9 @@ from unitransform import (
     forward_laplace,
     inverse_fl,
     integrate,
+    laplace_line,
     oscillation_panels,
+    QuadratureSpec,
     weighted_orthogonality_check,
 )
 from unitransform.numerics import composite_gauss_nodes
@@ -260,3 +264,32 @@ class TestTwoDimensionalOrthogonality:
             * weighted_orthogonality_check(mu, mu_p, sigma, T_t)
         )
         assert full == pytest.approx(factored, abs=1e-10)
+
+
+class TestSeparability:
+    """forward_fl of g(x) h(t) is the outer product of forward_ft(g) and laplace_line(h).
+
+    The t axis of forward_fl is the very ``_line_sum`` of laplace_line, so
+    this checks the x axis (against the gauss-legendre whole-grid FT on the
+    same rule) and the 1/(2 pi) split, not the t rule.
+    """
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(min_value=-2.0, max_value=2.0), st.integers(min_value=0, max_value=3),
+           st.floats(min_value=0.5, max_value=2.0))
+    def test_separable_product(self, c, n, a):
+        def g(x):
+            return np.exp(-((np.asarray(x, float) - c) ** 2) / 2.0) + 0j
+
+        def h(t):
+            t = np.asarray(t, float)
+            return t**n * np.exp(-a * t) + 0j
+
+        lam_grid = Grid.uniform(-4.0, 4.0, 17)
+        tau_grid = Grid.uniform(-5.0, 5.0, 21)
+        sigma = 0.3
+        fl = forward_fl(lambda x, t: g(x) * h(t), lam_grid, sigma, tau_grid, (A_TRUNC, X_TRUNC))
+        ft = forward_ft(g, lam_grid, A_TRUNC, QuadratureSpec(method="gauss-legendre"))
+        line = laplace_line(h, sigma, tau_grid, X_TRUNC)
+        expected = np.outer(ft.values, line.values)
+        assert np.max(np.abs(fl.values - expected)) <= 1e-12 * np.max(np.abs(expected))

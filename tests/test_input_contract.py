@@ -1,0 +1,217 @@
+"""The input contract: every problem-defining scalar and every array of sampled
+values is checked where it enters, by ``numerics._scalar`` and
+``numerics._sampled``, and a bad one is a ContractViolationError (CLI exit 1)."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from unitransform import (
+    ContinuousSpectrum,
+    ContractViolationError,
+    FourierLaplaceSpectrum,
+    Grid,
+    LaplaceSpectrum,
+    QuadratureSpec,
+    SampledFunction,
+    SampledFunction2D,
+    bromwich_inverse,
+    complex_coefficients,
+    dirichlet_delta,
+    discrete_eigenvalues,
+    forward_fl,
+    forward_laplace,
+    gram_matrix,
+    laplace_line,
+    real_coefficients,
+    weighted_orthogonality_check,
+)
+from unitransform import cli
+from unitransform.cli import main
+from unitransform.io_formats import load_spectrum
+from unitransform.numerics import _sampled, _scalar
+
+INF, NAN = math.inf, math.nan
+TAU = Grid.uniform(-1.0, 1.0, 5)
+LAM = Grid.uniform(-1.0, 1.0, 3)
+
+
+def f(x):
+    return np.exp(-np.asarray(x, float)) + 0j
+
+
+def f2(x, t):
+    return np.exp(-np.asarray(x, float) ** 2 - np.asarray(t, float)) + 0j
+
+
+def fhat(s):
+    return 1.0 / (s + 1.0) ** 2
+
+
+def with_nan(shape):
+    values = np.ones(shape, dtype=complex)
+    values.flat[-1] = NAN
+    return values
+
+
+REJECTED = {
+    # a non-finite truncation
+    "laplace_line X": lambda: laplace_line(f, 0.5, TAU, INF),
+    "bromwich_inverse T": lambda: bromwich_inverse(fhat, 0.5, INF, 1.0),
+    "forward_laplace X": lambda: forward_laplace(f, 1.0, INF),
+    "forward_fl A": lambda: forward_fl(f2, LAM, 0.5, TAU, (INF, 40.0)),
+    "weighted_orthogonality_check A": lambda: weighted_orthogonality_check(1.0, 2.0, 0.5, INF),
+    "dirichlet_delta A": lambda: dirichlet_delta(1.0, INF),
+    # L = inf
+    "complex_coefficients L": lambda: complex_coefficients(f, INF, 2),
+    "real_coefficients L": lambda: real_coefficients(f, INF, 2),
+    "gram_matrix L": lambda: gram_matrix(INF, 2),
+    # a NaN sigma
+    "laplace_line sigma": lambda: laplace_line(f, NAN, TAU, 40.0),
+    "bromwich_inverse sigma": lambda: bromwich_inverse(fhat, NAN, 10.0, 1.0),
+    "LaplaceSpectrum sigma": lambda: LaplaceSpectrum(NAN, TAU, np.ones(5)),
+    "FourierLaplaceSpectrum sigma": lambda: FourierLaplaceSpectrum(LAM, NAN, TAU, np.ones((3, 5))),
+    # a NaN s
+    "forward_laplace s": lambda: forward_laplace(f, complex(NAN, 0.0), 40.0),
+    "QuadratureSpec tolerance": lambda: QuadratureSpec(tolerance=INF),
+    # a NaN sample
+    "SampledFunction values": lambda: SampledFunction(TAU, with_nan(5)),
+    "SampledFunction2D values": lambda: SampledFunction2D(LAM, TAU, with_nan((3, 5))),
+    "ContinuousSpectrum values": lambda: ContinuousSpectrum(TAU, with_nan(5)),
+    "LaplaceSpectrum values": lambda: LaplaceSpectrum(0.5, TAU, with_nan(5)),
+    "FourierLaplaceSpectrum values":
+        lambda: FourierLaplaceSpectrum(LAM, 0.5, TAU, with_nan((3, 5))),
+}
+
+
+@pytest.mark.parametrize("call", REJECTED.values(), ids=REJECTED.keys())
+def test_non_finite_input_is_a_contract_violation(call):
+    with pytest.raises(ContractViolationError, match="must be finite"):
+        call()
+
+
+class TestScalarGuard:
+    def test_wording(self):
+        with pytest.raises(ContractViolationError, match=r"^L must be finite and > 0, got inf$"):
+            _scalar(INF, "L", "positive")
+        with pytest.raises(ContractViolationError, match=r"^sigma must be finite, got None$"):
+            _scalar(None, "sigma")
+
+    @pytest.mark.parametrize("value", [-1, 1.5, INF, "2"])
+    def test_count_rule(self, value):
+        with pytest.raises(ContractViolationError, match="K must be a non-negative integer"):
+            _scalar(value, "K", "count")
+
+    def test_returns_the_value(self):
+        assert _scalar(2, "L", "positive") == 2.0 and isinstance(_scalar(2, "L"), float)
+        assert _scalar(3.0, "K", "count") == 3 and isinstance(_scalar(3.0, "K", "count"), int)
+        assert _scalar(0, "K", "count") == 0
+
+    def test_zero_is_not_positive(self):
+        with pytest.raises(ContractViolationError, match="got 0"):
+            discrete_eigenvalues(0, 2)
+
+
+class TestSampledGuard:
+    def test_read_only_without_freezing_the_caller(self):
+        values = np.ones(5, dtype=complex)
+        out = _sampled(values, TAU)
+        assert not out.flags.writeable
+        values[0] = 2.0  # the caller's array stays writeable
+        assert out[0] == 2.0
+
+    def test_shape(self):
+        with pytest.raises(ContractViolationError, match=r"\(4,\) does not match grid sizes \(5,\)"):
+            _sampled(np.ones(4), TAU)
+        with pytest.raises(ContractViolationError, match=r"grid sizes \(3, 5\)"):
+            _sampled(np.ones((5, 3)), LAM, TAU)
+
+    def test_names_the_first_bad_index(self):
+        with pytest.raises(ContractViolationError, match=r"got \(nan\+0j\) at index 2, 4$"):
+            _sampled(with_nan((3, 5)), LAM, TAU)
+
+    def test_spectrum_file_with_nan_value(self, tmp_path):
+        path = tmp_path / "line.json"
+        doc = {"kind": "spectrum", "convention": "laplace-line", "sigma": 0.5,
+               "tau_grid": [-1.0, 0.0, 1.0], "values": [[1.0, 0.0], [NAN, 0.0], [1.0, 0.0]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractViolationError, match="values must be finite"):
+            load_spectrum(str(path))
+
+
+class TestConventionTag:
+    @pytest.mark.parametrize("cls, tag", [(ContinuousSpectrum, "paper-fourier"),
+                                          (LaplaceSpectrum, "laplace-line"),
+                                          (FourierLaplaceSpectrum, "fourier-laplace")])
+    def test_class_constant(self, cls, tag):
+        assert cls.convention == tag
+
+    def test_not_settable(self):
+        with pytest.raises(TypeError):
+            ContinuousSpectrum(TAU, np.ones(5), convention="mellin")
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_validation_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+TAU_FLAGS = ("--tau-min", "-1", "--tau-max", "1", "--tau-step", "0.5")
+LAMBDA_FLAGS = ("--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.5")
+TRACEBACKS_BEFORE = {
+    "lt --s --X inf": ("lt", "--expr", "exp(-x)", "--s", "1+0i", "--X", "inf"),
+    "lt --sigma --X inf": ("lt", "--expr", "exp(-x)", "--sigma", "0.5", "--X", "inf", *TAU_FLAGS),
+    "series --L inf": ("series", "--expr", "x", "--L", "inf", "--K", "2"),
+    "real-series --L inf": ("real-series", "--expr", "x", "--L", "inf", "--K", "2"),
+    "verify-orthogonality --L inf": ("verify-orthogonality", "--L", "inf", "--K", "2"),
+    "flt --A inf": ("flt", "--expr", "exp(-x^2-t)", "--sigma", "0.5", "--A", "inf", "--X", "40",
+                    *LAMBDA_FLAGS, *TAU_FLAGS),
+}
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", TRACEBACKS_BEFORE.values(), ids=TRACEBACKS_BEFORE.keys())
+    def test_non_finite_flag_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert_validation_error(code, out, err)
+        assert "must be finite and > 0, got inf" in err
+
+    def test_infinite_quad_tol_exits_before_quadrature(self, capsys, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(cli, "complex_coefficients", no_quadrature)
+        code, out, err = run_cli(capsys, "series", "--expr", "x", "--L", "1", "--K", "2",
+                                 "--quad-tol", "inf")
+        assert_validation_error(code, out, err)
+        assert "quadrature tolerance must be finite and > 0, got inf" in err
+
+    def test_ilt_of_a_line_file_with_nan(self, capsys, tmp_path):
+        path = str(tmp_path / "line.json")
+        code, _, err = run_cli(capsys, "lt", "--expr", "x^3*exp(-x)", "--sigma", "0.5",
+                               "--X", "40", "--tau-min", "-60", "--tau-max", "60",
+                               "--tau-step", "0.05", "--output", path)
+        assert code == 0, err
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["values"][7][1] = NAN
+        with open(path, "w") as fh:
+            json.dump(doc, fh)  # writes the NaN token, which json.load accepts
+        code, out, err = run_cli(capsys, "ilt", "--input", path, "--t", "1")
+        assert_validation_error(code, out, err)
+        assert "values must be finite" in err and "index 7" in err
+
+    def test_verify_residual_n_0(self, capsys):
+        code, out, err = run_cli(capsys, "verify-residual", "--n", "0")
+        assert_validation_error(code, out, err)
+        assert "n must be >= 1" in err
