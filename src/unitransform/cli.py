@@ -67,6 +67,8 @@ GRAM_OFFDIAG_TOL = 1e-10
 RESIDUAL_DECAY_RANGE = (0.4, 0.6)
 RESIDUAL_SPREAD_TOL = 1e-10
 SL_RESIDUAL_TOL = 1e-12
+# Points per axis of a --<axis>-min/-max/-step grid.
+MAX_GRID_POINTS = 1_000_000
 
 
 class UsageError(UniTransformError):
@@ -97,9 +99,10 @@ def parse_pi_float(text: str) -> float:
 
 
 def parse_complex(text: str) -> complex:
-    """Complex literal with i notation: "2+0i", "1.5-2i", "3"."""
+    """Complex literal with a trailing i: "2+0i", "1.5-2i", "3i", "-i", "3"."""
+    t = text.strip().lower()
     try:
-        return complex(text.strip().lower().replace("i", "j"))
+        return complex(t[:-1] + "j" if t.endswith("i") else t)
     except ValueError:
         raise UsageError(f"not a complex number: {text!r}") from None
 
@@ -116,8 +119,12 @@ def _grid_from_flags(name: str, lo, hi, step) -> Grid:
     step = _scalar(step, f"--{name}-step", "positive")
     if not hi > lo:
         raise UsageError(f"--{name}-max must exceed --{name}-min")
-    num = int(round((hi - lo) / step)) + 1
-    return Grid.uniform(lo, hi, num)
+    # round(span) + 1 points; an overflow to inf fails the bound too.
+    span = (hi - lo) / step
+    if not span < MAX_GRID_POINTS - 0.5:
+        raise UsageError(f"--{name}-step {step!r} gives more than {MAX_GRID_POINTS} points "
+                         f"on [{lo!r}, {hi!r}]")
+    return Grid.uniform(lo, hi, int(round(span)) + 1)
 
 
 def _interp_function(fn: SampledFunction) -> Callable:
@@ -167,8 +174,7 @@ def _interp_function2d(fn) -> Callable:
 def _function_of_x(args) -> Callable:
     if args.expr is not None:
         ast = expressions.parse(args.expr)
-        names = expressions.variables(ast)
-        if "t" in names:
+        if "t" in expressions.variables(ast):
             raise UsageError("this command takes a function of x only; expression uses t")
         return lambda xs: expressions.evaluate_array(ast, xs)
     return _interp_function(io.load_function(args.input))
@@ -364,12 +370,13 @@ def _cmd_verify_residual(args) -> dict:
 
 
 def _cmd_verify_sl(args) -> dict:
-    grid = Grid.uniform(-args.L, args.L, 201)
-    residuals = [sl_residual(args.L, k, grid) for k in range(-args.k_max, args.k_max + 1)]
+    L = _scalar(args.L, "L", "positive")
+    grid = Grid.uniform(-L, L, 201)
+    residuals = [sl_residual(L, k, grid) for k in range(-args.k_max, args.k_max + 1)]
     worst = max(residuals)
     passed = worst <= SL_RESIDUAL_TOL
     fields = {
-        "L": args.L,
+        "L": L,
         "k_max": args.k_max,
         "max_residual": worst,
         "tolerance": SL_RESIDUAL_TOL,
@@ -386,10 +393,7 @@ def _cmd_estimate_abscissa(args) -> dict:
         samples = io.load_function(args.input)
     else:
         grid = _grid_from_flags("x", args.x_min, args.x_max, args.x_step)
-        ast = expressions.parse(args.expr)
-        if "t" in expressions.variables(ast):
-            raise UsageError("estimate-abscissa takes a function of x only")
-        samples = SampledFunction(grid, expressions.evaluate_array(ast, grid.points))
+        samples = SampledFunction(grid, _function_of_x(args)(grid.points))
     estimate = estimate_abscissa(samples)
     fields = {
         "sigma_hat": estimate.sigma_hat,

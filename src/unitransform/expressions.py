@@ -132,12 +132,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.pos)
-        return self.advance()
-
     def expression(self) -> ExpressionAST:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
@@ -168,7 +162,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             exponent = self.factor()
-            if _has_variable(exponent):
+            if variables(exponent):
                 raise ParseError("exponent must be a constant", tok.pos)
             return BinOp("^", base, Num(_fold_constant(exponent, tok.pos)))
         return base
@@ -184,43 +178,28 @@ class _Parser:
             if self.peek().kind == "lparen":
                 if name not in _FUNCTIONS:
                     raise ParseError(f"unknown function {name!r}", tok.pos)
-                self.advance()
-                if self.peek().kind == "rparen":
-                    raise ParseError(f"empty argument to {name}", self.peek().pos)
-                arg = self.expression()
-                closing = self.peek()
-                if closing.kind != "rparen":
-                    raise ParseError("unbalanced parentheses", closing.pos)
-                self.advance()
-                return Unary(name, arg)
+                return Unary(name, self.group(f"empty argument to {name}"))
             if name in _VARIABLES:
                 return Var(name)
             if name in _CONSTANTS:
                 return Const(name)
             raise ParseError(f"unknown identifier {name!r}", tok.pos)
         if tok.kind == "lparen":
-            self.advance()
-            if self.peek().kind == "rparen":
-                raise ParseError("empty parentheses", self.peek().pos)
-            node = self.expression()
-            closing = self.peek()
-            if closing.kind != "rparen":
-                raise ParseError("unbalanced parentheses", closing.pos)
-            self.advance()
-            return node
+            return self.group("empty parentheses")
         if tok.kind == "rparen":
             raise ParseError("unbalanced parentheses", tok.pos)
         raise ParseError("expected a value", tok.pos)
 
-
-def _has_variable(node: ExpressionAST) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Unary):
-        return _has_variable(node.arg)
-    if isinstance(node, BinOp):
-        return _has_variable(node.left) or _has_variable(node.right)
-    return False
+    def group(self, empty: str) -> ExpressionAST:
+        """``"(" expression ")"`` at the opening parenthesis; ``empty`` names an empty pair."""
+        self.advance()
+        if self.peek().kind == "rparen":
+            raise ParseError(empty, self.peek().pos)
+        node = self.expression()
+        closing = self.advance()
+        if closing.kind != "rparen":
+            raise ParseError("unbalanced parentheses", closing.pos)
+        return node
 
 
 def _fold_constant(node: ExpressionAST, pos: int) -> float:

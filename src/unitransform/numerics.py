@@ -349,14 +349,14 @@ def composite_gauss_nodes(a: float, b: float, order: int, panels: int):
     return _panel_rule(edges[:-1], edges[1:], order)
 
 
-def oscillation_panels(frequency: float, a: float, b: float, per_period: float = 1.5) -> int:
+def oscillation_panels(frequency: float, a: float, b: float) -> int:
     """Panel count resolving a kernel exp(i*frequency*x) on [a, b].
 
-    Subdivision is proportional to the number of oscillation periods on
-    the interval; smooth non-oscillatory integrands get a single panel.
+    Subdivision is 1.5 panels per oscillation period on the interval;
+    smooth non-oscillatory integrands get a single panel.
     """
     periods = abs(frequency) * (b - a) / (2.0 * math.pi)
-    return max(1, math.ceil(periods * per_period))
+    return max(1, math.ceil(periods * 1.5))
 
 
 def _grid_rule(a: float, b: float, grid: Grid, order: int):

@@ -100,6 +100,38 @@ class TestEigenfunctionEval:
         with pytest.raises(ContractViolationError):
             eigenfunction_eval(grid2d, Eigenvalue((1.0, 2.0)), 0.0)
 
+    @pytest.mark.parametrize(
+        "problem, sigma",
+        [
+            (EigenProblemSpec.periodic(1.5), 0.0),
+            (EigenProblemSpec.whole_line(), 0.0),
+            (EigenProblemSpec.weighted_halfline(0.75), 0.75),
+        ],
+        ids=["periodic-interval", "whole-line", "weighted-halfline"],
+    )
+    def test_one_dimensional_kinds_share_one_exponential(self, problem, sigma):
+        lam = 2.3
+        xs = np.linspace(-3.0, 3.0, 61)
+        y = eigenfunction_eval(problem, Eigenvalue(lam), xs)
+        assert isinstance(y, np.ndarray) and y.shape == xs.shape
+        expected = np.exp((sigma - 1j * lam) * xs)
+        assert np.array_equal(y, expected)
+        for x in (0.0, 0.4, -2.5):
+            v = eigenfunction_eval(problem, Eigenvalue(lam), x)
+            assert type(v) is complex
+            assert v == complex(np.exp((sigma - 1j * lam) * x))
+
+    @pytest.mark.parametrize(
+        "problem",
+        [EigenProblemSpec.periodic(1.0), EigenProblemSpec.weighted_halfline(0.5)],
+        ids=["periodic-interval", "weighted-halfline"],
+    )
+    def test_one_dimensional_kind_mismatches(self, problem):
+        with pytest.raises(ContractViolationError, match=problem.kind):
+            eigenfunction_eval(problem, Eigenvalue((1.0, 2.0)), 0.0)
+        with pytest.raises(ContractViolationError, match=problem.kind):
+            eigenfunction_eval(problem, Eigenvalue(1.0), (0.0, 0.0))
+
     def test_first_order_residual_vanishes(self):
         # i y' - lam y with the analytic derivative y' = -i lam y
         problem = EigenProblemSpec.periodic(1.0)

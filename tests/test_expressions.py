@@ -155,6 +155,24 @@ class TestParseErrors:
             parse(text)
         assert 0 <= info.value.position <= len(text)
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("sin()", "empty argument to sin", 4),
+            ("()", "empty parentheses", 1),
+            ("(x+1", "unbalanced parentheses", 4),
+            ("sin(x", "unbalanced parentheses", 5),
+            ("(x))", "unexpected trailing input ')'", 3),
+            ("2^x", "exponent must be a constant", 1),
+            ("x^(t+1)", "exponent must be a constant", 1),
+        ],
+    )
+    def test_bracket_and_exponent_messages(self, text, message, offset):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at offset {offset})"
+        assert info.value.position == offset
+
 
 class TestEvaluationErrors:
     def test_division_by_zero_names_subexpression(self):

@@ -215,3 +215,48 @@ class TestCommandLine:
         code, out, err = run_cli(capsys, "verify-residual", "--n", "0")
         assert_validation_error(code, out, err)
         assert "n must be >= 1" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_verify_sl_names_L(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify-sl", "--L", value, "--k-max", "2")
+        assert_validation_error(code, out, err)
+        assert err == f"error: validation: L must be finite and > 0, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "s, message", [("inf", "Re s must be finite, got inf"),
+                       ("1+infi", "Im s must be finite, got inf")],
+    )
+    def test_lt_non_finite_s_reaches_the_contract(self, capsys, s, message):
+        code, out, err = run_cli(capsys, "lt", "--expr", "exp(-x)", "--s", s, "--X", "40")
+        assert_validation_error(code, out, err)
+        assert err == f"error: validation: {message}\n"
+
+    @pytest.mark.parametrize("text, value", [("2+1i", 2 + 1j), ("3i", 3j), ("-i", -1j),
+                                             ("1+infi", complex(1, INF))])
+    def test_complex_literal_with_trailing_i(self, text, value):
+        assert cli.parse_complex(text) == value
+
+    @pytest.fixture
+    def spectrum_file(self, capsys, tmp_path):
+        path = str(tmp_path / "ft.json")
+        code, _, err = run_cli(capsys, "ft", "--expr", "exp(-x^2/2)", "--A", "12",
+                               *LAMBDA_FLAGS, "--output", path)
+        assert code == 0, err
+        return path
+
+    @pytest.mark.parametrize(
+        "x_flags", [("-1", "1", "1e-300"), ("0", "1", "1e-6")], ids=["1e-300", "just-over"],
+    )
+    def test_grid_point_bound(self, capsys, monkeypatch, spectrum_file, x_flags):
+        monkeypatch.setattr(cli.Grid, "uniform", None)  # no grid may be built
+        lo, hi, step = x_flags
+        code, out, err = run_cli(capsys, "ift", "--input", spectrum_file,
+                                 "--x-min", lo, "--x-max", hi, "--x-step", step)
+        assert_validation_error(code, out, err)
+        assert err.startswith(f"error: validation: --x-step {float(step)!r} gives more than "
+                              f"{cli.MAX_GRID_POINTS} points")
+
+    def test_grid_at_the_bound_is_built(self):
+        assert cli.MAX_GRID_POINTS == 1_000_000
+        grid = cli._grid_from_flags("x", 0.0, 1.0, 1.0 / 999_999)
+        assert len(grid) == cli.MAX_GRID_POINTS
