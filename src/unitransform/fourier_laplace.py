@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fourier_transform import _inverse_sum
-from .laplace import _line_inverse, _line_sum
+from .laplace import _line_inverse, _line_sum, _store_line_values
 from .numerics import (
     DEFAULT_SPEC,
     Grid,
@@ -32,7 +32,6 @@ from .numerics import (
     _check_decay,
     _eval_integrand,
     _grid_rule,
-    _sampled,
     _scalar,
     exp_sum,
 )
@@ -42,7 +41,9 @@ from .numerics import (
 class FourierLaplaceSpectrum:
     """F(lam, sigma + i*tau) indexed by a frequency grid and a contour grid.
 
-    ``convention`` is the tag of its spectrum files.
+    ``convention`` is the tag of its spectrum files.  The spectrum owns a
+    copy of ``values`` and keeps their contour profile, as
+    :class:`laplace.LaplaceSpectrum` does.
     """
 
     convention: ClassVar[str] = "fourier-laplace"
@@ -53,7 +54,7 @@ class FourierLaplaceSpectrum:
 
     def __post_init__(self):
         _scalar(self.sigma, "sigma")
-        object.__setattr__(self, "values", _sampled(self.values, self.lambda_grid, self.tau_grid))
+        _store_line_values(self, self.lambda_grid, self.tau_grid)
 
 
 def forward_fl(
@@ -107,5 +108,5 @@ def inverse_fl(spectrum: FourierLaplaceSpectrum, x: float, t: float) -> complex:
     of :func:`fourier_transform.inverse_ft`.
     """
     x = _scalar(x, "evaluation point x")
-    per_lambda = _line_inverse(spectrum.sigma, spectrum.tau_grid, spectrum.values, t, "s axis: ")
+    per_lambda = _line_inverse(spectrum, t, "s axis: ")
     return complex(_inverse_sum(spectrum.lambda_grid, per_lambda, x, "lambda axis: "))

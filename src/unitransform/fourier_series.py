@@ -116,14 +116,21 @@ def synthesize(coeffs: FourierCoefficientSet, x):
 def real_coefficients(
     f, L: float, K: int, spec: QuadratureSpec | None = None
 ) -> RealFourierCoefficientSet:
-    """Cosine/sine coefficients a_k = (1/L) int f cos(k pi x / L), b_k likewise with sin."""
+    """Cosine/sine coefficients a_k = (1/L) int f cos(k pi x / L), b_k likewise with sin.
+
+    f must be real: a complex f is refused when, on the samples of one call,
+    max |Im f| exceeds 1e-12 of max |f|; smaller imaginary parts are rounding
+    (of a function read back from an inverse transform, say) and are dropped.
+    """
     L, K = _scalar(L, "L", "positive"), _scalar(K, "K", "count")
 
     def checked(x):
         out = np.asarray(f(x))
-        if np.iscomplexobj(out) and np.max(np.abs(out.imag)) > 0:
+        if not np.iscomplexobj(out):
+            return out
+        if np.max(np.abs(out.imag)) > 1e-12 * np.max(np.abs(out)):
             raise ContractViolationError("real_coefficients requires a real-valued function")
-        return out.real if np.iscomplexobj(out) else out
+        return out.real
 
     a, b = {}, {}
     for k in range(0, K + 1):

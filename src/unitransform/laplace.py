@@ -11,7 +11,8 @@ guards, also serve the s axis of :mod:`fourier_laplace`:
 :func:`_contour_step` (a coarser stored contour raises
 :class:`AliasingError`) and :func:`numerics._check_ends` (a
 :class:`TruncationWarning` when the integrand at the endpoints exceeds
-1e-6 of its peak).
+1e-6 of its peak, read from the :func:`_contour_profile` that a stored
+spectrum computes once, at construction).
 
 The evaluation line matters: the inversion is only valid for sigma above
 the abscissa of convergence of the original function, which
@@ -58,7 +59,8 @@ CONTOUR_STEP = 0.05
 class LaplaceSpectrum:
     """Samples of a transform along the vertical line sigma + i*tau.
 
-    ``convention`` is the tag of its spectrum files.
+    ``convention`` is the tag of its spectrum files.  The spectrum owns a
+    copy of ``values`` and keeps their :func:`_contour_profile` for reads.
     """
 
     convention: ClassVar[str] = "laplace-line"
@@ -68,7 +70,7 @@ class LaplaceSpectrum:
 
     def __post_init__(self):
         _scalar(self.sigma, "sigma")
-        object.__setattr__(self, "values", _sampled(self.values, self.tau_grid))
+        _store_line_values(self, self.tau_grid)
 
 
 @dataclass(frozen=True)
@@ -145,23 +147,39 @@ def _contour_step(t: float, spacing: float | None = None, axis: str = "") -> flo
     return bound
 
 
+def _contour_profile(values: np.ndarray) -> np.ndarray:
+    """|values| along tau (the last axis), largest over the leading axes: the magnitude the
+    endpoint guard reads, since |e^{st}| is constant on the line."""
+    return np.abs(values).reshape(-1, values.shape[-1]).max(axis=0)
+
+
+def _store_line_values(spectrum, *grids: Grid) -> None:
+    """Give a frozen line spectrum a checked, read-only copy of its values and their
+    :func:`_contour_profile`; the copy keeps a caller's later writes from staling the profile."""
+    values = _sampled(np.array(spectrum.values, dtype=complex), *grids)
+    object.__setattr__(spectrum, "values", values)
+    object.__setattr__(spectrum, "_profile", _contour_profile(values))
+
+
 def _contour_sum(s: np.ndarray, values: np.ndarray, weights: np.ndarray, t: float,
-                 axis: str = "", stacklevel: int = 4):
+                 profile: np.ndarray, axis: str = "", stacklevel: int = 4):
     """(1/2pi) sum_k weights_k values[..., k] e^{s_k t} along the last axis, behind the endpoint
-    guard; |e^{st}| is constant on the line, so it reads |values| (largest over leading axes)."""
-    magnitude = np.abs(values).reshape(-1, s.size).max(axis=0)
-    _check_ends(magnitude, f"{axis}contour integrand", "the contour half-height T", stacklevel)
+    guard on ``profile``, the :func:`_contour_profile` of ``values``."""
+    _check_ends(profile, f"{axis}contour integrand", "the contour half-height T", stacklevel)
     return (values @ (np.exp(s * t) * weights)) / (2.0 * math.pi)
 
 
-def _line_inverse(sigma: float, tau_grid: Grid, values: np.ndarray, t: float, axis: str = ""):
-    """:func:`_contour_sum` on a stored line, by the trapezoid rule: the tau grid, of any kind,
-    needs three points and its largest step must obey :func:`_contour_step`."""
+def _line_inverse(spectrum, t: float, axis: str = ""):
+    """:func:`_contour_sum` on a stored line spectrum, with the profile it stored at
+    construction, by the trapezoid rule: the tau grid, of any kind, needs three points
+    and its largest step must obey :func:`_contour_step`."""
+    tau_grid = spectrum.tau_grid
     if len(tau_grid) < 3:
         raise ContractViolationError(f"{axis}contour needs at least three samples")
     _contour_step(t, float(np.max(np.diff(tau_grid.points))), axis)
-    s = sigma + 1j * tau_grid.points
-    return _contour_sum(s, values, tau_grid.trapezoid_weights(), t, axis, stacklevel=5)
+    s = spectrum.sigma + 1j * tau_grid.points
+    return _contour_sum(s, spectrum.values, tau_grid.trapezoid_weights(), t,
+                        spectrum._profile, axis, stacklevel=5)
 
 
 def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
@@ -178,7 +196,8 @@ def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
     s = sigma + 1j * np.linspace(-T, T, 2 * n + 1)
     weights = np.full(s.size, T / n)
     weights[0] = weights[-1] = T / n / 2.0
-    return complex(_contour_sum(s, _eval_integrand(fhat, s, at="s"), weights, t))
+    values = _eval_integrand(fhat, s, at="s")
+    return complex(_contour_sum(s, values, weights, t, _contour_profile(values)))
 
 
 def bromwich_inverse_from_samples(spectrum: LaplaceSpectrum, t: float) -> complex:
@@ -188,7 +207,7 @@ def bromwich_inverse_from_samples(spectrum: LaplaceSpectrum, t: float) -> comple
     largest step, on any grid kind, must satisfy the same step bound as
     :func:`bromwich_inverse`.
     """
-    return complex(_line_inverse(spectrum.sigma, spectrum.tau_grid, spectrum.values, t))
+    return complex(_line_inverse(spectrum, t))
 
 
 def weighted_orthogonality_check(lam: float, mu: float, sigma: float, A: float) -> complex:

@@ -475,3 +475,25 @@ class TestCommandTable:
         assert err == (
             "error: validation: abscissa estimation needs at least 8 usable samples, got 4\n"
         )
+
+
+class TestRealSeriesOfInverseTransform:
+    def test_ft_ift_real_series_chain(self, capsys, tmp_path):
+        """ift output carries rounding-level imaginary parts; real-series must accept it."""
+        spectrum_path, function_path = str(tmp_path / "spec.json"), str(tmp_path / "f.json")
+        for argv in (
+            ("ft", "--expr", "exp(-x^2/2)", "--A", "12", "--lambda-min", "-12",
+             "--lambda-max", "12", "--lambda-step", "0.05", "--output", spectrum_path),
+            ("ift", "--input", spectrum_path, "--x-min", "-3", "--x-max", "3",
+             "--x-step", "0.05", "--output", function_path),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+        imag = [im for _, im in json.loads(open(function_path).read())["values"]]
+        assert 0 < max(map(abs, imag)) < 1e-12
+        doc = run_json(capsys, "real-series", "--input", function_path, "--L", "3", "--K", "4")
+        series = run_json(capsys, "series", "--input", function_path, "--L", "3", "--K", "4")
+        c = {k: complex(re, im) for k, re, im in series["c"]}
+        a = dict((k, v) for k, v in doc["a"])
+        assert a[0] == pytest.approx((2.0 * c[0]).real, abs=1e-10)
+        assert a[1] == pytest.approx((c[1] + c[-1]).real, abs=1e-10)

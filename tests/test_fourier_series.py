@@ -149,6 +149,31 @@ class TestRealCoefficients:
             real_coefficients(lambda x: 1j * np.asarray(x, float), 1.0, 1)
 
 
+class TestRealCoefficientsRoundingLevelImaginary:
+    """A complex f passes when max |Im f| is at most 1e-12 of max |f| on each call's samples."""
+
+    def test_rounding_level_imaginary_part_accepted(self):
+        noisy = real_coefficients(lambda x: np.asarray(x, float) ** 2 * (1 + 1e-14j), 1.0, 2)
+        clean = real_coefficients(lambda x: np.asarray(x, float) ** 2, 1.0, 2)
+        assert noisy.a == clean.a and noisy.b == clean.b
+
+    def test_threshold_is_relative_to_the_samples(self):
+        tiny = real_coefficients(lambda x: 1e-200 * (np.asarray(x, float) ** 2 + 1e-14j), 1.0, 1)
+        assert tiny.a[0] == pytest.approx(1e-200 * 2.0 / 3.0, rel=1e-10)
+
+    def test_zero_function_accepted(self):
+        coeffs = real_coefficients(lambda x: np.zeros_like(np.asarray(x, float)) + 0j, 1.0, 1)
+        assert coeffs.a == {0: 0.0, 1: 0.0} and coeffs.b == {1: 0.0}
+
+    @pytest.mark.parametrize("f", [
+        lambda x: 1j * np.asarray(x, float),
+        lambda x: np.asarray(x, float) ** 2 + 1e-11j,
+    ], ids=["imaginary", "above-threshold"])
+    def test_imaginary_part_above_threshold_refused(self, f):
+        with pytest.raises(ContractViolationError, match="requires a real-valued function"):
+            real_coefficients(f, 1.0, 1)
+
+
 class TestComplexToReal:
     def test_sine_pair(self):
         coeffs = FourierCoefficientSet(L=1.0, c={-1: -0.5j, 0: 0j, 1: 0.5j})
