@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from typing import Any
 
 import numpy as np
@@ -39,6 +40,8 @@ from .fourier_transform import ContinuousSpectrum
 from .laplace import LaplaceSpectrum
 from .numerics import Grid, SampledFunction, SampledFunction2D
 
+# The header line of every to_csv_bytes rendering, such as "tau,re,im".
+_CSV_HEADER = re.compile(r"[a-z]+(,[a-z]+)+\r?\n")
 # Spectrum classes by the convention tag of their files.
 _SPECTRA = {cls.convention: cls
             for cls in (ContinuousSpectrum, LaplaceSpectrum, FourierLaplaceSpectrum)}
@@ -179,9 +182,17 @@ def report_payload(check: str, fields: dict, meta: dict) -> dict:
 
 
 def _load(path: str, kind: str) -> dict:
+    """The JSON document at ``path``, of the given kind; a CSV file (its header
+    line, as :func:`to_csv_bytes` writes it) is refused as output-only."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        if _CSV_HEADER.match(text):
+            raise ContractViolationError(
+                f"cannot read {path}: CSV is an output-only format; "
+                "write the file with --format json"
+            )
+        doc = json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise ContractViolationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:

@@ -6,7 +6,8 @@ with a tail estimate).  Oscillatory integrands are handled by panel
 subdivision, see :func:`oscillation_panels`; no Filon-type machinery.
 :func:`integrate_grid` integrates f against exp(i w x) for a whole grid
 of w in one pass, and :func:`exp_sum` sums samples on the fixed rule of
-:func:`_grid_rule`, or stored ones, against it.  :func:`_eval_integrand`
+:func:`_grid_rule`, or stored ones, against it, by chirp-z FFTs where
+that is cheaper than its direct kernel.  :func:`_eval_integrand`
 evaluates every callable, :func:`_check_decay` checks every half-line
 truncation and :func:`_check_ends` every truncated interval or contour
 whose integrand should have died out at its ends.  The input contract is
@@ -40,6 +41,12 @@ _MAX_BISECTIONS = 48
 # Kernel columns per block in exp_sum: bounds both the kernel's memory and
 # the length of its phase recurrence.
 _EXP_BLOCK = 128
+# Fixed cost of the chirp-z path of exp_sum, in entries of the direct kernel
+# (each about one complex multiply-add); its FFTs of length L cost about one
+# entry per L*log2(L).
+_CHIRP_SETUP = 50_000
+# 2*pi minus its float64 value, so that _phase reduces mod the true 2*pi.
+_TWO_PI_LO = 2.4492935982947064e-16
 # Complex entries per block of the exp(i w x) kernel in _panel_sums.
 _GRID_BLOCK = 8192
 # Panels-by-frequencies entries per batch of the adaptive pass in integrate_grid.
@@ -278,16 +285,133 @@ def _check_ends(magnitude: np.ndarray, what: str, remedy: str, stacklevel: int =
         )
 
 
+def _phase(a: float, b: float, n: np.ndarray) -> np.ndarray:
+    """``a * b * n`` mod 2*pi, within a few ulps of 2*pi, for floats a and b taken as exact and
+    int64 |n| < 2**52; the product rounded in float64 would be off by ulps of itself.
+
+    The exact a*b, a ratio of Python ints, is taken in heads with as few bits
+    as the largest |n| leaves room for, so each head * n is exact in float64
+    and np.fmod reduces it exactly, until the rest times n is below 1.
+    """
+    top = int(np.max(np.abs(n)))
+    keep = 53 - top.bit_length()
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    num, den = an * bn, ad * bd
+    n = n.astype(float)
+    out = np.zeros(n.shape)
+    while abs(num) * top >= den:
+        mant, exp = math.frexp(num / den)
+        head = math.ldexp(math.trunc(math.ldexp(mant, keep)), exp - keep)
+        v = head * n
+        r = np.fmod(v, 2 * math.pi)
+        out += r - np.rint((v - r) / (2 * math.pi)) * _TWO_PI_LO
+        hn, hd = head.as_integer_ratio()
+        num, den = num * hd - hn * den, den * hd
+    return out + num / den * n
+
+
+def _lattice(rows: np.ndarray):
+    """(rows[0], step) if every column of the (P, q) ``rows`` is rows[0] + p * step, else None.
+
+    Columns are q interleaved sub-grids with one common step; they must sit
+    on it to 4 ulps of the largest |rows|, a bound that every ``linspace``
+    grid and every :func:`composite_gauss_nodes` rule meets.
+    """
+    step = float(np.mean(rows[-1] - rows[0])) / (rows.shape[0] - 1)
+    fit = rows[0] + np.arange(rows.shape[0])[:, None] * step
+    if np.max(np.abs(rows - fit)) > 4 * np.finfo(float).eps * np.max(np.abs(rows)):
+        return None
+    return rows[0], step
+
+
+def _fft_size(n: int) -> int:
+    """The smallest 2**i * 3**j * 5**k >= n, a length numpy.fft transforms fast."""
+    best, f5 = 1 << (n - 1).bit_length(), 1
+    while f5 < best:
+        f = f5
+        while f < best:
+            best = min(best, f << (-(-n // f) - 1).bit_length())
+            f *= 3
+        f5 *= 5
+    return best
+
+
+def _chirp_layout(nodes: np.ndarray, grid: Grid):
+    """The chirp-z plan of a one-row :func:`exp_sum`, or None when the direct kernel is cheaper.
+
+    The grid must be w0 + m*h (m < M) and the n nodes q interleaved
+    sub-grids c_r + p*d (node p*q + r, p < P = n/q), the smallest such q
+    (10 for the default Gauss rule, 1 for trapezoid or equispaced nodes).
+    The plan is taken when ``_CHIRP_SETUP`` plus q FFTs of length
+    L >= M + P - 1 cost less than the n*M entries of the direct kernel.
+    Returns (c, d, grid points, h, L).
+    """
+    n, M = nodes.size, len(grid)
+    if grid.kind != "uniform" or M < 2 or n * M <= _CHIRP_SETUP:
+        return None
+    on_grid = _lattice(grid.points[:, None])
+    if on_grid is None:
+        return None
+    for q in range(1, n // 2 + 1):
+        if n % q:
+            continue
+        L = _fft_size(M + n // q - 1)
+        if _CHIRP_SETUP + q * L * math.log2(L) >= n * M:
+            return None
+        sub = _lattice(nodes.reshape(-1, q))
+        if sub is not None:
+            return sub[0], sub[1], grid.points, on_grid[1], L
+    return None
+
+
+def _chirp_sum(weighted: np.ndarray, sign: int, c: np.ndarray, d: float, w: np.ndarray,
+               h: float, L: int) -> np.ndarray:
+    """:func:`exp_sum` of one row on the plan of :func:`_chirp_layout`: q Bluestein chirp-z
+    transforms of length L.
+
+    With w_m = w_0 + m*h and nodes c_0 + e_r + p*d, the phase w_m * x is
+    c_0*w_0 + c_0*h*m + w_m*e_r + w_0*d*p + h*d*m*p, and m*p = (m^2 + p^2 -
+    (m - p)^2) / 2 turns each sub-grid's sum over p into a convolution with
+    the chirp exp(-i*sign*h*d*k^2/2).  Each phase but w_m*e_r, below
+    max|w| * d, is an exact product of two floats times an integer, reduced by
+    :func:`_phase`.
+    """
+    q, M = c.size, w.size
+    P = weighted.size // q
+    k = np.arange(max(M, P), dtype=np.int64)
+
+    def turn(a: float, b: float, n: np.ndarray) -> np.ndarray:
+        return np.exp(sign * 1j * _phase(a, b, n))
+
+    chirp = turn(h / 2, d, k * k)
+    kernel = np.zeros(L, dtype=complex)
+    kernel[:M] = chirp[:M].conj()
+    kernel[L - P + 1:] = chirp[P - 1:0:-1].conj()
+    rows = np.fft.fft(weighted.reshape(P, q).T * (chirp[:P] * turn(w[0], d, k[:P])), L)
+    conv = np.fft.ifft(rows * np.fft.fft(kernel))[:, :M]
+    conv *= np.exp(sign * 1j * np.outer(c - c[0], w))
+    return conv.sum(axis=0) * chirp[:M] * turn(c[0], h, k[:M]) * turn(c[0], w[0], np.array([1]))
+
+
 def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int) -> np.ndarray:
     """Sum ``weighted`` against exp(sign*i*w*nodes) for every w on the grid.
 
     Returns ``weighted @ exp(sign * 1j * outer(nodes, grid.points))``; the
-    node axis is the last axis of ``weighted``.  On a uniform grid each
-    kernel column is the previous one times exp(sign*i*h*nodes), with the
-    step h taken from ``grid.spacing``; every block of columns restarts
-    from a fresh exponential so rounding cannot drift.  Any other grid gets
-    a direct exponential.  Blocks keep the kernel at ``_EXP_BLOCK`` columns.
+    node axis is the last axis of ``weighted``.  Two kernel paths:
+
+    * Chirp-z: one row (``weighted.ndim == 1``) on a uniform grid whose nodes
+      are interleaved uniform sub-grids, when its FFTs cost less than the
+      direct kernel (see :func:`_chirp_layout`), is q Bluestein chirp-z
+      transforms, :func:`_chirp_sum`, with every large phase reduced exactly.
+    * Direct: anything else.  On a uniform grid each kernel column is the
+      previous one times exp(sign*i*h*nodes), with the step h taken from
+      ``grid.spacing``; every block of columns restarts from a fresh
+      exponential so rounding cannot drift.  Any other grid gets a direct
+      exponential.  Blocks keep the kernel at ``_EXP_BLOCK`` columns.
     """
+    layout = _chirp_layout(nodes, grid) if weighted.ndim == 1 else None
+    if layout is not None:
+        return _chirp_sum(weighted, sign, *layout)
     w = grid.points
     recur = grid.kind == "uniform" and w.size > 1
     ratio = np.exp(sign * 1j * grid.spacing * nodes) if recur else None

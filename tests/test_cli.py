@@ -244,6 +244,28 @@ class TestErrorSurface:
         assert code == 1
         assert err.startswith("error: validation:")
 
+    @pytest.mark.parametrize("reader", [
+        ("ilt", "--t", "1"),
+        ("ift", "--x-min", "0", "--x-max", "1", "--x-step", "0.5"),
+        ("iflt", "--x", "0", "--t", "1"),
+    ])
+    def test_csv_input_is_refused_as_output_only(self, capsys, tmp_path, reader):
+        line_path = str(tmp_path / "line.csv")
+        code, _, err = run_cli(
+            capsys,
+            "lt", "--expr", "x*exp(-2*x)", "--sigma", "0.5", "--X", "40",
+            "--tau-min", "-20", "--tau-max", "20", "--tau-step", "0.05",
+            "--format", "csv", "--output", line_path,
+        )
+        assert code == 0, err
+        code, out, err = run_cli(capsys, reader[0], "--input", line_path, *reader[1:])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: validation: cannot read {line_path}: CSV is an output-only format; "
+            "write the file with --format json\n"
+        )
+
     def test_expression_error_positioned(self, capsys):
         code, _, err = run_cli(capsys, "series", "--expr", "foo(x)", "--L", "1", "--K", "0")
         assert code == 1

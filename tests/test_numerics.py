@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from unitransform import (
     SampledFunction2D,
     integrate,
     integrate_halfline,
+    laplace_line,
     oscillation_panels,
 )
 from unitransform import numerics
@@ -186,6 +188,93 @@ class TestExpSum:
         for grid in (Grid([-3.0, -1.0, 0.5, 4.0], kind="gauss-nodes"), Grid.uniform(2.0, 3.0, 1)):
             direct = weighted @ np.exp(-1j * np.outer(nodes, grid.points))
             assert np.allclose(exp_sum(weighted, nodes, grid, -1), direct, rtol=0, atol=1e-15)
+
+
+class TestChirpZ:
+    """The chirp-z path of exp_sum: when it runs, what it matches, and its phase reduction."""
+
+    def _direct(self, weighted, nodes, grid, sign):
+        return weighted @ np.exp(sign * 1j * np.outer(nodes, grid.points))
+
+    def test_acceptance_scale_laplace_line(self):
+        # 16,001 tau points on [-400, 400]: ten chirp-z transforms of 3820 panels.
+        tau = Grid.uniform(-400.0, 400.0, 16001)
+        line = laplace_line(lambda x: np.exp(-np.asarray(x, float)) + 0j, 0.0, tau, 40.0)
+        assert np.max(np.abs(line.values - 1.0 / (1.0 + 1j * tau.points))) <= 1e-13
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_equispaced_nodes_match_direct_sum(self, sign):
+        nodes = np.linspace(-3.0, 5.0, 3001)
+        weighted = np.exp(-nodes**2) * (1.0 + 0.3j * nodes)
+        grid = Grid.uniform(-7.0, 9.0, 2501)
+        c, *_ = numerics._chirp_layout(nodes, grid)
+        assert c.size == 1
+        direct = self._direct(weighted, nodes, grid, sign)
+        got = exp_sum(weighted, nodes, grid, sign)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("layout", ["unequal panels", "random nodes"])
+    def test_nodes_off_a_lattice_fall_back(self, layout):
+        rng = np.random.default_rng(5)
+        if layout == "unequal panels":
+            edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 40.0, 299)), [40.0]))
+            nodes, weights = numerics._panel_rule(edges[:-1], edges[1:], 10)
+        else:
+            nodes = np.sort(rng.uniform(0.0, 40.0, 3000))
+            weights = np.full(nodes.size, 40.0 / nodes.size)
+        weighted = nodes**3 * np.exp(-1.5 * nodes) * weights + 0j
+        tau = Grid.uniform(-100.0, 100.0, 4001)
+        assert numerics._chirp_layout(nodes, tau) is None
+        direct = self._direct(weighted, nodes, tau, -1)
+        got = exp_sum(weighted, nodes, tau, -1)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_single_row_runs_chirp_z_and_stacked_rows_do_not(self, monkeypatch):
+        # The single-row case of TestExpSum: 955 Gauss panels of 10 nodes, 4001 tau.
+        nodes, weighted = TestExpSum()._line_weights()
+        tau = Grid.uniform(-100.0, 100.0, 4001)
+        subgrids = []
+        chirp_sum = numerics._chirp_sum
+
+        def spy(weighted, sign, c, *rest):
+            subgrids.append(c.size)
+            return chirp_sum(weighted, sign, c, *rest)
+
+        monkeypatch.setattr(numerics, "_chirp_sum", spy)
+        exp_sum(weighted, nodes, tau, -1)
+        assert subgrids == [10]
+        exp_sum(np.stack([weighted, weighted]), nodes, tau, -1)
+        assert subgrids == [10]
+
+    def test_small_sums_stay_direct(self):
+        nodes, _ = composite_gauss_nodes(0.0, 40.0, 10, oscillation_panels(2.0, 0.0, 40.0))
+        assert numerics._chirp_layout(nodes, Grid.uniform(-2.0, 2.0, 81)) is None
+
+    def test_phase_reduction_matches_decimal(self):
+        ctx = Context(prec=40)
+        two_pi = ctx.multiply(2, ctx.create_decimal("3.14159265358979323846264338327950288419716939937510"))
+
+        def error(phase, a, b, n):
+            """Largest |phase - a * b * n| mod 2*pi, in 40-digit decimal arithmetic."""
+            exact = ctx.multiply(Decimal(a), Decimal(b))  # 32 digits at most: exact
+            return max(
+                abs(float(ctx.remainder_near(ctx.subtract(Decimal(p), ctx.multiply(exact, m)), two_pi)))
+                for p, m in zip(phase.tolist(), n.tolist())
+            )
+
+        k = np.arange(0, 20001, 8, dtype=np.int64)
+        # The phase factors of the T = 100 and T = 400 laplace_line sums:
+        # chirp h/2 * d (times k^2), pre-phase w0 * d and post-phase c0 * h (times k).
+        cases = []
+        for T, M in ((100.0, 4001), (400.0, 16001)):
+            nodes, _ = composite_gauss_nodes(0.0, 40.0, 10, oscillation_panels(T, 0.0, 40.0))
+            c, d, w, h, _ = numerics._chirp_layout(nodes, Grid.uniform(-T, T, M))
+            cases += [(h / 2, d, k * k), (float(w[0]), d, k), (float(c[0]), h, k)]
+        for a, b, n in cases:
+            assert error(numerics._phase(a, b, n), a, b, n) <= 4 * np.spacing(2 * math.pi)
+        # The product rounded in float64 instead misses by ulps of itself.
+        a, b, n = cases[3]
+        assert error(a * b * n.astype(float), a, b, n) > 1e-12
 
 
 def _gaussian(x):
