@@ -342,10 +342,11 @@ def _cmd_verify_residual(args) -> dict:
     ns = args.n if args.n else [4, 8, 16]
     problem = EigenProblemSpec.whole_line()
     spec = _quad_spec(args)
-    ratios = {
-        lam: [residual_ratio(problem, lam, WindowedTestSequence(lam=lam, n=n), spec) for n in ns]
-        for lam in lams
-    }
+    sequences = {lam: [WindowedTestSequence(lam=lam, n=n) for n in ns] for lam in lams}
+    if len(ns) < 2 or any(b != 2 * a for a, b in zip(ns, ns[1:])):
+        raise UsageError(f"--n needs at least two widths, each twice the one before, got {ns}")
+    ratios = {lam: [residual_ratio(problem, lam, seq, spec) for seq in sequences[lam]]
+              for lam in lams}
     decay = []
     for lam in lams:
         row = ratios[lam]

@@ -15,8 +15,11 @@ parentheses)::
 the right.  Its exponent must be constant: any variable-free exponent
 subtree is folded to a number at parse time, anything else is rejected.
 Expressions are real-valued; complex numbers never enter through user
-input.  Evaluation is IEEE-754 double precision and raises
-:class:`EvaluationError` on domain faults instead of returning NaN.
+input.  One evaluator, :func:`evaluate_array`, walks the tree in numpy
+double precision; :func:`evaluate` is its one-point case, and exponent
+folding runs through it too, so a folded exponent fails with the same
+:class:`EvaluationError` text as a run-time evaluation.  Domain faults
+raise instead of returning NaN.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import ContractViolationError, EvaluationError, ParseError
 
@@ -234,71 +239,16 @@ def variables(ast: ExpressionAST) -> frozenset[str]:
 
 def evaluate(ast: ExpressionAST, x: float, t: float | None = None) -> float:
     """Evaluate the tree at x (and t when the expression uses it)."""
-    if isinstance(ast, Num):
-        return ast.value
-    if isinstance(ast, Const):
-        return _CONSTANTS[ast.name]
-    if isinstance(ast, Var):
-        if ast.name == "x":
-            return float(x)
-        if t is None:
-            raise ContractViolationError("expression uses t but no t value was supplied")
-        return float(t)
-    if isinstance(ast, Unary):
-        v = evaluate(ast.arg, x, t)
-        if ast.op == "neg":
-            return -v
-        if ast.op == "abs":
-            return abs(v)
-        if ast.op == "sqrt":
-            if v < 0:
-                raise EvaluationError(f"sqrt of negative value in '{canonical(ast)}'")
-            return math.sqrt(v)
-        if ast.op == "log":
-            if v <= 0:
-                raise EvaluationError(f"log of non-positive value in '{canonical(ast)}'")
-            return math.log(v)
-        try:
-            return getattr(math, ast.op)(v)
-        except OverflowError:
-            raise EvaluationError(f"overflow in '{canonical(ast)}'") from None
-    if isinstance(ast, BinOp):
-        a = evaluate(ast.left, x, t)
-        b = evaluate(ast.right, x, t)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if ast.op == "/":
-            if b == 0.0:
-                raise EvaluationError(f"division by zero in '{canonical(ast)}'")
-            return a / b
-        # "^"
-        if not float(b).is_integer() and a <= 0:
-            raise EvaluationError(
-                f"non-integer power of a non-positive base in '{canonical(ast)}'"
-            )
-        try:
-            out = a**b
-        except (OverflowError, ZeroDivisionError):
-            raise EvaluationError(f"power failed in '{canonical(ast)}'") from None
-        if isinstance(out, complex) or not math.isfinite(out):
-            raise EvaluationError(f"power produced a non-finite value in '{canonical(ast)}'")
-        return out
-    raise ContractViolationError(f"not an expression node: {ast!r}")
+    return float(evaluate_array(ast, x, t))
 
 
 def evaluate_array(ast: ExpressionAST, x, t=None):
-    """Vectorized evaluation on numpy arrays with the same domain checks.
+    """Vectorized evaluation on numpy arrays.
 
     ``x`` and ``t`` must broadcast against each other; the result has the
-    broadcast shape.  Domain faults raise :class:`EvaluationError` just
-    as in the scalar path instead of propagating NaN or infinity.
+    broadcast shape.  Domain faults raise :class:`EvaluationError` instead
+    of propagating NaN or infinity.
     """
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     shape = x.shape if t is None else np.broadcast_shapes(x.shape, np.shape(t))
 

@@ -54,6 +54,8 @@ _GRID_CELLS = 1 << 16
 # Largest |integrand| at a truncation end, relative to its peak, that passes
 # without a TruncationWarning.
 ENDPOINT_RATIO = 1e-6
+# Largest QuadratureSpec.order: leggauss(n) builds an n x n companion matrix.
+MAX_QUAD_ORDER = 1000
 
 
 _RULES = {"finite": "finite", "positive": "finite and > 0", "count": "a non-negative integer"}
@@ -111,8 +113,12 @@ class QuadratureSpec:
             raise ContractViolationError(
                 f"unknown quadrature method {self.method!r}; expected one of {_METHODS}"
             )
-        if self.order < 2:
-            raise ContractViolationError("quadrature order must be >= 2")
+        order = _scalar(self.order, "quadrature order", "count")
+        if not 2 <= order <= MAX_QUAD_ORDER:
+            raise ContractViolationError(
+                f"quadrature order must be >= 2 and <= {MAX_QUAD_ORDER}, got {order}"
+            )
+        object.__setattr__(self, "order", order)
         _scalar(self.tolerance, "quadrature tolerance", "positive")
 
 

@@ -219,6 +219,14 @@ class TestVerifyCommands:
         assert doc["passed"] is True
         assert all(0.4 <= d <= 0.6 for d in doc["decay_factors"])
 
+    @pytest.mark.parametrize("widths", [("4",), ("4", "3"), ("4", "8", "32")])
+    def test_residual_widths_must_double(self, capsys, widths):
+        code, out, err = run_cli(capsys, "verify-residual", "--lam", "1",
+                                 *(a for n in widths for a in ("--n", n)))
+        assert (code, out) == (1, "")
+        assert err == ("error: validation: --n needs at least two widths, each twice the one "
+                       f"before, got [{', '.join(widths)}]\n")
+
     def test_sl_report(self, capsys):
         doc = run_json(capsys, "verify-sl", "--L", "1", "--k-max", "5")
         assert doc["passed"] is True

@@ -142,6 +142,16 @@ class TestParseErrors:
         assert parse("2^3^2") == parse("2^9")
         assert evaluate(parse("x^(1+1)"), 3.0) == 9.0
 
+    @pytest.mark.parametrize("text, inner", [("x^(2^2000)", "2^2000"), ("x^(0^(-1))", "0^(-1)")])
+    def test_folded_exponent_fails_like_a_run_time_evaluation(self, text, inner):
+        message = f"power produced a non-finite value in '{inner}'"
+        with pytest.raises(EvaluationError) as info:
+            evaluate(parse(inner), 0.0)
+        assert str(info.value) == message
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"exponent does not evaluate: {message} (at offset 1)"
+
     def test_function_application_requires_parens(self):
         with pytest.raises(ParseError):
             parse("sin x")
@@ -209,7 +219,7 @@ class TestArrayEvaluation:
         ast = parse("exp(-x^2/2)*sin(pi*x)+x/3")
         xs = np.linspace(-2.0, 2.0, 41)
         batch = evaluate_array(ast, xs)
-        singles = np.array([evaluate(ast, float(x)) for x in xs])
+        singles = np.array([math.exp(-x * x / 2) * math.sin(math.pi * x) + x / 3 for x in xs])
         np.testing.assert_allclose(batch, singles, atol=1e-15)
 
     def test_two_variable_broadcast(self):

@@ -92,6 +92,18 @@ def test_non_finite_input_is_a_contract_violation(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "order, message",
+    [(NAN, "a non-negative integer, got nan"), (2.5, "a non-negative integer, got 2.5"),
+     (None, "a non-negative integer, got None"), (1001, ">= 2 and <= 1000, got 1001")],
+    ids=["nan", "2.5", "None", "1001"],
+)
+def test_quadrature_order(order, message):
+    with pytest.raises(ContractViolationError) as info:
+        QuadratureSpec(order=order)
+    assert str(info.value) == f"quadrature order must be {message}"
+
+
 class TestScalarGuard:
     def test_wording(self):
         with pytest.raises(ContractViolationError, match=r"^L must be finite and > 0, got inf$"):
@@ -210,6 +222,12 @@ class TestCommandLine:
         code, out, err = run_cli(capsys, "ilt", "--input", path, "--t", "1")
         assert_validation_error(code, out, err)
         assert "values must be finite" in err and "index 7" in err
+
+    def test_quad_order_above_the_bound(self, capsys):
+        code, out, err = run_cli(capsys, "series", "--expr", "x", "--L", "1", "--K", "2",
+                                 "--quad-order", "1001")
+        assert_validation_error(code, out, err)
+        assert err == "error: validation: quadrature order must be >= 2 and <= 1000, got 1001\n"
 
     def test_verify_residual_n_0(self, capsys):
         code, out, err = run_cli(capsys, "verify-residual", "--n", "0")
