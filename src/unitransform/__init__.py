@@ -13,9 +13,7 @@ from .eigenproblems import (
     WindowedTestSequence,
     discrete_eigenvalues,
     eigenfunction_eval,
-    periodic_boundary_values,
     residual_ratio,
-    sl_residual,
 )
 from .errors import (
     AliasingError,
@@ -113,10 +111,8 @@ __all__ = [
     "laplace_line",
     "oscillation_panels",
     "parse",
-    "periodic_boundary_values",
     "real_coefficients",
     "residual_ratio",
-    "sl_residual",
     "synthesize",
     "weighted_orthogonality_check",
 ]

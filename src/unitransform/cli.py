@@ -38,7 +38,7 @@ import numpy as np
 
 from . import expressions
 from . import io_formats as io
-from .eigenproblems import EigenProblemSpec, WindowedTestSequence, residual_ratio, sl_residual
+from .eigenproblems import EigenProblemSpec, WindowedTestSequence, residual_ratio
 from .errors import (
     AliasingError,
     ContractViolationError,
@@ -66,7 +66,6 @@ QUAD_TOL_ENV = "UNITRANSFORM_QUAD_TOL"
 GRAM_OFFDIAG_TOL = 1e-10
 RESIDUAL_DECAY_RANGE = (0.4, 0.6)
 RESIDUAL_SPREAD_TOL = 1e-10
-SL_RESIDUAL_TOL = 1e-12
 # Points per axis of a --<axis>-min/-max/-step grid.
 MAX_GRID_POINTS = 1_000_000
 
@@ -370,23 +369,6 @@ def _cmd_verify_residual(args) -> dict:
     return io.report_payload("residual", fields, _echo(args))
 
 
-def _cmd_verify_sl(args) -> dict:
-    L = _scalar(args.L, "L", "positive")
-    grid = Grid.uniform(-L, L, 201)
-    residuals = [sl_residual(L, k, grid) for k in range(-args.k_max, args.k_max + 1)]
-    worst = max(residuals)
-    passed = worst <= SL_RESIDUAL_TOL
-    fields = {
-        "L": L,
-        "k_max": args.k_max,
-        "max_residual": worst,
-        "tolerance": SL_RESIDUAL_TOL,
-        "boundary_conditions_exact": True,
-        "passed": passed,
-    }
-    return io.report_payload("sturm-liouville", fields, _echo(args))
-
-
 def _cmd_estimate_abscissa(args) -> dict:
     if args.input is not None:
         if _given(args.x_min, args.x_max, args.x_step):
@@ -471,8 +453,6 @@ _COMMANDS = {
                                      ("L", "K"), quad=True),
     "verify-residual": _Command(_cmd_verify_residual, "continuum residual decay report",
                                 ("lam", "n"), quad=True),
-    "verify-sl": _Command(_cmd_verify_sl, "second-order reformulation residual report",
-                          ("L", "k-max")),
     "estimate-abscissa": _Command(_cmd_estimate_abscissa, "exponential growth-rate fit",
                                   _grid("x"), _EXPR_OR_INPUT),
     "roundtrip": _Command(_cmd_roundtrip, "forward+inverse Fourier transform report",
@@ -491,7 +471,6 @@ _FLAGS: dict[str, dict] = {
     "sigma": dict(type=parse_pi_float, help="abscissa of the vertical line"),
     "t": dict(type=parse_pi_float, required=True),
     "x": dict(type=parse_pi_float, required=True),
-    "k-max": dict(type=int, required=True),
     "lam": dict(type=parse_pi_float, action="append",
                 help="eigenvalue to test (repeatable; default 0 1 5)"),
     "n": dict(type=int, action="append", help="window width index (repeatable; default 4 8 16)"),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .numerics import Grid, QuadratureSpec, _scalar, integrate
+from .numerics import QuadratureSpec, _scalar, integrate
 
 KINDS = ("periodic-interval", "whole-line", "weighted-halfline", "product-2d")
 
@@ -92,14 +92,11 @@ class WindowedTestSequence:
 
     lam: float
     n: int
-    shape: str = "gaussian"
 
     def __post_init__(self):
         _scalar(self.lam, "lam")
         if self.n < 1:
             raise ContractViolationError("window-width index n must be >= 1")
-        if self.shape != "gaussian":
-            raise ContractViolationError("only the gaussian window shape is supported")
 
 
 def discrete_eigenvalues(L: float, k_max: int) -> list[Eigenvalue]:
@@ -193,27 +190,3 @@ def residual_ratio(
     num = integrate(residual_sq, interval, spec, panels=8).real
     den = integrate(norm_sq, interval, spec, panels=8).real
     return math.sqrt(num / den)
-
-
-def periodic_boundary_values(L: float, k: int) -> tuple[complex, complex]:
-    """Endpoint values (y_k(-L), y_k(L)) of the periodic eigenfunction.
-
-    At x = +-L the phase is an exact multiple of pi, so the values
-    reduce by parity to (-1)**k with no rounding.
-    """
-    _scalar(L, "L", "positive")
-    v = complex(-1.0 if k % 2 else 1.0)
-    return v, v
-
-
-def sl_residual(L: float, k: int, x_grid: Grid) -> float:
-    """Defect of the second-order reformulation on a grid.
-
-    Applies the first-order operator twice: with y_k = exp(-i*k*pi*x/L)
-    and lam = k*pi/L, returns max |{-y_k''} - lam^2 y_k| over the grid
-    using the analytic second derivative.
-    """
-    lam = k * math.pi / _scalar(L, "L", "positive")
-    y = np.exp(-1j * lam * x_grid.points)
-    y_second = (-1j * lam) ** 2 * y
-    return float(np.max(np.abs(-y_second - lam**2 * y)))

@@ -77,13 +77,14 @@ class RealFourierCoefficientSet:
         return max(self.a)
 
 
-def _coefficient_integral(f, kernel_freq: float, L: float, spec: QuadratureSpec | None, k: int) -> complex:
-    kernel = lambda x: f(x) * np.exp(1j * kernel_freq * np.asarray(x))
-    panels = oscillation_panels(kernel_freq, -L, L)
+def _indexed_integral(integrand, freq: float, L: float, spec: QuadratureSpec | None,
+                      index: str) -> complex:
+    """:func:`integrate` of ``integrand``, which oscillates like exp(i*freq*x), over (-L, L);
+    a failure is a :class:`QuadratureError` that names ``index``."""
     try:
-        return integrate(kernel, (-L, L), spec, panels=panels)
+        return integrate(integrand, (-L, L), spec, panels=oscillation_panels(freq, -L, L))
     except (QuadratureError, EvaluationError) as exc:
-        raise QuadratureError(f"coefficient k={k}: {exc}") from exc
+        raise QuadratureError(f"{index}: {exc}") from exc
 
 
 def complex_coefficients(
@@ -97,7 +98,9 @@ def complex_coefficients(
     L, K = _scalar(L, "L", "positive"), _scalar(K, "K", "count")
     c = {}
     for k in range(-K, K + 1):
-        c[k] = _coefficient_integral(f, k * math.pi / L, L, spec, k) / (2.0 * L)
+        freq = k * math.pi / L
+        c[k] = _indexed_integral(lambda x: f(x) * np.exp(1j * freq * np.asarray(x)), freq, L,
+                                 spec, f"coefficient k={k}") / (2.0 * L)
     return FourierCoefficientSet(L=L, c=c)
 
 
@@ -135,12 +138,11 @@ def real_coefficients(
     a, b = {}, {}
     for k in range(0, K + 1):
         freq = k * math.pi / L
-        panels = oscillation_panels(freq, -L, L)
-        a[k] = integrate(lambda x: checked(x) * np.cos(freq * np.asarray(x)),
-                         (-L, L), spec, panels=panels).real / L
+        a[k] = _indexed_integral(lambda x: checked(x) * np.cos(freq * np.asarray(x)), freq, L,
+                                 spec, f"coefficient a_{k}").real / L
         if k >= 1:
-            b[k] = integrate(lambda x: checked(x) * np.sin(freq * np.asarray(x)),
-                             (-L, L), spec, panels=panels).real / L
+            b[k] = _indexed_integral(lambda x: checked(x) * np.sin(freq * np.asarray(x)), freq, L,
+                                     spec, f"coefficient b_{k}").real / L
     return RealFourierCoefficientSet(L=L, a=a, b=b)
 
 
@@ -174,9 +176,9 @@ def gram_matrix(L: float, K: int, spec: QuadratureSpec | None = None) -> np.ndar
     """
     L, K = _scalar(L, "L", "positive"), _scalar(K, "K", "count")
     by_difference = np.array([
-        integrate(lambda x, d=d: np.exp(-1j * d * np.asarray(x)), (-L, L), spec,
-                  panels=oscillation_panels(d, -L, L))
-        for d in (m * math.pi / L for m in range(-2 * K, 2 * K + 1))
+        _indexed_integral(lambda x, d=d: np.exp(-1j * d * np.asarray(x)), d, L, spec,
+                          f"inner product k-l={m}")
+        for m, d in ((m, m * math.pi / L) for m in range(-2 * K, 2 * K + 1))
     ])
     index = np.arange(2 * K + 1)
     return by_difference[index[:, None] - index + 2 * K]

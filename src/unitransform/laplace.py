@@ -161,25 +161,18 @@ def _store_line_values(spectrum, *grids: Grid) -> None:
     object.__setattr__(spectrum, "_profile", _contour_profile(values))
 
 
-def _contour_sum(s: np.ndarray, values: np.ndarray, weights: np.ndarray, t: float,
-                 profile: np.ndarray, axis: str = "", stacklevel: int = 4):
-    """(1/2pi) sum_k weights_k values[..., k] e^{s_k t} along the last axis, behind the endpoint
-    guard on ``profile``, the :func:`_contour_profile` of ``values``."""
-    _check_ends(profile, f"{axis}contour integrand", "the contour half-height T", stacklevel)
-    return (values @ (np.exp(s * t) * weights)) / (2.0 * math.pi)
-
-
 def _line_inverse(spectrum, t: float, axis: str = ""):
-    """:func:`_contour_sum` on a stored line spectrum, with the profile it stored at
-    construction, by the trapezoid rule: the tau grid, of any kind, needs three points
-    and its largest step must obey :func:`_contour_step`."""
+    """(1/2pi) sum_k w_k values[..., k] e^{s_k t} along the tau axis of a line spectrum,
+    s_k = sigma + i*tau_k, by the trapezoid rule, behind the endpoint guard on the profile
+    the spectrum stored at construction: the tau grid, of any kind, needs three points and
+    its largest step must obey :func:`_contour_step`."""
     tau_grid = spectrum.tau_grid
     if len(tau_grid) < 3:
         raise ContractViolationError(f"{axis}contour needs at least three samples")
     _contour_step(t, float(np.max(np.diff(tau_grid.points))), axis)
+    _check_ends(spectrum._profile, f"{axis}contour integrand", "the contour half-height T")
     s = spectrum.sigma + 1j * tau_grid.points
-    return _contour_sum(s, spectrum.values, tau_grid.trapezoid_weights(), t,
-                        spectrum._profile, axis, stacklevel=5)
+    return (spectrum.values @ (np.exp(s * t) * tau_grid.trapezoid_weights())) / (2.0 * math.pi)
 
 
 def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
@@ -189,15 +182,13 @@ def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
     function and ``t`` must be positive.  The parametrized contour
     absorbs the 1/i of the line integral.  The imaginary part of the
     result should be near zero for real originals and serves as a
-    consistency diagnostic.
+    consistency diagnostic.  fhat is sampled on a uniform tau grid with
+    the step of :func:`_contour_step` and read as a stored line spectrum.
     """
     T, sigma = _scalar(T, "contour half-height T", "positive"), _scalar(sigma, "sigma")
-    n = int(math.ceil(T / _contour_step(t)))
-    s = sigma + 1j * np.linspace(-T, T, 2 * n + 1)
-    weights = np.full(s.size, T / n)
-    weights[0] = weights[-1] = T / n / 2.0
-    values = _eval_integrand(fhat, s, at="s")
-    return complex(_contour_sum(s, values, weights, t, _contour_profile(values)))
+    tau_grid = Grid.uniform(-T, T, 2 * math.ceil(T / _contour_step(t)) + 1)
+    values = _eval_integrand(fhat, sigma + 1j * tau_grid.points, at="s")
+    return complex(_line_inverse(LaplaceSpectrum(sigma, tau_grid, values), t))
 
 
 def bromwich_inverse_from_samples(spectrum: LaplaceSpectrum, t: float) -> complex:

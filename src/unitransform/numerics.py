@@ -38,6 +38,9 @@ DEFAULT_TOLERANCE = 1e-10
 
 _METHODS = ("trapezoid", "gauss-legendre", "adaptive")
 _MAX_BISECTIONS = 48
+# Work budget of one adaptive pass: panel splits per _adaptive or _adaptive_grid call,
+# over 100x the most a test needs (1,741, real-series of a piecewise-linear function).
+_MAX_SPLITS = 200_000
 # Kernel columns per block in exp_sum: bounds both the kernel's memory and
 # the length of its phase recurrence.
 _EXP_BLOCK = 128
@@ -450,6 +453,7 @@ def _adaptive(f, a: float, b: float, order: int, tol: float, panels: int) -> com
         stack.append((float(lo), float(hi), _gauss_panel(f, lo, hi, xg, wg), 0))
     total = 0j
     defect = 0.0
+    splits = 0
     while stack:
         lo, hi, coarse, depth = stack.pop()
         mid = (lo + hi) / 2.0
@@ -463,14 +467,31 @@ def _adaptive(f, a: float, b: float, order: int, tol: float, panels: int) -> com
             # the refined value and account for its unresolved defect.
             total += fine
             defect += abs(fine - coarse)
+            _check_defect(defect, tol)
         else:
+            splits += 1
+            if splits > _MAX_SPLITS:
+                _over_budget(defect + abs(fine - coarse), tol)
             stack.append((mid, hi, right, depth + 1))
             stack.append((lo, mid, left, depth + 1))
+    return total
+
+
+def _check_defect(defect: float, tol: float) -> None:
+    """Fail an adaptive pass as soon as its unresolved defect, which can only grow, exceeds tol."""
     if defect > tol:
         raise QuadratureError(
             f"adaptive quadrature error estimate {defect:.3e} exceeds tolerance {tol:.3e}"
         )
-    return total
+
+
+def _over_budget(estimate: float, tol: float):
+    """Stop a pass past ``_MAX_SPLITS``; ``estimate`` is its defect plus the change of the
+    panels being split."""
+    raise QuadratureError(
+        f"adaptive quadrature stopped at its budget of {_MAX_SPLITS} panel splits; "
+        f"error estimate so far {estimate:.3e}, tolerance {tol:.3e}"
+    )
 
 
 def composite_gauss_nodes(a: float, b: float, order: int, panels: int):
@@ -620,7 +641,8 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec):
     Each batch evaluates f once, on both halves of its panels.  A panel is accepted
     when ``max over w |fine - coarse| <= tol * width / span``, the test of
     :func:`integrate` at its worst frequency; ``_MAX_BISECTIONS`` and the
-    unresolved-defect :class:`QuadratureError` apply per frequency as there.
+    unresolved-defect :class:`QuadratureError` apply per frequency as there,
+    and ``_MAX_SPLITS`` to the panels split in all batches together.
 
     Returns the integrals and |f| at a, the starting Gauss nodes and b.
     """
@@ -638,6 +660,7 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec):
         stack.append((lo[s:s + rows], hi[s:s + rows], coarse, 0))
     total = np.zeros(w.size, dtype=complex)
     defect = np.zeros(w.size)
+    splits = 0
     while stack:
         lo, hi, coarse, depth = stack.pop()
         mid = (lo + hi) / 2.0
@@ -652,16 +675,15 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec):
         stuck = ~done & ((depth >= _MAX_BISECTIONS) | (mid <= lo) | (mid >= hi))
         total += fine[done | stuck].sum(axis=0)
         defect += change[stuck].sum(axis=0)
+        _check_defect(float(np.max(defect)), tol)
         split = ~(done | stuck)
+        splits += int(np.count_nonzero(split))
+        if splits > _MAX_SPLITS:
+            _over_budget(float(np.max(defect + change[split].sum(axis=0))), tol)
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
         coarse = np.concatenate((left[split], right[split]))
         for s in reversed(range(0, lo.size, rows)):
             stack.append((lo[s:s + rows], hi[s:s + rows], coarse[s:s + rows], depth + 1))
-    worst = float(np.max(defect))
-    if worst > tol:
-        raise QuadratureError(
-            f"adaptive quadrature error estimate {worst:.3e} exceeds tolerance {tol:.3e}"
-        )
     return total, np.abs(fx)
 
 

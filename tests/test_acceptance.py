@@ -88,22 +88,6 @@ def test_criterion_04_bridge():
 
 
 # --------------------------------------------------------------------------
-# 5. second-order reformulation consistency
-
-
-def test_criterion_05_second_order_consistency():
-    grid = ut.Grid.uniform(-1.0, 1.0, 201)
-    worst = max(ut.sl_residual(1.0, k, grid) for k in range(-10, 11))
-    boundaries_exact = all(
-        ut.periodic_boundary_values(1.0, k)[0] == ut.periodic_boundary_values(1.0, k)[1]
-        for k in range(-10, 11)
-    )
-    ok = worst <= 1e-12 and boundaries_exact
-    report(5, "second-order consistency", ok, f"max residual {worst:.2e}, BCs exact")
-    assert ok
-
-
-# --------------------------------------------------------------------------
 # 6. continuum residual decay
 
 

@@ -227,17 +227,17 @@ class TestVerifyCommands:
         assert err == ("error: validation: --n needs at least two widths, each twice the one "
                        f"before, got [{', '.join(widths)}]\n")
 
-    def test_sl_report(self, capsys):
-        doc = run_json(capsys, "verify-sl", "--L", "1", "--k-max", "5")
-        assert doc["passed"] is True
-        assert doc["max_residual"] <= 1e-12
-
 
 class TestErrorSurface:
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "mellin", "--L", "1")
         assert code == 1
         assert err.startswith("error: validation:")
+
+    def test_deleted_verify_sl_is_unknown(self, capsys):
+        code, out, err = run_cli(capsys, "verify-sl", "--L", "1", "--k-max", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: validation:") and err.count("\n") == 1
 
     def test_missing_parameter(self, capsys):
         code, _, err = run_cli(capsys, "series", "--expr", "x", "--K", "3")
@@ -283,6 +283,25 @@ class TestErrorSurface:
         code, _, err = run_cli(capsys, "lt", "--expr", "exp(3*x)", "--s", "2+0i", "--X", "40")
         assert code == 2
         assert err.startswith("error: numerical:")
+
+    @pytest.mark.parametrize("argv", [
+        ("ft", "--expr", "x^-1*exp(-x^2)", "--A", "6",
+         "--lambda-min", "-0.5", "--lambda-max", "0.5", "--lambda-step", "0.5"),
+        ("ft", "--expr", "x^-1*exp(-x)+1", "--A", "6",
+         "--lambda-min", "-4", "--lambda-max", "4", "--lambda-step", "0.5"),
+        ("series", "--expr", "x^(-2)", "--L", "1", "--K", "1"),
+    ], ids=["ft-pole", "ft-pole-no-decay", "series-double-pole"])
+    def test_non_integrable_integrand_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, index", [("series", "coefficient k=-1"),
+                                                ("real-series", "coefficient a_0")])
+    def test_series_failure_names_the_index(self, capsys, command, index):
+        code, out, err = run_cli(capsys, command, "--expr", "abs(x)^(-1/2)", "--L", "1", "--K", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: numerical: {index}: adaptive quadrature")
 
     def test_ft_without_decay_at_truncation_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -419,14 +438,14 @@ class TestCommandTable:
             ["ilt", "--input", "line.json", "--t", "1", "--quad-tol", "5"],
             ["ift", "--input", "spectrum.json", "--expr", "x",
              "--x-min", "0", "--x-max", "1", "--x-step", "0.5"],
-            ["verify-sl", "--L", "1", "--k-max", "2", "--format", "csv"],
+            ["verify-residual", "--format", "csv"],
             ["roundtrip", "--expr", "exp(-x^2/2)", "--input", "f.json", "--A", "12",
              "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.5",
              "--x-min", "0", "--x-max", "1", "--x-step", "0.5"],
             ["lt", "--expr", "1", "--s", "2+0i", "--X", "40", "--tau-max", "5"],
             ["estimate-abscissa", "--input", "f.json", "--x-step", "1"],
         ],
-        ids=["ilt-quad-tol", "ift-expr", "verify-sl-format", "roundtrip-input",
+        ids=["ilt-quad-tol", "ift-expr", "verify-residual-format", "roundtrip-input",
              "lt-s-tau-max", "abscissa-input-x-step"],
     )
     def test_flag_that_would_not_be_read_is_rejected(self, capsys, stored, argv):

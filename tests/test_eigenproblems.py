@@ -8,13 +8,10 @@ from unitransform import (
     ContractViolationError,
     EigenProblemSpec,
     Eigenvalue,
-    Grid,
     WindowedTestSequence,
     discrete_eigenvalues,
     eigenfunction_eval,
-    periodic_boundary_values,
     residual_ratio,
-    sl_residual,
 )
 
 # Analytic residual of the gaussian-windowed sequence: the operator kills
@@ -147,8 +144,6 @@ class TestWindowedSequence:
     def test_validation(self):
         with pytest.raises(ContractViolationError):
             WindowedTestSequence(lam=0.0, n=0)
-        with pytest.raises(ContractViolationError):
-            WindowedTestSequence(lam=0.0, n=4, shape="hann")
 
     def test_members_are_square_integrable(self):
         # finite norm for every finite n: the quadrature denominator converges
@@ -203,25 +198,3 @@ class TestResidualRatio:
             residual_ratio(
                 EigenProblemSpec.periodic(1.0), 0.0, WindowedTestSequence(lam=0.0, n=4)
             )
-
-
-class TestSturmLiouvilleResidual:
-    def test_analytic_identity(self):
-        grid = Grid.uniform(-1.0, 1.0, 101)
-        assert sl_residual(1.0, 3, grid) <= 1e-12
-
-    def test_constant_eigenfunction(self):
-        grid = Grid.uniform(-2.0, 2.0, 51)
-        assert sl_residual(2.0, 0, grid) == 0.0
-
-    def test_boundary_values_are_exact(self):
-        left, right = periodic_boundary_values(1.0, 1)
-        assert left == right == -1.0 + 0j
-        for k in range(-20, 21):
-            left, right = periodic_boundary_values(1.0, k)
-            assert left == right
-            assert left == (1.0 + 0j if k % 2 == 0 else -1.0 + 0j)
-
-    def test_requires_positive_L(self):
-        with pytest.raises(ContractViolationError):
-            sl_residual(0.0, 1, Grid.uniform(-1, 1, 3))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from unitransform import (
     ContractViolationError,
     FourierCoefficientSet,
+    QuadratureError,
     Grid,
     QuadratureSpec,
     complex_coefficients,
@@ -148,6 +149,10 @@ class TestRealCoefficients:
         with pytest.raises(ContractViolationError):
             real_coefficients(lambda x: 1j * np.asarray(x, float), 1.0, 1)
 
+    def test_failure_names_the_coefficient(self):
+        with pytest.raises(QuadratureError, match="^coefficient a_0: adaptive quadrature"):
+            real_coefficients(lambda x: np.abs(np.asarray(x, float)) ** -0.5, 1.0, 1)
+
 
 class TestRealCoefficientsRoundingLevelImaginary:
     """A complex f passes when max |Im f| is at most 1e-12 of max |f| on each call's samples."""
@@ -228,6 +233,10 @@ class TestGramMatrix:
         gram = gram_matrix(0.5, 0)
         assert gram.shape == (1, 1)
         assert gram[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_failure_names_the_index_difference(self):
+        with pytest.raises(QuadratureError, match="^inner product k-l=-2: adaptive quadrature"):
+            gram_matrix(1.0, 1, QuadratureSpec(tolerance=1e-300))
 
 
 class TestParseval:

@@ -234,12 +234,6 @@ class TestCommandLine:
         assert_validation_error(code, out, err)
         assert "n must be >= 1" in err
 
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    def test_verify_sl_names_L(self, capsys, value):
-        code, out, err = run_cli(capsys, "verify-sl", "--L", value, "--k-max", "2")
-        assert_validation_error(code, out, err)
-        assert err == f"error: validation: L must be finite and > 0, got {value}\n"
-
     @pytest.mark.parametrize(
         "s, message", [("inf", "Re s must be finite, got inf"),
                        ("1+infi", "Im s must be finite, got inf")],

@@ -12,9 +12,12 @@ from unitransform import (
     DivergenceError,
     EvaluationError,
     Grid,
+    QuadratureError,
     QuadratureSpec,
     SampledFunction,
     SampledFunction2D,
+    complex_coefficients,
+    forward_ft,
     integrate,
     integrate_halfline,
     laplace_line,
@@ -396,6 +399,39 @@ class TestIntegrateGrid:
             got, magnitude = integrate_grid(_gaussian, (-12.0, 12.0), lams, QuadratureSpec(method))
             np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
             assert magnitude[0] == magnitude[-1] == pytest.approx(math.exp(-72.0))
+
+
+def _narrow(x):
+    return np.exp(-1e4 * np.asarray(x, float) ** 2) + 0j
+
+
+class TestWorkBudget:
+    """Both adaptive loops stop on a non-integrable integrand: at the first unresolved
+    defect over the tolerance, or past ``_MAX_SPLITS`` panel splits in one call."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: forward_ft(lambda x: np.exp(-np.asarray(x, float) ** 2) / np.asarray(x, float),
+                           Grid.uniform(-0.5, 0.5, 3), 6.0),
+        lambda: forward_ft(lambda x: np.exp(-np.asarray(x, float)) / np.asarray(x, float) + 1,
+                           Grid.uniform(-4.0, 4.0, 17), 6.0),
+        lambda: complex_coefficients(lambda x: np.asarray(x, float) ** -2 + 0j, 1.0, 1),
+    ], ids=["ft-pole", "ft-pole-no-decay", "series-double-pole"])
+    def test_non_integrable_raises(self, run):
+        with pytest.raises(QuadratureError, match="error estimate .* exceeds tolerance"):
+            run()
+
+    @pytest.mark.parametrize("run", [
+        lambda: integrate(_narrow, (-1.0, 1.0)),
+        lambda: integrate_grid(_narrow, (-1.0, 1.0), Grid.uniform(-1.0, 1.0, 3))[0],
+    ], ids=["integrate", "integrate_grid"])
+    def test_split_budget(self, monkeypatch, run):
+        value = run()
+        monkeypatch.setattr(numerics, "_MAX_SPLITS", 10)
+        with pytest.raises(QuadratureError, match="^adaptive quadrature stopped at its budget of "
+                           "10 panel splits; error estimate so far .*, tolerance 1.000e-10$"):
+            run()
+        monkeypatch.setattr(numerics, "_MAX_SPLITS", 1000)
+        np.testing.assert_array_equal(run(), value)
 
 
 class TestOscillationPanels:
