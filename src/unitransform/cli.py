@@ -17,11 +17,13 @@ and --format, which only choose where and how the bytes are written),
 and no flag is accepted that is not read; a flag the request's mode does
 not read (``lt --s`` with a --sigma/--tau-* line, ``estimate-abscissa
 --input`` with --x-*, --quad-method or --quad-tol for the fixed Gauss
-rule of ``lt --sigma`` and ``flt``) is a validation error.
+rule of ``lt --sigma`` and ``flt``, --quad-tol with --quad-method
+gauss-legendre or trapezoid) is a validation error.
 
 Numeric flags accept plain decimals and pi multiples ("pi", "0.5pi",
 "-2pi").  The environment variable UNITRANSFORM_QUAD_TOL overrides the
-default quadrature tolerance; an explicit --quad-tol beats both.
+default quadrature tolerance of the adaptive method; an explicit
+--quad-tol beats both.
 """
 
 from __future__ import annotations
@@ -197,11 +199,18 @@ def _given(*values) -> bool:
 
 
 def _quad_spec(args, fixed_rule: bool = False) -> QuadratureSpec:
-    """The quadrature in use; a fixed Gauss rule (``lt --sigma``, ``flt``) reads --quad-order."""
+    """The quadrature in use; a fixed Gauss rule (``lt --sigma``, ``flt``) reads --quad-order,
+    and only the adaptive method reads a tolerance."""
     if fixed_rule:
         if _given(args.quad_method, args.quad_tol):
             raise UsageError(f"{args.command} uses a fixed Gauss rule; give only --quad-order")
         return QuadratureSpec(order=args.quad_order)
+    method = args.quad_method or "adaptive"
+    if method != "adaptive":
+        if args.quad_tol is not None:
+            raise UsageError(f"--quad-method {method} is a fixed rule and reads no tolerance; "
+                             "drop --quad-tol")
+        return QuadratureSpec(method=method, order=args.quad_order)
     tol = args.quad_tol
     if tol is None:
         env = os.environ.get(QUAD_TOL_ENV)
@@ -212,8 +221,7 @@ def _quad_spec(args, fixed_rule: bool = False) -> QuadratureSpec:
                 raise UsageError(f"{QUAD_TOL_ENV} is not a number: {env!r}") from None
         else:
             tol = DEFAULT_TOLERANCE
-    return QuadratureSpec(method=args.quad_method or "adaptive", order=args.quad_order,
-                          tolerance=tol)
+    return QuadratureSpec(order=args.quad_order, tolerance=tol)
 
 
 def _echo(args, fixed_rule: bool = False) -> dict:
@@ -237,7 +245,9 @@ def _echo(args, fixed_rule: bool = False) -> dict:
         request["quad_order"] = args.quad_order
     elif command.quad:
         spec = _quad_spec(args)
-        request.update(quad_method=spec.method, quad_order=spec.order, quad_tol=spec.tolerance)
+        request.update(quad_method=spec.method, quad_order=spec.order)
+        if spec.method == "adaptive":
+            request["quad_tol"] = spec.tolerance
     return {"request": request}
 
 
@@ -414,7 +424,8 @@ class _Command:
     ``source`` is how f arrives: ``("expr", "input")`` (exactly one),
     ``("expr",)`` or ``("input",)`` (required), or ``()``.  ``quad``
     adds --quad-method/--quad-order/--quad-tol, echoed on every request
-    (a fixed Gauss rule build takes and echoes --quad-order only);
+    (a fixed method echoes no tolerance, and a fixed Gauss rule build takes
+    and echoes --quad-order only);
     ``csv`` adds --format json|csv.  Every command takes --output.
     """
 
@@ -478,8 +489,8 @@ _FLAGS: dict[str, dict] = {
     "quad-method": dict(choices=("trapezoid", "gauss-legendre", "adaptive"), default=None),
     "quad-order": dict(type=int, default=10),
     "quad-tol": dict(type=parse_pi_float, default=None,
-                     help=f"absolute quadrature tolerance (default {DEFAULT_TOLERANCE}, "
-                          f"or ${QUAD_TOL_ENV})"),
+                     help=f"absolute tolerance of the adaptive method "
+                          f"(default {DEFAULT_TOLERANCE}, or ${QUAD_TOL_ENV})"),
     "format": dict(choices=("json", "csv"), default="json"),
     "output": dict(help="output file path (stdout when omitted)"),
 }

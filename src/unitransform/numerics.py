@@ -445,6 +445,11 @@ def _gauss_panel(f, lo: float, hi: float, xg: np.ndarray, wg: np.ndarray) -> com
 
 
 def _adaptive(f, a: float, b: float, order: int, tol: float, panels: int) -> complex:
+    """Depth-first adaptive Gauss-Legendre on ``panels`` equal starting panels of [a, b].
+
+    Each split evaluates f once, on the nodes of both halves, with the node
+    and sum expressions of :func:`_gauss_panel`.
+    """
     xg, wg = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     span = b - a
@@ -457,8 +462,11 @@ def _adaptive(f, a: float, b: float, order: int, tol: float, panels: int) -> com
     while stack:
         lo, hi, coarse, depth = stack.pop()
         mid = (lo + hi) / 2.0
-        left = _gauss_panel(f, lo, mid, xg, wg)
-        right = _gauss_panel(f, mid, hi, xg, wg)
+        half_l, half_r = (mid - lo) / 2.0, (hi - mid) / 2.0
+        vals = _eval_integrand(f, np.concatenate(((lo + mid) / 2.0 + half_l * xg,
+                                                  (mid + hi) / 2.0 + half_r * xg)))
+        left = complex(half_l * np.dot(wg, vals[:order]))
+        right = complex(half_r * np.dot(wg, vals[order:]))
         fine = left + right
         if abs(fine - coarse) <= tol * (hi - lo) / span:
             total += fine

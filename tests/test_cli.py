@@ -503,9 +503,38 @@ class TestCommandTable:
         doc = run_json(capsys, "lt", "--expr", "1", "--s", "2+0i", "--X", "40",
                        "--quad-method", "gauss-legendre")
         request = doc["meta"]["request"]
-        assert [request[k] for k in ("quad_method", "quad_order", "quad_tol")] == [
-            "gauss-legendre", 10, 1e-10,
-        ]
+        assert list(request)[-2:] == ["quad_method", "quad_order"]
+        assert [request[k] for k in ("quad_method", "quad_order")] == ["gauss-legendre", 10]
+        assert "quad_tol" not in request
+
+    FIXED_METHOD = {
+        "series": ["series", "--expr", "x", "--L", "1", "--K", "2"],
+        "real-series": ["real-series", "--expr", "x", "--L", "1", "--K", "2"],
+        "ft": ["ft", "--expr", "exp(-x^2)", "--A", "6", "--lambda-min", "-1",
+               "--lambda-max", "1", "--lambda-step", "0.5"],
+        "lt": ["lt", "--expr", "exp(-x)", "--s", "2+0i", "--X", "40"],
+        "verify-orthogonality": ["verify-orthogonality", "--L", "1", "--K", "2"],
+    }
+
+    @pytest.mark.parametrize("method", ["gauss-legendre", "trapezoid"])
+    @pytest.mark.parametrize("command", list(FIXED_METHOD))
+    def test_fixed_method_rejects_quad_tol(self, capsys, command, method):
+        code, out, err = run_cli(capsys, *self.FIXED_METHOD[command], "--quad-method", method,
+                                 "--quad-tol", "1e-10")
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: validation: --quad-method {method} is a fixed rule and reads "
+                       "no tolerance; drop --quad-tol\n")
+
+    @pytest.mark.parametrize("command", list(FIXED_METHOD))
+    def test_fixed_method_echoes_no_tolerance(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("UNITRANSFORM_QUAD_TOL", "1e-6")
+        doc = run_json(capsys, *self.FIXED_METHOD[command], "--quad-method", "trapezoid",
+                       "--quad-order", "12")
+        request = doc["meta"]["request"]
+        assert list(request)[-2:] == ["quad_method", "quad_order"]
+        assert [request["quad_method"], request["quad_order"]] == ["trapezoid", 12]
+        assert "quad_tol" not in request
 
     def test_non_finite_time_is_a_validation_error(self, capsys, stored):
         capsys.readouterr()

@@ -116,6 +116,40 @@ class TestIntegrate:
         v = integrate(lambda x: complex(x) ** 2, (0.0, 1.0))
         assert v == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("panels", [1, 3])
+    def test_one_integrand_call_per_split(self, panels):
+        order = 10
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x, float))
+            return np.exp(-100.0 * calls[-1] ** 2) + 0j
+
+        v = integrate(f, (-1.0, 1.0), QuadratureSpec(order=order), panels=panels)
+        assert v.real == pytest.approx(math.sqrt(math.pi) / 10.0 * math.erf(10.0), abs=1e-10)
+        # One call per starting panel, then one per split on the nodes of both halves.
+        assert [x.size for x in calls[:panels]] == [order] * panels
+        split_calls = calls[panels:]
+        assert all(x.size == 2 * order for x in split_calls)
+        # Every starting panel is split once; each further split comes from a split
+        # panel that handed both halves to the stack.
+        assert len(split_calls) > panels and (len(split_calls) - panels) % 2 == 0
+        for x in split_calls:
+            # the right half's nodes are the left half's moved by the width of a half
+            shift = x[order:] - x[:order]
+            assert x[order - 1] < x[order]
+            np.testing.assert_allclose(shift, shift[0], rtol=1e-12)
+
+    def test_scalar_only_integrand_matches_vectorised_twin(self):
+        def scalar(x):
+            if isinstance(x, np.ndarray):
+                raise TypeError("scalars only")
+            return complex(1.0 / (1.0 + 25.0 * x * x))
+
+        vector = integrate(lambda x: 1.0 / (1.0 + 25.0 * x * x) + 0j, (-1.0, 1.0))
+        assert integrate(scalar, (-1.0, 1.0)) == vector
+        assert vector.real == pytest.approx(0.4 * math.atan(5.0), abs=1e-10)
+
     def test_gauss_legendre_polynomial_exactness(self):
         # order n is exact through degree 2n - 1
         for order in (2, 5, 10):
