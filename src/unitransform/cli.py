@@ -356,20 +356,15 @@ def _cmd_verify_residual(args) -> dict:
         raise UsageError(f"--n needs at least two widths, each twice the one before, got {ns}")
     ratios = {lam: [residual_ratio(problem, lam, seq, spec) for seq in sequences[lam]]
               for lam in lams}
-    decay = []
-    for lam in lams:
-        row = ratios[lam]
-        decay.extend(row[i + 1] / row[i] for i in range(len(row) - 1))
-    spread = 0.0
-    for i, n in enumerate(ns):
-        values = [ratios[lam][i] for lam in lams]
-        spread = max(spread, max(values) - min(values))
+    table = np.array([ratios[lam] for lam in lams])  # a row per --lam, a column per --n
+    decay = (table[:, 1:] / table[:, :-1]).ravel()
+    spread = float(np.max(np.ptp(table, axis=0)))
     lo, hi = RESIDUAL_DECAY_RANGE
     passed = all(lo <= d <= hi for d in decay) and spread <= RESIDUAL_SPREAD_TOL
     fields = {
         "lambdas": [float(v) for v in lams],
         "widths": [int(n) for n in ns],
-        "ratios": [[ratios[lam][i] for i in range(len(ns))] for lam in lams],
+        "ratios": table,
         "decay_factors": decay,
         "lambda_spread": spread,
         "decay_range": [lo, hi],
@@ -406,9 +401,9 @@ def _cmd_roundtrip(args) -> dict:
     sup_error = float(np.max(np.abs(recovered.values - reference)))
     fields = {
         "sup_error": sup_error,
-        "x_grid": [float(v) for v in x_grid.points],
-        "values": [[v.real, v.imag] for v in recovered.values],
-        "reference": [[v.real, v.imag] for v in reference],
+        "x_grid": x_grid.points,
+        "values": io.complex_pairs(recovered.values),
+        "reference": io.complex_pairs(reference),
     }
     return io.report_payload("roundtrip", fields, _echo(args))
 

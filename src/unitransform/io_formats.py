@@ -1,8 +1,8 @@
 """Interchange file formats.
 
 All writers are deterministic: fixed key order, floats rendered with 17
-significant digits, no timestamps.  Running the same request twice
-produces byte-identical files.
+significant digits (each float array in one formatting pass), no timestamps.
+Running the same request twice produces byte-identical files.
 
 Kinds::
 
@@ -42,6 +42,10 @@ from .numerics import Grid, SampledFunction, SampledFunction2D
 
 # The header line of every to_csv_bytes rendering, such as "tau,re,im".
 _CSV_HEADER = re.compile(r"[a-z]+(,[a-z]+)+\r?\n")
+# Header and grid key of each CSV rendering with a grid column, by file kind or convention.
+_CSV_GRIDS = {"function": ("x,re,im", "grid"),
+              ContinuousSpectrum.convention: ("lambda,re,im", "lambda_grid"),
+              LaplaceSpectrum.convention: ("tau,re,im", "tau_grid")}
 # Spectrum classes by the convention tag of their files.
 _SPECTRA = {cls.convention: cls
             for cls in (ContinuousSpectrum, LaplaceSpectrum, FourierLaplaceSpectrum)}
@@ -49,22 +53,42 @@ _SPECTRA = {cls.convention: cls
 
 def format_float(v: float) -> str:
     """Render a float with 17 significant digits, the round-trip precision."""
-    v = float(v)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    if math.isnan(v) or math.isinf(v):
+    v = float(v) + 0.0  # normalize -0.0
+    if not math.isfinite(v):
         raise ContractViolationError("cannot serialize a non-finite number")
     return format(v, ".17g")
 
 
+def _finite_floats(a) -> tuple:
+    """The entries of float array ``a`` in C order, -0.0 as 0.0; a NaN or inf is refused."""
+    a = np.asarray(a, dtype=float) + 0.0
+    if not np.isfinite(a).all():
+        raise ContractViolationError("cannot serialize a non-finite number")
+    return tuple(a.ravel().tolist())
+
+
+def _json_array(a: np.ndarray) -> str:
+    """Nested JSON lists of a float array in one formatting pass; ``"%.17g" % v`` is
+    ``format(v, ".17g")``, so each entry reads as format_float renders it."""
+    template = "%.17g"
+    for n in reversed(a.shape):
+        template = "[" + ",".join([template] * n) + "]"
+    return template % _finite_floats(a)
+
+
+def _csv_rows(table) -> str:
+    """A newline, then the rows of a 2-D float table, in one formatting pass."""
+    rows, cols = np.shape(table)
+    return ("\n" + ",".join(["%.17g"] * cols)) * rows % _finite_floats(table)
+
+
 def _render(obj: Any, out: list[str]) -> None:
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        out.append(_json_array(obj))
+    elif isinstance(obj, dict):
         out.append("{")
         for idx, (key, val) in enumerate(obj.items()):
-            if idx:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
+            out.append(("," if idx else "") + json.dumps(key) + ":")
             _render(val, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
@@ -95,19 +119,14 @@ def to_json_bytes(payload: dict) -> bytes:
     return "".join(out).encode("ascii")
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _pairs(values: np.ndarray) -> list:
-    """[re, im] pairs of ``values``, nested like its rows."""
-    return [_pairs(row) for row in values] if values.ndim > 1 else [_pair(v) for v in values]
+def complex_pairs(values) -> np.ndarray:
+    """[re, im] pairs of complex ``values`` along a new last axis, as one float array."""
+    return np.stack([np.real(values), np.imag(values)], -1)
 
 
 def _grid_fields(key: str, grid: Grid) -> dict:
     """``{key: points}``, plus ``{key}_kind`` for a grid that is not uniform."""
-    fields: dict = {key: [float(v) for v in grid.points]}
+    fields: dict = {key: grid.points}
     if grid.kind != "uniform":
         fields[f"{key}_kind"] = grid.kind
     return fields
@@ -117,7 +136,7 @@ def function_payload(fn: SampledFunction, meta: dict) -> dict:
     return {
         "kind": "function",
         **_grid_fields("grid", fn.grid),
-        "values": _pairs(fn.values),
+        "values": complex_pairs(fn.values),
         "meta": meta,
     }
 
@@ -127,7 +146,7 @@ def function2d_payload(fn: SampledFunction2D, meta: dict) -> dict:
         "kind": "function2d",
         **_grid_fields("x_grid", fn.x_grid),
         **_grid_fields("t_grid", fn.t_grid),
-        "values": _pairs(fn.values),
+        "values": complex_pairs(fn.values),
         "meta": meta,
     }
 
@@ -163,7 +182,7 @@ def spectrum_payload(spectrum, meta: dict) -> dict:
         if isinstance(value, Grid):
             payload.update(_grid_fields(field.name, value))
         elif field.name == "values":
-            payload["values"] = _pairs(value)
+            payload["values"] = complex_pairs(value)
         else:
             payload[field.name] = float(value)
     payload["meta"] = meta
@@ -171,7 +190,7 @@ def spectrum_payload(spectrum, meta: dict) -> dict:
 
 
 def value_payload(value: complex, meta: dict) -> dict:
-    return {"kind": "value", "value": _pair(value), "meta": meta}
+    return {"kind": "value", "value": complex_pairs(complex(value)), "meta": meta}
 
 
 def report_payload(check: str, fields: dict, meta: dict) -> dict:
@@ -265,33 +284,18 @@ def load_spectrum(path: str):
 def to_csv_bytes(payload: dict) -> bytes:
     """Flat CSV rendering for plotting; one row per grid point."""
     kind = payload["kind"]
-    lines: list[str] = []
-    if kind == "function":
-        lines.append("x,re,im")
-        for x, (re, im) in zip(payload["grid"], payload["values"]):
-            lines.append(f"{format_float(x)},{format_float(re)},{format_float(im)}")
-    elif kind == "spectrum" and payload["convention"] == ContinuousSpectrum.convention:
-        lines.append("lambda,re,im")
-        for lam, (re, im) in zip(payload["lambda_grid"], payload["values"]):
-            lines.append(f"{format_float(lam)},{format_float(re)},{format_float(im)}")
-    elif kind == "spectrum" and payload["convention"] == LaplaceSpectrum.convention:
-        lines.append("tau,re,im")
-        for tau, (re, im) in zip(payload["tau_grid"], payload["values"]):
-            lines.append(f"{format_float(tau)},{format_float(re)},{format_float(im)}")
-    elif kind == "fourier-coefficients" and "c" in payload:
-        lines.append("k,re,im")
-        for k, re, im in payload["c"]:
-            lines.append(f"{k},{format_float(re)},{format_float(im)}")
-    elif kind == "fourier-coefficients":
-        lines.append("k,a,b")
-        b = {k: v for k, v in payload["b"]}
-        for k, a in payload["a"]:
-            b_text = format_float(b[k]) if k in b else ""
-            lines.append(f"{k},{format_float(a)},{b_text}")
+    grid = _CSV_GRIDS.get(payload.get("convention", kind))
+    if grid is not None:
+        header, key = grid
+        text = header + _csv_rows(np.column_stack([payload[key], payload["values"]]))
     elif kind == "value":
-        lines.append("re,im")
-        re, im = payload["value"]
-        lines.append(f"{format_float(re)},{format_float(im)}")
+        text = "re,im" + _csv_rows(np.reshape(payload["value"], (1, 2)))
+    elif kind == "fourier-coefficients" and "c" in payload:
+        text = "k,re,im" + _csv_rows(payload["c"])
+    elif kind == "fourier-coefficients":
+        b = {k: v for k, v in payload["b"]}
+        text = "k,a,b" + "".join(f"\n{k},{format_float(a)},{format_float(b[k]) if k in b else ''}"
+                                 for k, a in payload["a"])
     else:
         raise ContractViolationError(f"no CSV rendering for kind {kind!r}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return (text + "\n").encode("ascii")

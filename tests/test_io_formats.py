@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unitransform import (
     ContinuousSpectrum,
@@ -200,3 +203,48 @@ class TestDeterminism:
         fn = SampledFunction(grid, np.sin(grid.points) + 1j * np.cos(grid.points))
         pay = io.function_payload(fn, {"request": {"command": "x"}})
         assert io.to_json_bytes(pay) == io.to_json_bytes(pay)
+
+
+# Finite doubles, with the cases the 17-digit rule must get right drawn often.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+          -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 1e17, 0.1, 1.0 / 3.0]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGES)
+_SHAPES = st.sampled_from([(0,)]) | st.tuples(st.integers(1, 6)) | st.tuples(
+    st.integers(1, 4), st.integers(1, 4), st.just(2))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _per_number(a: np.ndarray) -> str:
+    """Nested lists of ``a`` with every entry rendered by format_float."""
+    if a.ndim == 0:
+        return io.format_float(a)
+    return "[" + ",".join(_per_number(row) for row in a) + "]"
+
+
+class TestArrayPass:
+    # A float array is formatted in one pass; each entry must read exactly as
+    # format_float renders it, and a NaN or inf anywhere is refused.
+    @settings(max_examples=300, deadline=None)
+    @given(_SHAPES.flatmap(lambda shape: arrays(np.float64, shape, elements=_FINITE)))
+    @example(np.array([-0.0, 5e-324, -1.7976931348623157e308, 1.7976931348623157e308, 42.0]))
+    def test_json_entries_match_format_float(self, a):
+        text = io.to_json_bytes({"v": a}).decode()
+        assert text == '{"v":' + _per_number(a) + "}\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: arrays(np.float64, (n, 3), elements=_FINITE)))
+    def test_csv_rows_match_format_float(self, table):
+        text = io.to_csv_bytes({"kind": "fourier-coefficients", "c": table}).decode()
+        rows = ["k,re,im"] + [",".join(io.format_float(v) for v in row) for row in table]
+        assert text == "\n".join(rows) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SHAPES.filter(lambda shape: shape != (0,)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=_FINITE)), st.data(), _NON_FINITE)
+    def test_non_finite_entry_refused(self, a, data, bad):
+        a = a.copy()
+        a.flat[data.draw(st.integers(0, a.size - 1))] = bad
+        with pytest.raises(ContractViolationError, match="^cannot serialize a non-finite number$"):
+            io.to_json_bytes({"v": a})
+        with pytest.raises(ContractViolationError, match="^cannot serialize a non-finite number$"):
+            io.to_csv_bytes({"kind": "fourier-coefficients", "c": a.reshape(-1, 1)})
