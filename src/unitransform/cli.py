@@ -128,46 +128,39 @@ def _grid_from_flags(name: str, lo, hi, step) -> Grid:
     return Grid.uniform(lo, hi, int(round(span)) + 1)
 
 
+def _covered(points: np.ndarray, at, axis: str) -> np.ndarray:
+    """``at`` as a float array, refused if it strays over 1e-12 outside the grid ``points``."""
+    at = np.asarray(at, dtype=float)
+    lo, hi = float(points[0]), float(points[-1])
+    if at.min() < lo - 1e-12 or at.max() > hi + 1e-12:
+        raise ContractViolationError(
+            f"input samples cover {axis} in [{lo:g}, {hi:g}] but evaluation needs "
+            f"{axis} in [{at.min():g}, {at.max():g}]"
+        )
+    return at
+
+
+def _bracket(points: np.ndarray, at, axis: str):
+    """The (index, weight) pairs of the grid points either side of each covered value of ``at``.
+
+    The weights are np.interp's linear ones; on a one-point grid both sides
+    are point 0 and the far side weighs 0, so the value is constant along ``axis``.
+    """
+    u = np.interp(_covered(points, at, axis), points, np.arange(points.size, dtype=float))
+    i = np.minimum(u.astype(int), max(points.size - 2, 0))
+    return (i, 1.0 - (u - i)), (np.minimum(i + 1, points.size - 1), u - i)
+
+
 def _interp_function(fn: SampledFunction) -> Callable:
     x = fn.grid.points
-    re, im = fn.values.real, fn.values.imag
-    lo, hi = float(x[0]), float(x[-1])
-
-    def f(xs):
-        arr = np.asarray(xs, dtype=float)
-        if arr.min() < lo - 1e-12 or arr.max() > hi + 1e-12:
-            raise ContractViolationError(
-                f"input samples cover [{lo:g}, {hi:g}] but evaluation needs "
-                f"[{arr.min():g}, {arr.max():g}]"
-            )
-        return np.interp(arr, x, re) + 1j * np.interp(arr, x, im)
-
-    return f
+    return lambda xs: np.interp(_covered(x, xs, "x"), x, fn.values)
 
 
 def _interp_function2d(fn) -> Callable:
-    xg, tg = fn.x_grid.points, fn.t_grid.points
-    vals = fn.values
-
     def f(xs, ts):
-        xs, ts = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
-        if (
-            xs.min() < xg[0] - 1e-12
-            or xs.max() > xg[-1] + 1e-12
-            or ts.min() < tg[0] - 1e-12
-            or ts.max() > tg[-1] + 1e-12
-        ):
-            raise ContractViolationError("2-D input samples do not cover the evaluation region")
-        ix = np.clip(np.searchsorted(xg, xs) - 1, 0, xg.size - 2)
-        it = np.clip(np.searchsorted(tg, ts) - 1, 0, tg.size - 2)
-        wx = np.clip((xs - xg[ix]) / (xg[ix + 1] - xg[ix]), 0.0, 1.0)
-        wt = np.clip((ts - tg[it]) / (tg[it + 1] - tg[it]), 0.0, 1.0)
-        return (
-            vals[ix, it] * (1 - wx) * (1 - wt)
-            + vals[ix + 1, it] * wx * (1 - wt)
-            + vals[ix, it + 1] * (1 - wx) * wt
-            + vals[ix + 1, it + 1] * wx * wt
-        )
+        x_sides = _bracket(fn.x_grid.points, xs, "x")
+        t_sides = _bracket(fn.t_grid.points, ts, "t")
+        return sum(fn.values[ix, it] * wx * wt for it, wt in t_sides for ix, wx in x_sides)
 
     return f
 

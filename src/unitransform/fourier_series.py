@@ -39,6 +39,8 @@ class FourierCoefficientSet:
             raise ContractViolationError(
                 "coefficient indices must form a symmetric range -K..K"
             )
+        for k, v in self.c.items():
+            _scalar(v, f"coefficient with k={k}", "complex")
 
     @property
     def K(self) -> int:

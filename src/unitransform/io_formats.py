@@ -27,6 +27,7 @@ Every file embeds the request that produced it under meta.request.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -240,12 +241,38 @@ def _grid_kind(value) -> str:
 def _grid(doc: dict, key: str, path: str) -> Grid:
     kind_key = f"{key}_kind"
     kind = _read(doc, kind_key, path, _grid_kind) if kind_key in doc else "uniform"
-    return _read(doc, key, path, lambda v: Grid(np.asarray(v, dtype=float), kind=kind))
+    return _read(doc, key, path, lambda v: Grid(_floats(v), kind=kind))
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a string or a boolean is a TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _floats(entries) -> np.ndarray:
+    """JSON numbers nested in lists as a float array; a string or a boolean is a ValueError.
+
+    numpy's dtype inference makes a string among numbers a string array, but a
+    boolean 0 or 1, so only an array that holds 0 or 1 has the types of its
+    entries walked: a file of ordinary samples costs one inference.
+    """
+    parts = np.array(entries)
+    if parts.dtype.kind not in "iuf":
+        raise ValueError("entries must be numbers")
+    if ((parts == 0) | (parts == 1)).any():
+        leaves = [entries]
+        for _ in range(parts.ndim):
+            leaves = itertools.chain.from_iterable(leaves)
+        if not {int, float}.issuperset(map(type, leaves)):
+            raise ValueError("entries must be numbers, not booleans")
+    return parts.astype(float, copy=False)
 
 
 def _complex(pairs) -> np.ndarray:
     """Nested [re, im] pairs as a complex array one level shallower."""
-    parts = np.array(pairs, dtype=float)
+    parts = _floats(pairs)
     if parts.shape[-1:] != (2,):
         raise ValueError("values must be [re, im] pairs")
     return parts.view(complex)[..., 0]
@@ -256,7 +283,7 @@ def _entry(doc: dict, key: str, path: str):
     if key == "values":
         return _read(doc, key, path, _complex)
     if key == "sigma":
-        return _read(doc, key, path, float)
+        return _read(doc, key, path, _number)
     return _grid(doc, key, path)
 
 

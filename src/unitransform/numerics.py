@@ -17,6 +17,7 @@ two guards: :func:`_scalar` for every scalar that defines a problem and
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import warnings
@@ -61,21 +62,25 @@ ENDPOINT_RATIO = 1e-6
 MAX_QUAD_ORDER = 1000
 
 
-_RULES = {"finite": "finite", "positive": "finite and > 0", "count": "a non-negative integer"}
+_RULES = {"finite": "finite", "positive": "finite and > 0", "count": "a non-negative integer",
+          "complex": "a finite number"}
 
 
 def _scalar(value, name: str, rule: str = "finite"):
-    """``value`` as a float (an int for rule "count") if it obeys ``rule``.
+    """``value`` as a float (an int for rule "count", a complex for "complex") if it obeys ``rule``.
 
-    ``rule`` is "finite", "positive" (finite and > 0) or "count" (a
-    non-negative integer).  Anything else, None and strings included,
-    raises :class:`ContractViolationError` "<name> must be <rule>, got <value>".
+    ``rule`` is "finite", "positive" (finite and > 0), "count" (a
+    non-negative integer) or "complex" (a finite real or complex number).
+    Anything else, None, booleans and strings included, raises
+    :class:`ContractViolationError` "<name> must be <rule>, got <value>".
     """
-    v = float(value) if isinstance(value, numbers.Real) else math.nan
-    ok = {"finite": True, "positive": v > 0, "count": v >= 0 and v.is_integer()}[rule]
-    if not (ok and math.isfinite(v)):
+    number = isinstance(value, numbers.Complex if rule == "complex" else numbers.Real)
+    v = complex(value) if number and not isinstance(value, bool) else complex(math.nan)
+    ok = {"finite": True, "complex": True, "positive": v.real > 0,
+          "count": v.real >= 0 and v.real.is_integer()}[rule]
+    if not (ok and cmath.isfinite(v)):
         raise ContractViolationError(f"{name} must be {_RULES[rule]}, got {value}")
-    return int(v) if rule == "count" else v
+    return v if rule == "complex" else int(v.real) if rule == "count" else v.real
 
 
 def _sampled(values, *grids: Grid) -> np.ndarray:
@@ -549,8 +554,8 @@ def integrate(
         Method, order and tolerance.  Defaults to adaptive Gauss-Legendre
         with absolute tolerance 1e-10.
     panels : int
-        Extra initial subdivision, used by callers that know the
-        oscillation scale of their kernel.
+        Extra initial subdivision, an integer >= 1, used by callers that
+        know the oscillation scale of their kernel.
 
     Returns
     -------
@@ -559,6 +564,7 @@ def integrate(
     """
     spec = spec or DEFAULT_SPEC
     a, b = _bounds(interval)
+    panels = _scalar(panels, "panel count", "count")
     if panels < 1:
         raise ContractViolationError("panel count must be >= 1")
     if spec.method == "trapezoid":
@@ -706,17 +712,14 @@ def integrate_halfline(
 
     The integrand must decay beyond the truncation point; growth
     (``|f(X)| > |f(X/2)|``) raises :class:`DivergenceError`.  The tail
-    bound uses the supplied exponential ``damping`` rate when given,
-    otherwise a rate estimated from the last two magnitude samples.
+    bound uses the supplied exponential ``damping`` rate (finite and > 0)
+    when given, otherwise a rate estimated from the last two magnitude samples.
     """
     X = _scalar(truncation, "truncation X", "positive")
+    rate = None if damping is None else _scalar(damping, "damping rate", "positive")
     f_mid, f_end = _check_decay(np.abs(_eval_integrand(f, np.array([X / 2.0, X]))), X)
     value = integrate(f, (0.0, X), spec, panels=panels)
-    if damping is not None and damping > 0:
-        rate = damping
-    elif f_mid > f_end > 0.0:
-        rate = math.log(f_mid / f_end) / (X / 2.0)
-    else:
-        rate = 0.0
+    if rate is None:
+        rate = math.log(f_mid / f_end) / (X / 2.0) if f_mid > f_end > 0.0 else 0.0
     tail = f_end / rate if rate > 0 else (0.0 if f_end == 0.0 else math.inf)
     return HalfLineResult(value=value, tail_estimate=tail)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,57 @@ class TestTransformPipelines:
         )
         expected = (1.0 / math.sqrt(2 * math.pi)) * 0.5
         assert doc["values"][1][1][0] == pytest.approx(expected, abs=1e-3)
+
+    def test_function2d_with_one_point_axis_is_constant_along_it(self):
+        from unitransform import Grid, SampledFunction2D
+        from unitransform.cli import _interp_function2d
+
+        xg = Grid.uniform(-1.0, 1.0, 5)
+        values = np.array([[1.0 + 2j], [3.0], [4.0], [5.0 - 1j], [6.0]])
+        f = _interp_function2d(SampledFunction2D(xg, Grid(np.array([0.5])), values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = f(xg.points, np.full(5, 0.5))
+            mid = f(np.array([-0.75, 0.25]), np.array([0.5, 0.5 + 1e-13]))
+        np.testing.assert_array_equal(out, values[:, 0])
+        np.testing.assert_allclose(mid, [2.0 + 1j, 4.5 - 0.5j], rtol=1e-15)
+
+    @pytest.mark.parametrize("t_max, x_min, axis, cover", [
+        ("10", "-8", "t", "t in [0, 10]"), ("25", "-4", "x", "x in [-4, 8]"),
+    ])
+    def test_flt_input_off_the_grid_names_the_axis(self, capsys, tmp_path, t_max, x_min,
+                                                   axis, cover):
+        from unitransform import Grid, SampledFunction2D
+        from unitransform import io_formats as io
+
+        xg = Grid.uniform(float(x_min), 8.0, 25)
+        tg = Grid.uniform(0.0, float(t_max), 26)
+        values = np.exp(-xg.points[:, None] ** 2 / 2.0) * np.exp(-tg.points[None, :]) + 0j
+        path = tmp_path / "f2.json"
+        path.write_bytes(io.to_json_bytes(io.function2d_payload(
+            SampledFunction2D(xg, tg, values), {"request": {}})))
+        code, out, err = run_cli(
+            capsys,
+            "flt", "--input", str(path), "--sigma", "1", "--A", "8", "--X", "25",
+            "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "1",
+            "--tau-min", "-1", "--tau-max", "1", "--tau-step", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: validation: input samples cover {cover} but "
+                              f"evaluation needs {axis} in [")
+
+    def test_series_input_off_the_grid(self, capsys, tmp_path):
+        from unitransform import Grid, SampledFunction
+        from unitransform import io_formats as io
+
+        grid = Grid.uniform(-0.5, 0.5, 11)
+        path = tmp_path / "f.json"
+        path.write_bytes(io.to_json_bytes(io.function_payload(
+            SampledFunction(grid, grid.points + 0j), {"request": {}})))
+        code, out, err = run_cli(capsys, "series", "--input", str(path), "--L", "1", "--K", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: validation: input samples cover x in [-0.5, 0.5] but "
+                              "evaluation needs x in [-")
 
     def test_estimate_abscissa_from_expr(self, capsys):
         doc = run_json(

@@ -13,6 +13,8 @@ from unitransform import (
     eigenfunction_eval,
     residual_ratio,
 )
+from unitransform import eigenproblems
+from unitransform.numerics import integrate
 
 # Analytic residual of the gaussian-windowed sequence: the operator kills
 # the modulation exactly, leaving the window derivative.  With
@@ -192,6 +194,30 @@ class TestResidualRatio:
             r = residual_ratio(problem, lam, WindowedTestSequence(lam=lam0, n=n))
             expected = math.sqrt((lam - lam0) ** 2 + oracle_ratio(n) ** 2)
             assert r == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_detuned_sequence_on_the_weighted_halfline(self, sigma):
+        problem = EigenProblemSpec.weighted_halfline(sigma)
+        lam0, lam = 1.0, 1.3
+        for n in (8, 16):
+            r = residual_ratio(problem, lam, WindowedTestSequence(lam=lam0, n=n))
+            expected = math.sqrt((lam - lam0) ** 2 + 1.0 / (2.0 * n * n))
+            assert r == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("problem", [EigenProblemSpec.whole_line(),
+                                         EigenProblemSpec.weighted_halfline(0.5)],
+                             ids=["whole-line", "weighted-halfline"])
+    def test_one_quadrature_pass(self, monkeypatch, problem):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(eigenproblems, "integrate", counted)
+        r = residual_ratio(problem, 1.0, WindowedTestSequence(lam=1.0, n=8))
+        assert r == pytest.approx(oracle_ratio(8), rel=1e-9)
+        assert len(calls) == 1
 
     def test_periodic_problem_rejected(self):
         with pytest.raises(ContractViolationError):

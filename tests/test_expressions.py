@@ -236,6 +236,11 @@ class TestArrayEvaluation:
         assert out.shape == (5,)
         assert np.all(out == 2.0)
 
+    def test_sqrt_and_log_inside_their_domain(self):
+        xs = np.array([0.25, 1.0, 4.0, 9.0])
+        np.testing.assert_array_equal(evaluate_array(parse("sqrt(x)"), xs), np.sqrt(xs))
+        np.testing.assert_array_equal(evaluate_array(parse("log(x)"), xs), np.log(xs))
+
     def test_domain_errors_not_silent(self):
         xs = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(EvaluationError):

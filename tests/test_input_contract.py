@@ -11,12 +11,15 @@ import pytest
 from unitransform import (
     ContinuousSpectrum,
     ContractViolationError,
+    Eigenvalue,
+    FourierCoefficientSet,
     FourierLaplaceSpectrum,
     Grid,
     LaplaceSpectrum,
     QuadratureSpec,
     SampledFunction,
     SampledFunction2D,
+    WindowedTestSequence,
     bromwich_inverse,
     complex_coefficients,
     dirichlet_delta,
@@ -24,6 +27,8 @@ from unitransform import (
     forward_fl,
     forward_laplace,
     gram_matrix,
+    integrate,
+    integrate_halfline,
     laplace_line,
     real_coefficients,
     weighted_orthogonality_check,
@@ -102,6 +107,53 @@ def test_quadrature_order(order, message):
     with pytest.raises(ContractViolationError) as info:
         QuadratureSpec(order=order)
     assert str(info.value) == f"quadrature order must be {message}"
+
+
+NOT_A_NUMBER = {
+    # a boolean is not a number, though Python counts it as an int
+    "complex_coefficients L=True": (lambda: complex_coefficients(f, True, 2),
+                                    "L must be finite and > 0, got True"),
+    "WindowedTestSequence n=nan": (lambda: WindowedTestSequence(lam=0.0, n=NAN),
+                                   "window-width index n must be a non-negative integer, got nan"),
+    "WindowedTestSequence n=2.5": (lambda: WindowedTestSequence(lam=0.0, n=2.5),
+                                   "window-width index n must be a non-negative integer, got 2.5"),
+    "WindowedTestSequence n=inf": (lambda: WindowedTestSequence(lam=0.0, n=INF),
+                                   "window-width index n must be a non-negative integer, got inf"),
+    "WindowedTestSequence n=None": (lambda: WindowedTestSequence(lam=0.0, n=None),
+                                    "window-width index n must be a non-negative integer, got None"),
+    "integrate panels=2.5": (lambda: integrate(f, (0.0, 1.0), panels=2.5),
+                             "panel count must be a non-negative integer, got 2.5"),
+    "integrate panels=nan": (lambda: integrate(f, (0.0, 1.0), panels=NAN),
+                             "panel count must be a non-negative integer, got nan"),
+    "integrate_halfline damping=nan": (lambda: integrate_halfline(f, 10.0, damping=NAN),
+                                       "damping rate must be finite and > 0, got nan"),
+    "integrate_halfline damping=-1": (lambda: integrate_halfline(f, 10.0, damping=-1),
+                                      "damping rate must be finite and > 0, got -1"),
+    "FourierCoefficientSet c_0=nan": (lambda: FourierCoefficientSet(1.0, {0: NAN}),
+                                      "coefficient with k=0 must be a finite number, got nan"),
+    "FourierCoefficientSet c_1='a'": (lambda: FourierCoefficientSet(1.0, {-1: 1j, 0: 1, 1: "a"}),
+                                      "coefficient with k=1 must be a finite number, got a"),
+    "FourierCoefficientSet c_0=True": (lambda: FourierCoefficientSet(1.0, {0: True}),
+                                       "coefficient with k=0 must be a finite number, got True"),
+    "Eigenvalue nan": (lambda: Eigenvalue(NAN), "eigenvalue must be finite, got nan"),
+    "Eigenvalue (1, nan)": (lambda: Eigenvalue((1.0, NAN), "continuum"),
+                            "eigenvalue must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER.keys())
+def test_scalar_that_is_not_a_finite_number(call, message):
+    with pytest.raises(ContractViolationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_accepted_numbers_keep_their_type():
+    assert WindowedTestSequence(lam=0.0, n=4.0).n == 4
+    assert isinstance(WindowedTestSequence(lam=0.0, n=4.0).n, int)
+    assert integrate(f, (0.0, 1.0), panels=2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+    assert FourierCoefficientSet(1.0, {-1: 0.5, 0: np.complex128(1j), 1: 2}).K == 1
+    assert _scalar(np.complex128(1 + 2j), "c", "complex") == 1 + 2j
 
 
 class TestScalarGuard:

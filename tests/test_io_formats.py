@@ -159,6 +159,34 @@ class TestMalformedFiles:
         with pytest.raises(ContractViolationError, match=r"bad\.json: malformed 'values'"):
             io.load_function2d(self._file(tmp_path, doc))
 
+    @pytest.mark.parametrize("key, doc", [
+        ("grid", {"kind": "function", "grid": [0, "1.0"], "values": [[1.5, 0], [2, 0]]}),
+        ("grid", {"kind": "function", "grid": [False, True], "values": [[1.5, 0], [2, 0]]}),
+        ("values", {"kind": "function", "grid": [0, 1], "values": [["1.5", 0], [2, 0]]}),
+        ("values", {"kind": "function", "grid": [0, 1], "values": [[1.5, True], [2, False]]}),
+        ("values", {"kind": "function", "grid": [0, 1], "values": [[True, False], [True, True]]}),
+        ("values", {"kind": "function2d", "x_grid": [0], "t_grid": [0, 0.5],
+                    "values": [[[0.25, 0], [0.5, True]]]}),
+        ("sigma", {"kind": "spectrum", "convention": "laplace-line", "sigma": True,
+                   "tau_grid": [0, 1], "values": [[1, 0], [0.5, 0]]}),
+        ("sigma", {"kind": "spectrum", "convention": "laplace-line", "sigma": "0.5",
+                   "tau_grid": [0, 1], "values": [[1, 0], [0.5, 0]]}),
+    ], ids=["string grid", "boolean grid", "string value", "booleans among numbers",
+            "only booleans", "2-D boolean value", "boolean sigma", "string sigma"])
+    def test_numbers_must_be_numbers(self, tmp_path, key, doc):
+        load = {"function": io.load_function, "function2d": io.load_function2d,
+                "spectrum": io.load_spectrum}[doc["kind"]]
+        with pytest.raises(ContractViolationError, match=rf"bad\.json: malformed '{key}' entries$"):
+            load(self._file(tmp_path, doc))
+
+    def test_integers_zeros_and_ones_are_numbers(self, tmp_path):
+        doc = {"kind": "function", "grid": [0, 1], "values": [[1, 0], [0.5, 1]]}
+        fn = io.load_function(self._file(tmp_path, doc))
+        np.testing.assert_array_equal(fn.grid.points, [0.0, 1.0])
+        np.testing.assert_array_equal(fn.values, [1.0, 0.5 + 1j])
+        doc = {"kind": "spectrum", "convention": "laplace-line", "sigma": 1,
+               "tau_grid": [0, 1], "values": [[1, 0], [0.5, 0]]}
+        assert io.load_spectrum(self._file(tmp_path, doc)).sigma == 1.0
 
     def test_unknown_grid_kind(self, tmp_path):
         doc = {"kind": "spectrum", "convention": "laplace-line", "sigma": 1.0,

@@ -116,6 +116,10 @@ class TestIntegrate:
         v = integrate(lambda x: complex(x) ** 2, (0.0, 1.0))
         assert v == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    def test_wrong_shape_integrand_is_called_point_by_point(self):
+        # one number for a whole array of nodes is the wrong shape: each node is asked alone
+        assert integrate(lambda x: 2.0 + 0j, (0.0, 3.0)) == pytest.approx(6.0, abs=1e-12)
+
     @pytest.mark.parametrize("panels", [1, 3])
     def test_one_integrand_call_per_split(self, panels):
         order = 10
