@@ -166,8 +166,9 @@ def _interp_function2d(fn) -> Callable:
 
 
 def _function_of_x(args) -> Callable:
+    """The integrand of the request; an --expr tree is kept on ``args`` for ``_echo``."""
     if args.expr is not None:
-        ast = expressions.parse(args.expr)
+        ast = args.expr_ast = expressions.parse(args.expr)
         if "t" in expressions.variables(ast):
             raise UsageError("this command takes a function of x only; expression uses t")
         return lambda xs: expressions.evaluate_array(ast, xs)
@@ -176,7 +177,7 @@ def _function_of_x(args) -> Callable:
 
 def _function_of_xt(args) -> Callable:
     if args.expr is not None:
-        ast = expressions.parse(args.expr)
+        ast = args.expr_ast = expressions.parse(args.expr)
         return lambda xs, ts: expressions.evaluate_array(ast, xs, ts)
     return _interp_function2d(io.load_function2d(args.input))
 
@@ -224,7 +225,7 @@ def _echo(args, fixed_rule: bool = False) -> dict:
     expr = getattr(args, "expr", None)
     if expr is not None:
         request["expr"] = expr
-        request["expr_canonical"] = expressions.canonical(expressions.parse(expr))
+        request["expr_canonical"] = expressions.canonical(args.expr_ast)
     if getattr(args, "input", None) is not None:
         request["input"] = args.input
     for name in command.flags:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .numerics import QuadratureSpec, _scalar, integrate
+from .numerics import QuadratureSpec, _points, _scalar, integrate
 
 KINDS = ("periodic-interval", "whole-line", "weighted-halfline", "product-2d")
 
@@ -128,9 +128,10 @@ def eigenfunction_eval(problem: EigenProblemSpec, eigenvalue: Eigenvalue, x):
             raise ContractViolationError(f"{problem.kind} eigenfunctions take {what}")
     if pair:
         (lam, mu), (xx, tt) = eigenvalue.value, x
-        return np.exp(-1j * lam * np.asarray(xx) + (problem.sigma - 1j * mu) * np.asarray(tt))
+        xx, tt = _points(xx, "evaluation point x"), _points(tt, "evaluation point t")
+        return np.exp(-1j * lam * xx + (problem.sigma - 1j * mu) * tt)
     sigma = problem.sigma if problem.kind == "weighted-halfline" else 0.0
-    y = np.exp((sigma - 1j * eigenvalue.value) * np.asarray(x))
+    y = np.exp((sigma - 1j * eigenvalue.value) * _points(x, "evaluation point x"))
     return y if np.ndim(x) else complex(y)
 
 
@@ -157,6 +158,7 @@ def residual_ratio(
         raise ContractViolationError(
             "residual_ratio is defined for whole-line and weighted-halfline problems"
         )
+    lam = _scalar(lam, "lam")
     n, lam0 = seq.n, seq.lam
     halfline = problem.kind == "weighted-halfline"
     sigma = problem.sigma if halfline else 0.0

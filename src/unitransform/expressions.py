@@ -20,11 +20,16 @@ double precision; :func:`evaluate` is its one-point case, and exponent
 folding runs through it too, so a folded exponent fails with the same
 :class:`EvaluationError` text as a run-time evaluation.  Domain faults
 raise instead of returning NaN.
+
+The lexical grammar is one token pattern, ``_TOKEN``.  Operator binding
+is one table, ``_PRECEDENCE``: the parser's binary levels and
+:func:`canonical` both read it, so printer and parser cannot drift apart.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,6 +40,11 @@ from .errors import ContractViolationError, EvaluationError, ParseError
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _FUNCTIONS = ("exp", "sin", "cos", "sqrt", "abs", "log")
 _VARIABLES = ("x", "t")
+# Binding strength of each operator, read by the parser's binary levels and by canonical.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+# Each match is one token after optional whitespace; the token's offset is its group's start.
+_TOKEN = re.compile(r"""\s*(?:(?P<num>[\d.]+(?:[eE][+-]?\d+)?) | (?P<ident>[^\W\d]\w*)
+    | (?P<op>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\)) | (?P<end>\Z) | (?P<bad>.))""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -77,51 +87,19 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            # exponent part of a float literal, e.g. 1e-3
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            lit = text[i:j]
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        tok = _Token(kind, match[kind], match.start(kind))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok.text!r}", tok.pos)
+        if kind == "num":
             try:
-                float(lit)
+                float(tok.text)
             except ValueError:
-                raise ParseError(f"malformed number {lit!r}", i) from None
-            tokens.append(_Token("num", lit, i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
+                raise ParseError(f"malformed number {tok.text!r}", tok.pos) from None
+        tokens.append(tok)
+        if kind == "end":
+            return tokens
 
 
 class _Parser:
@@ -137,18 +115,13 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expression(self) -> ExpressionAST:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> ExpressionAST:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
+    def expression(self, level: int = 1) -> ExpressionAST:
+        """A left-associative chain at precedence ``level``, over operands one level tighter."""
+        tighter = level + 1
+        operand = self.factor if tighter == _PRECEDENCE["neg"] else lambda: self.expression(tighter)
+        node = operand()
+        while self.peek().kind == "op" and _PRECEDENCE[self.peek().text] == level:
+            node = BinOp(self.advance().text, node, operand())
         return node
 
     def factor(self) -> ExpressionAST:
@@ -309,9 +282,6 @@ def evaluate_array(ast: ExpressionAST, x, t=None):
     if result.shape != shape:
         result = np.broadcast_to(result, shape)
     return result
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def _format_number(v: float) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, EvaluationError, QuadratureError
-from .numerics import QuadratureSpec, _scalar, integrate, oscillation_panels
+from .numerics import QuadratureSpec, _points, _scalar, integrate, oscillation_panels
 
 CONJUGATE_SYMMETRY_TOL = 1e-8
 
@@ -111,7 +111,7 @@ def synthesize(coeffs: FourierCoefficientSet, x):
 
     ``x`` may be a scalar in [-L, L] or a numpy array.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = _points(x, "evaluation point x")
     total = np.zeros(xs.shape, dtype=complex)
     for k, ck in coeffs.c.items():
         total += ck * np.exp(-1j * k * math.pi * xs / coeffs.L)

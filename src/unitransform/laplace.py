@@ -211,6 +211,7 @@ def weighted_orthogonality_check(lam: float, mu: float, sigma: float, A: float) 
     analogue of the truncated delta kernel.
     """
     A = _scalar(A, "truncation A", "positive")
+    _scalar(sigma, "sigma")  # the weight cancels it out of the value, but it defines the problem
     d = _scalar(lam, "lam") - _scalar(mu, "mu")
     if d == 0.0:
         return complex(A)

@@ -11,7 +11,8 @@ that is cheaper than its direct kernel.  :func:`_eval_integrand`
 evaluates every callable, :func:`_check_decay` checks every half-line
 truncation and :func:`_check_ends` every truncated interval or contour
 whose integrand should have died out at its ends.  The input contract is
-two guards: :func:`_scalar` for every scalar that defines a problem and
+three guards: :func:`_scalar` for every scalar that defines a problem,
+:func:`_points` for evaluation points given as a scalar or an array, and
 :func:`_sampled` for every array of sampled values.
 """
 
@@ -81,6 +82,20 @@ def _scalar(value, name: str, rule: str = "finite"):
     if not (ok and cmath.isfinite(v)):
         raise ContractViolationError(f"{name} must be {_RULES[rule]}, got {value}")
     return v if rule == "complex" else int(v.real) if rule == "count" else v.real
+
+
+def _points(x, name: str) -> np.ndarray:
+    """``x`` as a float array, 0-d for a scalar, if every entry is a finite real number.
+
+    A scalar goes through :func:`_scalar`; an array's first bad entry is named.
+    """
+    xs = np.asarray(x)
+    if xs.ndim == 0:
+        return np.asarray(_scalar(xs[()], name))
+    ok = xs.dtype.kind in "iuf" and np.isfinite(xs)
+    if not np.all(ok):
+        raise ContractViolationError(f"{name} must be finite, got {xs.flat[np.argmin(ok)]}")
+    return xs.astype(float, copy=False)
 
 
 def _sampled(values, *grids: Grid) -> np.ndarray:
@@ -164,6 +179,7 @@ class Grid:
 
     @classmethod
     def uniform(cls, a: float, b: float, num: int) -> "Grid":
+        num = _scalar(num, "grid point count", "count")
         if num < 1:
             raise ContractViolationError("grid needs at least one point")
         if num == 1:

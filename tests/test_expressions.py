@@ -294,3 +294,39 @@ class TestCanonicalPrinter:
         assert canonical(parse("-x^2")) == "-x^2"
         assert canonical(parse("x^(-2)")) == "x^(-2)"
         assert canonical(parse("exp(-(x^2)/2)")) == "exp(-x^2/2)"
+
+
+# The characters the lexer gives a meaning to, and a few it refuses.
+_ALPHABET = "0123456789.eE+-*/^() \t\nxtpisncoqrabslg_@,é²"
+
+
+class TestLexicalRules:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(max_size=16), st.text(st.sampled_from(_ALPHABET), max_size=18)))
+    def test_parse_returns_a_tree_or_a_positioned_parse_error(self, text):
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text)
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("  @", "unexpected character '@'", 2),
+            ("1e", "unexpected trailing input 'e'", 1),
+            ("1e+", "unexpected trailing input 'e'", 1),
+            ("1..2", "malformed number '1..2'", 0),
+            (".", "malformed number '.'", 0),
+            ("_a", "unknown identifier '_a'", 0),
+            ("é", "unknown identifier 'é'", 0),
+        ],
+    )
+    def test_message_and_offset(self, text, message, offset):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at offset {offset})"
+        assert info.value.position == offset
+
+    def test_whitespace_between_tokens(self):
+        assert parse("sin (x)") == parse("sin(x)")
+        assert parse("x\t+\n1") == parse("x+1")

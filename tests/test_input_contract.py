@@ -11,6 +11,7 @@ import pytest
 from unitransform import (
     ContinuousSpectrum,
     ContractViolationError,
+    EigenProblemSpec,
     Eigenvalue,
     FourierCoefficientSet,
     FourierLaplaceSpectrum,
@@ -24,6 +25,7 @@ from unitransform import (
     complex_coefficients,
     dirichlet_delta,
     discrete_eigenvalues,
+    eigenfunction_eval,
     forward_fl,
     forward_laplace,
     gram_matrix,
@@ -31,6 +33,8 @@ from unitransform import (
     integrate_halfline,
     laplace_line,
     real_coefficients,
+    residual_ratio,
+    synthesize,
     weighted_orthogonality_check,
 )
 from unitransform import cli
@@ -146,6 +150,54 @@ def test_scalar_that_is_not_a_finite_number(call, message):
     with pytest.raises(ContractViolationError) as info:
         call()
     assert str(info.value) == message
+
+
+LINE = EigenProblemSpec.whole_line()
+SERIES = FourierCoefficientSet(1.0, {-1: 0.5, 0: 1.0, 1: 0.5})
+# Each is refused where it enters, not left to raise a TypeError, return NaN or fail in
+# quadrature; True is not the number 1.
+FAILED_LATE_OR_SILENTLY = {
+    "Grid.uniform num=2.5": (lambda: Grid.uniform(0.0, 1.0, 2.5),
+                             "grid point count must be a non-negative integer, got 2.5"),
+    "Grid.uniform num=nan": (lambda: Grid.uniform(0.0, 1.0, NAN),
+                             "grid point count must be a non-negative integer, got nan"),
+    "Grid.uniform num=None": (lambda: Grid.uniform(0.0, 1.0, None),
+                              "grid point count must be a non-negative integer, got None"),
+    "Grid.uniform num=True": (lambda: Grid.uniform(0.0, 1.0, True),
+                              "grid point count must be a non-negative integer, got True"),
+    "weighted_orthogonality_check sigma=nan":
+        (lambda: weighted_orthogonality_check(1.0, 2.0, NAN, 5.0), "sigma must be finite, got nan"),
+    "weighted_orthogonality_check sigma='a'":
+        (lambda: weighted_orthogonality_check(1.0, 2.0, "a", 5.0), "sigma must be finite, got a"),
+    "synthesize x=nan": (lambda: synthesize(SERIES, NAN), "evaluation point x must be finite, got nan"),
+    "synthesize x=[0, inf]": (lambda: synthesize(SERIES, np.array([0.0, INF])),
+                              "evaluation point x must be finite, got inf"),
+    "eigenfunction_eval x=nan": (lambda: eigenfunction_eval(LINE, Eigenvalue(1.0), NAN),
+                                 "evaluation point x must be finite, got nan"),
+    "eigenfunction_eval x=[0, inf]":
+        (lambda: eigenfunction_eval(LINE, Eigenvalue(1.0), np.array([0.0, INF])),
+         "evaluation point x must be finite, got inf"),
+    "eigenfunction_eval t=nan":
+        (lambda: eigenfunction_eval(EigenProblemSpec.product_2d(0.5), Eigenvalue((1.0, 2.0)),
+                                    (0.0, NAN)), "evaluation point t must be finite, got nan"),
+    "residual_ratio lam=nan": (lambda: residual_ratio(LINE, NAN, WindowedTestSequence(0.0, 4)),
+                               "lam must be finite, got nan"),
+    "residual_ratio lam=True": (lambda: residual_ratio(LINE, True, WindowedTestSequence(0.0, 4)),
+                                "lam must be finite, got True"),
+}
+
+
+@pytest.mark.parametrize("call, message", FAILED_LATE_OR_SILENTLY.values(),
+                         ids=FAILED_LATE_OR_SILENTLY.keys())
+def test_checked_where_it_enters(call, message):
+    with pytest.raises(ContractViolationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_grid_without_points():
+    with pytest.raises(ContractViolationError, match="^grid needs at least one point$"):
+        Grid.uniform(0.0, 1.0, 0)
 
 
 def test_accepted_numbers_keep_their_type():
