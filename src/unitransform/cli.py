@@ -207,20 +207,16 @@ def _quad_spec(args, fixed_rule: bool = False) -> QuadratureSpec:
         return QuadratureSpec(method=method, order=args.quad_order)
     tol = args.quad_tol
     if tol is None:
-        env = os.environ.get(QUAD_TOL_ENV)
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError:
-                raise UsageError(f"{QUAD_TOL_ENV} is not a number: {env!r}") from None
-        else:
-            tol = DEFAULT_TOLERANCE
+        env = os.environ.get(QUAD_TOL_ENV, str(DEFAULT_TOLERANCE))
+        try:
+            tol = float(env)
+        except ValueError:
+            raise UsageError(f"{QUAD_TOL_ENV} is not a number: {env!r}") from None
     return QuadratureSpec(order=args.quad_order, tolerance=tol)
 
 
-def _echo(args, fixed_rule: bool = False) -> dict:
-    """``meta.request``: the source, every own flag given, and the quadrature in use."""
-    command = _COMMANDS[args.command]
+def _echo(args, spec: QuadratureSpec | None = None, fixed_rule: bool = False) -> dict:
+    """``meta.request``: the source, every own flag given, and the handler's quadrature ``spec``."""
     request: dict[str, Any] = {"command": args.command}
     expr = getattr(args, "expr", None)
     if expr is not None:
@@ -228,7 +224,7 @@ def _echo(args, fixed_rule: bool = False) -> dict:
         request["expr_canonical"] = expressions.canonical(args.expr_ast)
     if getattr(args, "input", None) is not None:
         request["input"] = args.input
-    for name in command.flags:
+    for name in _COMMANDS[args.command].flags:
         value = getattr(args, name.replace("-", "_"))
         if value is None:
             continue
@@ -236,9 +232,8 @@ def _echo(args, fixed_rule: bool = False) -> dict:
             value = [value.real, value.imag]
         request[name] = value
     if fixed_rule:
-        request["quad_order"] = args.quad_order
-    elif command.quad:
-        spec = _quad_spec(args)
+        request["quad_order"] = spec.order
+    elif spec is not None:
         request.update(quad_method=spec.method, quad_order=spec.order)
         if spec.method == "adaptive":
             request["quad_tol"] = spec.tolerance
@@ -249,19 +244,22 @@ def _echo(args, fixed_rule: bool = False) -> dict:
 
 
 def _cmd_series(args) -> dict:
-    coeffs = complex_coefficients(_function_of_x(args), args.L, args.K, _quad_spec(args))
-    return io.coefficients_payload(coeffs, _echo(args))
+    f, spec = _function_of_x(args), _quad_spec(args)
+    coeffs = complex_coefficients(f, args.L, args.K, spec)
+    return io.coefficients_payload(coeffs, _echo(args, spec))
 
 
 def _cmd_real_series(args) -> dict:
-    coeffs = real_coefficients(_function_of_x(args), args.L, args.K, _quad_spec(args))
-    return io.real_coefficients_payload(coeffs, _echo(args))
+    f, spec = _function_of_x(args), _quad_spec(args)
+    coeffs = real_coefficients(f, args.L, args.K, spec)
+    return io.real_coefficients_payload(coeffs, _echo(args, spec))
 
 
 def _cmd_ft(args) -> dict:
     grid = _grid_from_flags("lambda", args.lambda_min, args.lambda_max, args.lambda_step)
-    spectrum = forward_ft(_function_of_x(args), grid, args.A, _quad_spec(args))
-    return io.spectrum_payload(spectrum, _echo(args))
+    f, spec = _function_of_x(args), _quad_spec(args)
+    spectrum = forward_ft(f, grid, args.A, spec)
+    return io.spectrum_payload(spectrum, _echo(args, spec))
 
 
 def _stored_spectrum(args, kind: type):
@@ -283,15 +281,17 @@ def _cmd_lt(args) -> dict:
     if args.s is not None:
         if _given(args.sigma, args.tau_min, args.tau_max, args.tau_step):
             raise UsageError("give either --s or a --sigma/--tau-* line, not both")
-        result = forward_laplace(f, args.s, args.X, _quad_spec(args))
-        meta = _echo(args)
+        spec = _quad_spec(args)
+        result = forward_laplace(f, args.s, args.X, spec)
+        meta = _echo(args, spec)
         meta["tail_estimate"] = result.tail_estimate
         return io.value_payload(result.value, meta)
     if args.sigma is None:
         raise UsageError("lt needs --s, or --sigma with --tau-min/--tau-max/--tau-step")
     tau_grid = _grid_from_flags("tau", args.tau_min, args.tau_max, args.tau_step)
-    spectrum = laplace_line(f, args.sigma, tau_grid, args.X, _quad_spec(args, fixed_rule=True))
-    return io.spectrum_payload(spectrum, _echo(args, fixed_rule=True))
+    spec = _quad_spec(args, fixed_rule=True)
+    spectrum = laplace_line(f, args.sigma, tau_grid, args.X, spec)
+    return io.spectrum_payload(spectrum, _echo(args, spec, fixed_rule=True))
 
 
 def _cmd_ilt(args) -> dict:
@@ -310,7 +310,7 @@ def _cmd_flt(args) -> dict:
     tau_grid = _grid_from_flags("tau", args.tau_min, args.tau_max, args.tau_step)
     spec = _quad_spec(args, fixed_rule=True)
     spectrum = forward_fl(f, lam_grid, args.sigma, tau_grid, (args.A, args.X), spec)
-    return io.spectrum_payload(spectrum, _echo(args, fixed_rule=True))
+    return io.spectrum_payload(spectrum, _echo(args, spec, fixed_rule=True))
 
 
 def _cmd_iflt(args) -> dict:
@@ -322,7 +322,8 @@ def _cmd_iflt(args) -> dict:
 
 
 def _cmd_verify_orthogonality(args) -> dict:
-    gram = gram_matrix(args.L, args.K, _quad_spec(args))
+    spec = _quad_spec(args)
+    gram = gram_matrix(args.L, args.K, spec)
     diag = np.diagonal(gram)
     off = gram - np.diag(diag)
     diag_err = float(np.max(np.abs(diag - 2.0 * args.L)))
@@ -337,7 +338,7 @@ def _cmd_verify_orthogonality(args) -> dict:
         "tolerance": GRAM_OFFDIAG_TOL,
         "passed": passed,
     }
-    return io.report_payload("orthogonality", fields, _echo(args))
+    return io.report_payload("orthogonality", fields, _echo(args, spec))
 
 
 def _cmd_verify_residual(args) -> dict:
@@ -365,7 +366,7 @@ def _cmd_verify_residual(args) -> dict:
         "spread_tolerance": RESIDUAL_SPREAD_TOL,
         "passed": passed,
     }
-    return io.report_payload("residual", fields, _echo(args))
+    return io.report_payload("residual", fields, _echo(args, spec))
 
 
 def _cmd_estimate_abscissa(args) -> dict:
@@ -389,7 +390,8 @@ def _cmd_roundtrip(args) -> dict:
     f = _function_of_x(args)
     lam_grid = _grid_from_flags("lambda", args.lambda_min, args.lambda_max, args.lambda_step)
     x_grid = _grid_from_flags("x", args.x_min, args.x_max, args.x_step)
-    spectrum = forward_ft(f, lam_grid, args.A, _quad_spec(args))
+    spec = _quad_spec(args)
+    spectrum = forward_ft(f, lam_grid, args.A, spec)
     recovered = inverse_ft(spectrum, x_grid)
     reference = np.asarray(f(x_grid.points), dtype=complex)
     sup_error = float(np.max(np.abs(recovered.values - reference)))
@@ -399,7 +401,7 @@ def _cmd_roundtrip(args) -> dict:
         "values": io.complex_pairs(recovered.values),
         "reference": io.complex_pairs(reference),
     }
-    return io.report_payload("roundtrip", fields, _echo(args))
+    return io.report_payload("roundtrip", fields, _echo(args, spec))
 
 
 # ------------------------------ command table ------------------------------

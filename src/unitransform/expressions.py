@@ -94,9 +94,11 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {tok.text!r}", tok.pos)
         if kind == "num":
             try:
-                float(tok.text)
+                value = float(tok.text)
             except ValueError:
                 raise ParseError(f"malformed number {tok.text!r}", tok.pos) from None
+            if math.isinf(value):
+                raise ParseError(f"number {tok.text!r} overflows a float", tok.pos)
         tokens.append(tok)
         if kind == "end":
             return tokens
@@ -182,9 +184,12 @@ class _Parser:
 
 def _fold_constant(node: ExpressionAST, pos: int) -> float:
     try:
-        return evaluate(node, x=0.0)
+        value = evaluate(node, x=0.0)
     except EvaluationError as exc:
         raise ParseError(f"exponent does not evaluate: {exc}", pos) from None
+    if not math.isfinite(value):
+        raise ParseError(f"exponent does not evaluate: it is {value}", pos)
+    return value
 
 
 def parse(text: str) -> ExpressionAST:

@@ -117,14 +117,14 @@ def laplace_line(
     """Sample the transform along sigma + i*tau for every tau in the grid.
 
     All line points share one composite rule fine enough for the fastest
-    oscillation on the grid, so the whole line costs a single sweep of
-    function evaluations.
+    oscillation on the grid, so the whole line, with the decay probe at X/2
+    and X, costs one integrand call.
     """
     X, sigma = _scalar(truncation, "truncation X", "positive"), _scalar(sigma, "sigma")
     nodes, weights = _grid_rule(0.0, X, tau_grid, (spec or DEFAULT_SPEC).order)
-    fx = _eval_integrand(f, nodes)
-    _check_decay(np.abs(_eval_integrand(f, np.array([X / 2.0, X]))), X)
-    values = _line_sum(fx, nodes, weights, sigma, tau_grid)
+    fx = _eval_integrand(f, np.concatenate((nodes, [X / 2.0, X])))
+    _check_decay(np.abs(fx[-2:]), X)
+    values = _line_sum(fx[:-2], nodes, weights, sigma, tau_grid)
     return LaplaceSpectrum(sigma=sigma, tau_grid=tau_grid, values=values)
 
 

@@ -4,6 +4,8 @@ All integrals in the toolkit go through :func:`integrate` (finite
 intervals) or :func:`integrate_halfline` (truncated ``[0, X]`` integrals
 with a tail estimate).  Oscillatory integrands are handled by panel
 subdivision, see :func:`oscillation_panels`; no Filon-type machinery.
+Every pass evaluates f once on its :func:`_start_rule`: a fixed method is
+that rule summed, and the adaptive method bisects its panels from there.
 :func:`integrate_grid` integrates f against exp(i w x) for a whole grid
 of w in one pass, and :func:`exp_sum` sums samples on the fixed rule of
 :func:`_grid_rule`, or stored ones, against it, by chirp-z FFTs where
@@ -458,25 +460,15 @@ def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int) -> n
     return out
 
 
-def _gauss_panel(f, lo: float, hi: float, xg: np.ndarray, wg: np.ndarray) -> complex:
-    half = (hi - lo) / 2.0
-    mid = (lo + hi) / 2.0
-    vals = _eval_integrand(f, mid + half * xg)
-    return complex(half * np.dot(wg, vals))
-
-
-def _adaptive(f, a: float, b: float, order: int, tol: float, panels: int) -> complex:
-    """Depth-first adaptive Gauss-Legendre on ``panels`` equal starting panels of [a, b].
-
-    Each split evaluates f once, on the nodes of both halves, with the node
-    and sum expressions of :func:`_gauss_panel`.
-    """
+def _adaptive(f, edges: np.ndarray, start: np.ndarray, tol: float) -> complex:
+    """Depth-first adaptive Gauss-Legendre from the panels between ``edges``; the rows of
+    ``start`` are f on their :func:`composite_gauss_nodes`.  Each split evaluates f once, on
+    the nodes of both halves."""
+    order = start.shape[1]
     xg, wg = _leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    span = b - a
-    stack = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        stack.append((float(lo), float(hi), _gauss_panel(f, lo, hi, xg, wg), 0))
+    span = float(edges[-1] - edges[0])
+    stack = [(float(lo), float(hi), complex((hi - lo) / 2.0 * np.dot(wg, row)), 0)
+             for lo, hi, row in zip(edges[:-1], edges[1:], start)]
     total = 0j
     defect = 0.0
     splits = 0
@@ -545,6 +537,15 @@ def _grid_rule(a: float, b: float, grid: Grid, order: int):
     return composite_gauss_nodes(a, b, order, panels)
 
 
+def _start_rule(spec: QuadratureSpec, a: float, b: float, panels: int):
+    """Nodes and weights a pass starts from on ``panels`` equal panels of [a, b]: ``trapezoid``'s
+    ``order * panels + 1`` equispaced nodes, else :func:`composite_gauss_nodes`."""
+    if spec.method == "trapezoid":
+        x = np.linspace(a, b, spec.order * panels + 1)
+        return x, Grid(x).trapezoid_weights()
+    return composite_gauss_nodes(a, b, spec.order, panels)
+
+
 def _bounds(interval: tuple[float, float]) -> tuple[float, float]:
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -583,14 +584,11 @@ def integrate(
     panels = _scalar(panels, "panel count", "count")
     if panels < 1:
         raise ContractViolationError("panel count must be >= 1")
-    if spec.method == "trapezoid":
-        n = spec.order * panels
-        vals = _eval_integrand(f, np.linspace(a, b, n + 1))
-        return complex((b - a) / n * (vals.sum() - (vals[0] + vals[-1]) / 2.0))
-    if spec.method == "gauss-legendre":
-        nodes, weights = composite_gauss_nodes(a, b, spec.order, panels)
-        return complex(np.dot(weights, _eval_integrand(f, nodes)))
-    return _adaptive(f, a, b, spec.order, spec.tolerance, panels)
+    nodes, weights = _start_rule(spec, a, b, panels)
+    fx = _eval_integrand(f, nodes)
+    if spec.method != "adaptive":
+        return complex(np.dot(weights, fx))
+    return _adaptive(f, np.linspace(a, b, panels + 1), fx.reshape(panels, -1), spec.tolerance)
 
 
 def _panel_rule(lo: np.ndarray, hi: np.ndarray, order: int):

@@ -319,6 +319,10 @@ class TestLexicalRules:
             (".", "malformed number '.'", 0),
             ("_a", "unknown identifier '_a'", 0),
             ("é", "unknown identifier 'é'", 0),
+            ("1e999", "number '1e999' overflows a float", 0),
+            ("x^(1e999-1e999)", "number '1e999' overflows a float", 3),
+            ("x^sin(1e999)", "number '1e999' overflows a float", 6),
+            ("x^(1e308*10)", "exponent does not evaluate: it is inf", 1),
         ],
     )
     def test_message_and_offset(self, text, message, offset):

@@ -231,6 +231,21 @@ class TestLaplaceLine:
         for tau, value in zip(tau_grid.points, spectrum.values):
             assert value == pytest.approx(1.0 / (1.0 + 1j * tau), abs=1e-10)
 
+    def test_one_integrand_call_holds_the_rule_and_the_decay_probe(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x, float))
+            return np.exp(-calls[-1]) + 0j
+
+        tau_grid = Grid.uniform(-2.0, 2.0, 41)
+        spectrum = laplace_line(f, 0.5, tau_grid, 40.0)
+        assert len(calls) == 1
+        nodes, _ = composite_gauss_nodes(0.0, 40.0, 10, oscillation_panels(2.0, 0.0, 40.0))
+        np.testing.assert_array_equal(calls[0], np.concatenate((nodes, [20.0, 40.0])))
+        expected = 1.0 / (1.5 + 1j * tau_grid.points)
+        assert np.max(np.abs(spectrum.values - expected)) <= 1e-12
+
     def test_gauss_nodes_tau_grid_matches_closed_form(self):
         # L[t^3 e^{-t}](s) = 6 / (s + 1)^4 on a non-uniform tau grid
         nodes, _ = composite_gauss_nodes(-10.0, 10.0, 5, 4)

@@ -131,9 +131,10 @@ class TestIntegrate:
 
         v = integrate(f, (-1.0, 1.0), QuadratureSpec(order=order), panels=panels)
         assert v.real == pytest.approx(math.sqrt(math.pi) / 10.0 * math.erf(10.0), abs=1e-10)
-        # One call per starting panel, then one per split on the nodes of both halves.
-        assert [x.size for x in calls[:panels]] == [order] * panels
-        split_calls = calls[panels:]
+        # One call on the Gauss nodes of all starting panels, then one per split on the
+        # nodes of both halves.
+        np.testing.assert_array_equal(calls[0], composite_gauss_nodes(-1.0, 1.0, order, panels)[0])
+        split_calls = calls[1:]
         assert all(x.size == 2 * order for x in split_calls)
         # Every starting panel is split once; each further split comes from a split
         # panel that handed both halves to the stack.
