@@ -4,12 +4,13 @@ All integrals in the toolkit go through :func:`integrate` (finite
 intervals) or :func:`integrate_halfline` (truncated ``[0, X]`` integrals
 with a tail estimate).  Oscillatory integrands are handled by panel
 subdivision, see :func:`oscillation_panels`; no Filon-type machinery.
-Every pass evaluates f once on its :func:`_start_rule`: a fixed method is
-that rule summed, and the adaptive method bisects its panels from there.
-:func:`integrate_grid` integrates f against exp(i w x) for a whole grid
-of w in one pass, and :func:`exp_sum` sums samples on the fixed rule of
-:func:`_grid_rule`, or stored ones, against it, by chirp-z FFTs where
-that is cheaper than its direct kernel.  :func:`_eval_integrand`
+Every pass evaluates f once on its starting rule.  In :func:`integrate`
+and :func:`integrate_grid` that is :func:`_start_rule`: a fixed method is
+that rule summed, and the adaptive method bisects its Gauss panels from
+there.  :func:`integrate_grid` integrates f against exp(i w x) for a
+whole grid of w in one pass, and :func:`exp_sum` sums samples on the
+Gauss rule of :func:`_grid_rule`, or stored ones, against it, by chirp-z
+FFTs where that is cheaper than its direct kernel.  :func:`_eval_integrand`
 evaluates every callable, :func:`_check_decay` checks every half-line
 truncation and :func:`_check_ends` every truncated interval or contour
 whose integrand should have died out at its ends.  The input contract is
@@ -630,24 +631,21 @@ def integrate_grid(
     """Integrals of f(x) exp(i*w*x) over [a, b] for every w on ``grid``, sharing the samples.
 
     The rule starts from ``oscillation_panels(max |w|)`` panels.
-    ``gauss-legendre`` and ``trapezoid`` evaluate f once on them and sum
-    through :func:`exp_sum`.  ``adaptive`` bisects them, see
+    ``gauss-legendre`` and ``trapezoid`` evaluate f once on their
+    :func:`_start_rule` and sum it through :func:`exp_sum`.  ``adaptive``
+    bisects the Gauss panels, see
     :func:`_adaptive_grid`, over runs of the grid small enough that the
     starting panels times the run fit in ``_GRID_CELLS``.
 
-    Returns the integrals and |f| at a, the starting Gauss nodes (the
-    first run's) and b, for :func:`_check_ends`.
+    Returns the integrals and |f| at a, the starting nodes (the first
+    run's) and b, for :func:`_check_ends`.
     """
     spec = spec or DEFAULT_SPEC
     a, b = _bounds(interval)
     w = grid.points
     panels = oscillation_panels(float(np.max(np.abs(w))), a, b)
-    if spec.method == "trapezoid":
-        x = np.linspace(a, b, spec.order * panels + 1)
-        fx = _eval_integrand(f, x)
-        return exp_sum(Grid(x).trapezoid_weights() * fx, x, grid, 1), np.abs(fx)
-    if spec.method == "gauss-legendre":
-        x, weights = _grid_rule(a, b, grid, spec.order)
+    if spec.method != "adaptive":
+        x, weights = _start_rule(spec, a, b, panels)
         fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
         return exp_sum(weights * fx[1:-1], x, grid, 1), np.abs(fx)
     run = max(1, _GRID_CELLS // (2 * panels))
