@@ -19,7 +19,8 @@ input.  One evaluator, :func:`evaluate_array`, walks the tree in numpy
 double precision; :func:`evaluate` is its one-point case, and exponent
 folding runs through it too, so a folded exponent fails with the same
 :class:`EvaluationError` text as a run-time evaluation.  Domain faults
-raise instead of returning NaN.
+and overflow of any operation raise instead of returning NaN or infinity,
+so every value the evaluator returns is finite.
 
 The lexical grammar is one token pattern, ``_TOKEN``.  Operator binding
 is one table, ``_PRECEDENCE``: the parser's binary levels and
@@ -29,6 +30,7 @@ is one table, ``_PRECEDENCE``: the parser's binary levels and
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -40,6 +42,7 @@ from .errors import ContractViolationError, EvaluationError, ParseError
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _FUNCTIONS = ("exp", "sin", "cos", "sqrt", "abs", "log")
 _VARIABLES = ("x", "t")
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 # Binding strength of each operator, read by the parser's binary levels and by canonical.
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 # Each match is one token after optional whitespace; the token's offset is its group's start.
@@ -184,12 +187,9 @@ class _Parser:
 
 def _fold_constant(node: ExpressionAST, pos: int) -> float:
     try:
-        value = evaluate(node, x=0.0)
+        return evaluate(node, x=0.0)
     except EvaluationError as exc:
         raise ParseError(f"exponent does not evaluate: {exc}", pos) from None
-    if not math.isfinite(value):
-        raise ParseError(f"exponent does not evaluate: it is {value}", pos)
-    return value
 
 
 def parse(text: str) -> ExpressionAST:
@@ -218,6 +218,13 @@ def variables(ast: ExpressionAST) -> frozenset[str]:
 def evaluate(ast: ExpressionAST, x: float, t: float | None = None) -> float:
     """Evaluate the tree at x (and t when the expression uses it)."""
     return float(evaluate_array(ast, x, t))
+
+
+def _finite(out, node: ExpressionAST):
+    """``out``, the value of ``node``, if it did not overflow to infinity."""
+    if not np.isfinite(out).all():
+        raise EvaluationError(f"overflow in '{canonical(node)}'")
+    return out
 
 
 def evaluate_array(ast: ExpressionAST, x, t=None):
@@ -255,23 +262,13 @@ def evaluate_array(ast: ExpressionAST, x, t=None):
                 if np.any(np.asarray(v) <= 0):
                     raise EvaluationError(f"log of non-positive value in '{canonical(node)}'")
                 return np.log(v)
-            with np.errstate(over="ignore"):
-                out = getattr(np, node.op)(v)
-            if not np.all(np.isfinite(out)):
-                raise EvaluationError(f"overflow in '{canonical(node)}'")
-            return out
+            return _finite(getattr(np, node.op)(v), node)
         a = walk(node.left)
         b = walk(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise EvaluationError(f"division by zero in '{canonical(node)}'")
-            return a / b
+        if node.op == "/" and np.any(np.asarray(b) == 0.0):
+            raise EvaluationError(f"division by zero in '{canonical(node)}'")
+        if node.op in _ARITHMETIC:
+            return _finite(_ARITHMETIC[node.op](a, b), node)
         exponent = float(np.asarray(b).reshape(-1)[0])
         if not exponent.is_integer() and np.any(np.asarray(a) <= 0):
             raise EvaluationError(
@@ -283,7 +280,9 @@ def evaluate_array(ast: ExpressionAST, x, t=None):
             raise EvaluationError(f"power produced a non-finite value in '{canonical(node)}'")
         return out
 
-    result = np.asarray(walk(ast), dtype=float)
+    # Overflow is checked where it happens, by _finite and the power branch.
+    with np.errstate(over="ignore"):
+        result = np.asarray(walk(ast), dtype=float)
     if result.shape != shape:
         result = np.broadcast_to(result, shape)
     return result

@@ -10,7 +10,11 @@ functions.
 Each axis is its 1-D piece, with its 1-D guards reported under the axis
 name.  Forward: both rules come from :func:`numerics._grid_rule`; the x
 axis is a :func:`numerics.exp_sum`, the t axis the damped line sum of
-:func:`laplace.laplace_line`.  Inverse: the stored-line contour sum of
+:func:`laplace.laplace_line`.  The forward build runs per block of t
+nodes: f on the x nodes times the block, its x sums, then their t sums
+added onto the output, so its peak memory is set by the output and one
+block of about ``_FL_BLOCK`` (x, t) points, not by the length of the t
+axis.  Inverse: the stored-line contour sum of
 :func:`laplace.bromwich_inverse_from_samples`, then the stored-spectrum
 sum of :func:`fourier_transform.inverse_ft` at x.
 """
@@ -35,6 +39,9 @@ from .numerics import (
     _scalar,
     exp_sum,
 )
+
+# (x, t) points of f evaluated, and summed onto the contour, per pass of forward_fl.
+_FL_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -84,17 +91,15 @@ def forward_fl(
     # Half-line divergence check along the t axis, at the x profile peak.
     _check_decay(np.max(np.abs(f_on(np.array([X / 2.0, X]))), axis=0), X, "t axis: ")
 
-    # Inner x integrals: G(lam, t_m) = (1/2pi) sum_j wx_j f(x_j, t_m) e^{i lam x_j},
-    # with f evaluated on about 1e6 (x, t) points at a time.
-    G = np.empty((len(lambda_grid), t_nodes.size), dtype=complex)
-    t_block = max(1, int(1e6 // x_nodes.size))
+    # One pass per block of t nodes, about _FL_BLOCK (x, t) points each: the inner x
+    # integrals G(lam, t_m) = (1/2pi) sum_j wx_j f(x_j, t_m) e^{i lam x_j} of the block,
+    # then their damped t sums for every s = sigma + i*tau, added onto the output.
+    values = np.zeros((len(lambda_grid), len(tau_grid)), dtype=complex)
+    t_block = max(1, _FL_BLOCK // x_nodes.size)
     for start in range(0, t_nodes.size, t_block):
-        weighted = f_on(t_nodes[start:start + t_block]).T * x_weights
-        G[:, start:start + t_block] = exp_sum(weighted, x_nodes, lambda_grid, 1).T
-    G /= 2.0 * math.pi
-
-    # Outer t integrals for every s = sigma + i*tau, damping G in place.
-    values = _line_sum(G, t_nodes, t_weights, sigma, tau_grid)
+        block = slice(start, start + t_block)
+        G = exp_sum(f_on(t_nodes[block]).T * x_weights, x_nodes, lambda_grid, 1).T / (2.0 * math.pi)
+        values += _line_sum(G, t_nodes[block], t_weights[block], sigma, tau_grid)
     return FourierLaplaceSpectrum(lambda_grid, sigma, tau_grid, values)
 
 

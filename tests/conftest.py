@@ -1,0 +1,20 @@
+"""Pin BLAS to one thread before numpy loads.
+
+A complex matmul can round differently with one BLAS thread and with two,
+and the golden digests record the bytes of ``flt`` and ``iflt`` output that
+go through one.  One thread makes them the same on every machine with the
+same BLAS build.  The variables are read when the BLAS library loads, so a
+numpy imported before this file would keep its own thread count; that fails
+the run instead of letting the digests depend on it.
+"""
+
+import os
+import sys
+
+if "numpy" in sys.modules:
+    raise RuntimeError(
+        "numpy was imported before tests/conftest.py could pin BLAS to one thread; "
+        "run the tests without a plugin or startup hook that imports numpy"
+    )
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"

@@ -213,6 +213,16 @@ class TestEvaluationErrors:
         with pytest.raises(EvaluationError):
             evaluate(parse("exp(x)"), 1e6)
 
+    @pytest.mark.parametrize(
+        "text, x, inner",
+        [("1e308*x", 10.0, "1e+308*x"), ("1e300/x", 1e-10, "1e+300/x"),
+         ("x+1e308", 1e308, "x+1e+308"), ("x-1e308", -1e308, "x-1e+308")],
+    )
+    def test_arithmetic_overflow_names_subexpression(self, text, x, inner):
+        with pytest.raises(EvaluationError) as info:
+            evaluate(parse(text), x)
+        assert str(info.value) == f"overflow in '{inner}'"
+
 
 class TestArrayEvaluation:
     def test_matches_scalar_path(self):
@@ -247,6 +257,10 @@ class TestArrayEvaluation:
             evaluate_array(parse("1/x"), xs)
         with pytest.raises(EvaluationError):
             evaluate_array(parse("sqrt(x)"), xs)
+
+    def test_overflow_on_one_point_raises(self):
+        with pytest.raises(EvaluationError, match=r"overflow in 'x\*x'"):
+            evaluate_array(parse("x*x"), np.array([1.0, 1e200, 2.0]))
 
 
 # strategy for random trees used by the printer round-trip property
@@ -322,7 +336,9 @@ class TestLexicalRules:
             ("1e999", "number '1e999' overflows a float", 0),
             ("x^(1e999-1e999)", "number '1e999' overflows a float", 3),
             ("x^sin(1e999)", "number '1e999' overflows a float", 6),
-            ("x^(1e308*10)", "exponent does not evaluate: it is inf", 1),
+            ("x^(1e308*10)", "exponent does not evaluate: overflow in '1e+308*10'", 1),
+            ("x^(sin(1)*1e308*1e10)",
+             "exponent does not evaluate: overflow in 'sin(1)*1e+308*10000000000'", 1),
         ],
     )
     def test_message_and_offset(self, text, message, offset):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from unitransform import (
     QuadratureSpec,
     weighted_orthogonality_check,
 )
+from unitransform.fourier_laplace import _FL_BLOCK
 from unitransform.numerics import composite_gauss_nodes
 
 A_TRUNC = 12.0
@@ -114,6 +116,54 @@ class TestForward:
         spectrum = forward_fl(f, lam_grid, 1.0, tau_grid, (8.0, 20.0))
         expected = (1.0 / math.sqrt(2.0 * math.pi)) * 0.5
         assert spectrum.values[1, 1] == pytest.approx(expected, abs=1e-8)
+
+
+def _double_sum(f, lam_grid, sigma, tau_grid, A, X, order=10):
+    """F by the explicit double rule sum: outer exponential kernels on both axes."""
+    lam, tau = lam_grid.points, tau_grid.points
+    x, wx = composite_gauss_nodes(-A, A, order, oscillation_panels(np.max(np.abs(lam)), -A, A))
+    t, wt = composite_gauss_nodes(0.0, X, order, oscillation_panels(np.max(np.abs(tau)), 0.0, X))
+    samples = wx[:, None] * f(x[:, None], t[None, :]) * (wt * np.exp(-sigma * t))[None, :]
+    values = np.exp(1j * np.outer(lam, x)) @ samples @ np.exp(-1j * np.outer(t, tau))
+    return values / (2.0 * math.pi), x.size, t.size
+
+
+def _coupled(x, t):
+    return np.exp(-x**2 / 2.0 - t) * np.cos(x * t / 4.0) + 0j
+
+
+class TestStreamedBuild:
+    """forward_fl sums f onto the contour one block of about _FL_BLOCK (x, t) points at a time."""
+
+    @pytest.mark.parametrize(
+        "lam_grid, tau_grid",
+        [
+            (Grid.uniform(-6.0, 6.0, 11), Grid.uniform(-10.0, 10.0, 401)),
+            (Grid.uniform(3.0, 3.0, 1), Grid.uniform(-16.0, 16.0, 161)),
+            (Grid.uniform(-6.0, 6.0, 11),
+             Grid(composite_gauss_nodes(-10.0, 10.0, 5, 40)[0], kind="gauss-nodes")),
+        ],
+        ids=["uniform", "one-lambda", "gauss-nodes-tau"],
+    )
+    def test_matches_explicit_double_sum_across_blocks(self, lam_grid, tau_grid):
+        expected, x_size, t_size = _double_sum(_coupled, lam_grid, 0.5, tau_grid, A_TRUNC, X_TRUNC)
+        assert t_size > _FL_BLOCK // x_size, "the case must span at least two t blocks"
+        values = forward_fl(_coupled, lam_grid, 0.5, tau_grid, (A_TRUNC, X_TRUNC)).values
+        assert np.max(np.abs(values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_peak_memory_does_not_grow_with_the_t_axis(self):
+        # 61 x 2001 at X = 40 is 1.7M (x, t) points, 27 MB as complex: the bound admits a few
+        # copies of the output and of one block, never the whole t axis.
+        lam_grid, tau_grid = Grid.uniform(-6.0, 6.0, 61), Grid.uniform(-50.0, 50.0, 2001)
+        forward_fl(separable, lam_grid, 0.5, tau_grid, (A_TRUNC, X_TRUNC))
+        tracemalloc.start()
+        try:
+            values = forward_fl(separable, lam_grid, 0.5, tau_grid, (A_TRUNC, X_TRUNC)).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 3 * values.nbytes + 3 * 16 * _FL_BLOCK
+        assert peak <= bound, f"peak {peak / 1e6:.1f} MB exceeds {bound / 1e6:.1f} MB"
 
 
 class TestInverse:

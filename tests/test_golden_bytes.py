@@ -65,7 +65,8 @@ CORPUS = [
                         "--x-min", "-2", "--x-max", "2", "--x-step", "0.25"]),
 ]
 
-# Recorded from the per-number renderer that wrote each float through format_float.
+# Recorded from the per-number renderer that wrote each float through format_float, with
+# one BLAS thread (conftest.py pins it): the flt and iflt bytes go through a complex matmul.
 DIGESTS = {
     "ft.json": "cda0ab378b234dc889e55be5b91bbe784cabd4e058715ba235b7df656fca7af7",
     "ft-csv": "295623eb416d829731f7c7d5f701a4ecc6858291506915a1218342549d66e2f3",
@@ -79,9 +80,9 @@ DIGESTS = {
     "lt-s.csv": "f5b644adc6a347b040a9e3a885959b4bbb952aa935b9d00b0f8e223dc94b5191",
     "ilt": "54a9f480495656ce74fe5a60173d2a88be76d1d8b3553d30a8a87affe0729d89",
     "ilt.csv": "79c1eb07cbbdf5eec52d3f0b581284584bad98c6c653feebf90572c929d71741",
-    "fl.json": "13f886530fe83fdcb3bb13ba11bca32256cf6bcbe9f0050a642070e6adb6f0e6",
-    "iflt": "5d6cc3f8f7d91cc431d2ae16e3afcadbc8397b49a071d5ea30c7c51286d09734",
-    "iflt.csv": "0c782189d5cc213a42eb2e06d8b9343d48dde8f9b805ea072653a9726e6ad2eb",
+    "fl.json": "d52424febe3d3beaf9e9745d408b8cbdbabcaf77aa66a904875cf37dd9792bcc",
+    "iflt": "a5e9176f763069abe8a850b2fb396d29e91835769f6840837a337ef0e7754e5c",
+    "iflt.csv": "b7edc823d9a930d3fd7a31cee78464dd068eedfd07b237e5e7bb5320bb3a0c8e",
     "series.json": "b132685ad3348725fd55bb8213555b692037be59cc490d9b0b3bd9b0b72b2803",
     "series-csv": "01b5c480f493088c8cf5deeb3ecb7027060707daf758e2fb24e55c05f2965061",
     "real-series": "ac3006567df1e677aeecf2b0021857d4f175d04791d15f3887f97f5cd0f8575a",
