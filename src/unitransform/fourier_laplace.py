@@ -11,12 +11,12 @@ Each axis is its 1-D piece, with its 1-D guards reported under the axis
 name.  Forward: both rules come from :func:`numerics._grid_rule`; the x
 axis is a :func:`numerics.exp_sum`, the t axis the damped line sum of
 :func:`laplace.laplace_line`.  The forward build runs per block of t
-nodes: f on the x nodes times the block, its x sums, then their t sums
-added onto the output, so its peak memory is set by the output and one
-block of about ``_FL_BLOCK`` (x, t) points, not by the length of the t
-axis.  Inverse: the stored-line contour sum of
-:func:`laplace.bromwich_inverse_from_samples`, then the stored-spectrum
-sum of :func:`fourier_transform.inverse_ft` at x.
+nodes: f on the x nodes times the block, its x sums through one plan
+built per call, then their t sums added into the output in place, so its
+peak memory is the output plus one block of about ``_FL_BLOCK`` (x, t)
+points, not set by the length of the t axis.  Inverse: the stored-line
+contour sum of :func:`laplace.bromwich_inverse_from_samples`, then the
+stored-spectrum sum of :func:`fourier_transform.inverse_ft` at x.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from .numerics import (
     DEFAULT_SPEC,
     Grid,
     QuadratureSpec,
+    _ExpPlan,
     _check_decay,
     _eval_integrand,
     _grid_rule,
     _scalar,
-    exp_sum,
 )
 
 # (x, t) points of f evaluated, and summed onto the contour, per pass of forward_fl.
@@ -78,6 +78,12 @@ def forward_fl(
     and the t integral over [0, X].  f must decay in x and be of
     exponential type below sigma in t; growth of |f| toward t = X raises
     :class:`DivergenceError` naming the t axis.
+
+    The x-axis :func:`numerics.exp_sum` plan is built once per call; each
+    block of t nodes gets one t-axis plan, whose damped sums
+    :func:`laplace._line_sum` adds into the output in place.  Peak memory
+    is the output plus one block of about ``_FL_BLOCK`` (x, t) points; the
+    returned spectrum then takes its own copy of the output.
     """
     A = _scalar(truncations[0], "truncation A", "positive")
     X, sigma = _scalar(truncations[1], "truncation X", "positive"), _scalar(sigma, "sigma")
@@ -93,13 +99,16 @@ def forward_fl(
 
     # One pass per block of t nodes, about _FL_BLOCK (x, t) points each: the inner x
     # integrals G(lam, t_m) = (1/2pi) sum_j wx_j f(x_j, t_m) e^{i lam x_j} of the block,
-    # then their damped t sums for every s = sigma + i*tau, added onto the output.
+    # then their damped t sums for every s = sigma + i*tau, added into the output.
     values = np.zeros((len(lambda_grid), len(tau_grid)), dtype=complex)
+    x_sums = _ExpPlan(x_nodes, lambda_grid, 1, stacked=True)
     t_block = max(1, _FL_BLOCK // x_nodes.size)
     for start in range(0, t_nodes.size, t_block):
-        block = slice(start, start + t_block)
-        G = exp_sum(f_on(t_nodes[block]).T * x_weights, x_nodes, lambda_grid, 1).T / (2.0 * math.pi)
-        values += _line_sum(G, t_nodes[block], t_weights[block], sigma, tau_grid)
+        t, wt = t_nodes[start:start + t_block], t_weights[start:start + t_block]
+        G = x_sums.apply(f_on(t).T * x_weights, np.zeros((t.size, len(lambda_grid)), dtype=complex))
+        G = G.T / (2.0 * math.pi)
+        _line_sum(G, t, wt, sigma, tau_grid, values)
+    del G, x_sums  # so that the spectrum's copy of values is not made on top of the last block
     return FourierLaplaceSpectrum(lambda_grid, sigma, tau_grid, values)
 
 

@@ -40,13 +40,13 @@ from .numerics import (
     HalfLineResult,
     QuadratureSpec,
     SampledFunction,
+    _ExpPlan,
     _check_decay,
     _check_ends,
     _eval_integrand,
     _grid_rule,
     _sampled,
     _scalar,
-    exp_sum,
     integrate_halfline,
     oscillation_panels,
 )
@@ -124,14 +124,19 @@ def laplace_line(
     nodes, weights = _grid_rule(0.0, X, tau_grid, (spec or DEFAULT_SPEC).order)
     fx = _eval_integrand(f, np.concatenate((nodes, [X / 2.0, X])))
     _check_decay(np.abs(fx[-2:]), X)
-    values = _line_sum(fx[:-2], nodes, weights, sigma, tau_grid)
+    values = np.zeros(len(tau_grid), dtype=complex)
+    _line_sum(fx[:-2], nodes, weights, sigma, tau_grid, values)
     return LaplaceSpectrum(sigma=sigma, tau_grid=tau_grid, values=values)
 
 
-def _line_sum(samples: np.ndarray, nodes, weights, sigma: float, tau_grid: Grid) -> np.ndarray:
-    """Rule sums of ``samples`` (f at ``nodes``) * e^{-(sigma + i*tau) t}; damps them in place."""
+def _line_sum(samples: np.ndarray, nodes, weights, sigma: float, tau_grid: Grid,
+              out: np.ndarray) -> np.ndarray:
+    """Add the rule sums of ``samples`` (f at ``nodes``) * e^{-(sigma + i*tau) t} into ``out``.
+
+    Damps ``samples`` in place; returns ``out``.
+    """
     samples *= weights * np.exp(-sigma * nodes)
-    return exp_sum(samples, nodes, tau_grid, -1)
+    return _ExpPlan(nodes, tau_grid, -1, samples.ndim > 1).apply(samples, out)
 
 
 def _contour_step(t: float, spacing: float | None = None, axis: str = "") -> float:

@@ -2,16 +2,22 @@
 
 All integrals in the toolkit go through :func:`integrate` (finite
 intervals) or :func:`integrate_halfline` (truncated ``[0, X]`` integrals
-with a tail estimate).  Oscillatory integrands are handled by panel
-subdivision, see :func:`oscillation_panels`; no Filon-type machinery.
-Every pass evaluates f once on its starting rule.  In :func:`integrate`
-and :func:`integrate_grid` that is :func:`_start_rule`: a fixed method is
-that rule summed, and the adaptive method bisects its Gauss panels from
-there.  :func:`integrate_grid` integrates f against exp(i w x) for a
-whole grid of w in one pass, and :func:`exp_sum` sums samples on the
-Gauss rule of :func:`_grid_rule`, or stored ones, against it, by chirp-z
-FFTs where that is cheaper than its direct kernel.  :func:`_eval_integrand`
-evaluates every callable, :func:`_check_decay` checks every half-line
+with a tail estimate that warns above the tolerance).  Oscillatory
+integrands are handled by panel subdivision, see
+:func:`oscillation_panels`; no Filon-type machinery.  Every rule, like
+every adaptive pass, is held to the budget of ``_MAX_SPLITS`` panels
+(:func:`_panel_budget`).  Every pass evaluates f once on its starting
+rule.  In :func:`integrate` and :func:`integrate_grid` that is
+:func:`_start_rule`: a fixed method is that rule summed, and the adaptive
+method bisects its Gauss panels from there.  :func:`integrate_grid`
+integrates f against exp(i w x) for a whole grid of w in one pass, and
+:func:`exp_sum` sums samples on the Gauss rule of :func:`_grid_rule`, or
+stored ones, against it, by chirp-z FFTs where that is cheaper than its
+direct kernel.  :func:`exp_sum` is a plan, :class:`_ExpPlan`, built once
+from the nodes and the grid, and an apply step that adds the sums into a
+caller's array, so a caller that sums many arrays on the same nodes and
+grid builds the kernel once and holds no second output.
+:func:`_eval_integrand` evaluates every callable, :func:`_check_decay` checks every half-line
 truncation and :func:`_check_ends` every truncated interval or contour
 whose integrand should have died out at its ends.  The input contract is
 three guards: :func:`_scalar` for every scalar that defines a problem,
@@ -45,6 +51,7 @@ _METHODS = ("trapezoid", "gauss-legendre", "adaptive")
 _MAX_BISECTIONS = 48
 # Work budget of one adaptive pass: panel splits per _adaptive or _adaptive_grid call,
 # over 100x the most a test needs (1,741, real-series of a piecewise-linear function).
+# Also the most panels any rule starts from (the most a test needs: 3,820, T=400 at X=40).
 _MAX_SPLITS = 200_000
 # Kernel columns per block in exp_sum: bounds both the kernel's memory and
 # the length of its phase recurrence.
@@ -426,39 +433,78 @@ def _chirp_sum(weighted: np.ndarray, sign: int, c: np.ndarray, d: float, w: np.n
     return conv.sum(axis=0) * chirp[:M] * turn(c[0], h, k[:M]) * turn(c[0], w[0], np.array([1]))
 
 
+class _ExpPlan:
+    """The kernel of :func:`exp_sum` for fixed nodes, grid and sign, built once.
+
+    ``stacked`` says whether :meth:`apply` gets one row or stacked rows; it
+    picks the path as :func:`exp_sum` describes.  A direct plan holds the
+    whole kernel when the grid fits in one block of ``_EXP_BLOCK`` columns;
+    on a longer uniform grid it holds the step kernel instead.
+    """
+
+    def __init__(self, nodes: np.ndarray, grid: Grid, sign: int, stacked: bool):
+        self.nodes, self.w, self.sign = nodes, grid.points, sign
+        self.chirp = None if stacked else _chirp_layout(nodes, grid)
+        self.kernel = self.step = None
+        if self.chirp is not None:
+            return
+        one_block = self.w.size <= _EXP_BLOCK
+        if grid.kind == "uniform" and self.w.size > 1:
+            ratio = np.exp(sign * 1j * grid.spacing * nodes)
+            kernel = np.repeat(ratio[:, None], min(self.w.size, _EXP_BLOCK), axis=1)
+            kernel[:, 0] = np.exp(sign * 1j * self.w[0] * nodes) if one_block else 1.0
+            np.cumprod(kernel, axis=1, out=kernel)
+            self.kernel, self.step = (kernel, None) if one_block else (None, kernel)
+        elif one_block:
+            self.kernel = np.exp(sign * 1j * np.outer(nodes, self.w))
+
+    def apply(self, weighted: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add the sums of ``weighted`` (node axis last) into ``out`` (grid axis last).
+
+        Returns ``out``.
+        """
+        if self.chirp is not None:
+            out += _chirp_sum(weighted, self.sign, *self.chirp)
+            return out
+        buffer = None if self.step is None else np.empty_like(self.step)
+        for start in range(0, self.w.size, _EXP_BLOCK):
+            cols = self.w[start:start + _EXP_BLOCK]
+            if self.kernel is not None:
+                kernel = self.kernel
+            elif buffer is not None:
+                kernel = np.multiply(np.exp(self.sign * 1j * cols[0] * self.nodes)[:, None],
+                                     self.step[:, :cols.size], out=buffer[:, :cols.size])
+            else:
+                kernel = np.exp(self.sign * 1j * np.outer(self.nodes, cols))
+            out[..., start:start + cols.size] += weighted @ kernel
+        return out
+
+
 def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int) -> np.ndarray:
     """Sum ``weighted`` against exp(sign*i*w*nodes) for every w on the grid.
 
     Returns ``weighted @ exp(sign * 1j * outer(nodes, grid.points))``; the
-    node axis is the last axis of ``weighted``.  Two kernel paths:
+    node axis is the last axis of ``weighted``.  It is one :class:`_ExpPlan`,
+    applied once; a caller that sums several arrays on the same nodes and
+    grid builds the plan once and applies it to each, adding into its own
+    output.  Two kernel paths:
 
     * Chirp-z: one row (``weighted.ndim == 1``) on a uniform grid whose nodes
       are interleaved uniform sub-grids, when its FFTs cost less than the
       direct kernel (see :func:`_chirp_layout`), is q Bluestein chirp-z
       transforms, :func:`_chirp_sum`, with every large phase reduced exactly.
-    * Direct: anything else.  On a uniform grid each kernel column is the
-      previous one times exp(sign*i*h*nodes), with the step h taken from
-      ``grid.spacing``; every block of columns restarts from a fresh
-      exponential so rounding cannot drift.  Any other grid gets a direct
-      exponential.  Blocks keep the kernel at ``_EXP_BLOCK`` columns.
+    * Direct: anything else, one block of ``_EXP_BLOCK`` grid columns at a
+      time.  On a uniform grid of one block the kernel is a recurrence:
+      each column is the previous one times exp(sign*i*h*nodes), with the
+      step h taken from ``grid.spacing``.  On a longer uniform grid the
+      same recurrence, started from 1, gives the step kernel
+      exp(sign*i*b*h*nodes), b < ``_EXP_BLOCK``, once per plan; block a's
+      kernel is a fresh exp(sign*i*w_a*nodes) times the step kernel, one
+      broadcast multiply into a reused buffer, so rounding cannot drift
+      from block to block.  Any other grid gets a direct exponential.
     """
-    layout = _chirp_layout(nodes, grid) if weighted.ndim == 1 else None
-    if layout is not None:
-        return _chirp_sum(weighted, sign, *layout)
-    w = grid.points
-    recur = grid.kind == "uniform" and w.size > 1
-    ratio = np.exp(sign * 1j * grid.spacing * nodes) if recur else None
-    out = np.empty(weighted.shape[:-1] + w.shape, dtype=complex)
-    for start in range(0, w.size, _EXP_BLOCK):
-        cols = w[start:start + _EXP_BLOCK]
-        if recur:
-            kernel = np.repeat(ratio[:, None], cols.size, axis=1)
-            kernel[:, 0] = np.exp(sign * 1j * cols[0] * nodes)
-            np.cumprod(kernel, axis=1, out=kernel)
-        else:
-            kernel = np.exp(sign * 1j * np.outer(nodes, cols))
-        out[..., start:start + cols.size] = weighted @ kernel
-    return out
+    out = np.zeros(weighted.shape[:-1] + grid.points.shape, dtype=complex)
+    return _ExpPlan(nodes, grid, sign, weighted.ndim > 1).apply(weighted, out)
 
 
 def _adaptive(f, edges: np.ndarray, start: np.ndarray, tol: float) -> complex:
@@ -526,10 +572,22 @@ def oscillation_panels(frequency: float, a: float, b: float) -> int:
     """Panel count resolving a kernel exp(i*frequency*x) on [a, b].
 
     Subdivision is 1.5 panels per oscillation period on the interval;
-    smooth non-oscillatory integrands get a single panel.
+    smooth non-oscillatory integrands get a single panel.  A count over
+    the panel budget raises, see :func:`_panel_budget`.
     """
     periods = abs(frequency) * (b - a) / (2.0 * math.pi)
-    return max(1, math.ceil(periods * 1.5))
+    return max(1, math.ceil(_panel_budget(periods * 1.5)))
+
+
+def _panel_budget(panels: float) -> float:
+    """``panels``, if a rule of that many panels is within ``_MAX_SPLITS``; else
+    :class:`QuadratureError` naming the count and the budget."""
+    if not panels <= _MAX_SPLITS:
+        raise QuadratureError(
+            f"the rule needs {panels:.6g} panels, over the budget of {_MAX_SPLITS} panels; "
+            "lower the largest frequency or shorten the interval"
+        )
+    return panels
 
 
 def _grid_rule(a: float, b: float, grid: Grid, order: int):
@@ -585,6 +643,7 @@ def integrate(
     panels = _scalar(panels, "panel count", "count")
     if panels < 1:
         raise ContractViolationError("panel count must be >= 1")
+    _panel_budget(panels)
     nodes, weights = _start_rule(spec, a, b, panels)
     fx = _eval_integrand(f, nodes)
     if spec.method != "adaptive":
@@ -725,8 +784,11 @@ def integrate_halfline(
     The integrand must decay beyond the truncation point; growth
     (``|f(X)| > |f(X/2)|``) raises :class:`DivergenceError`.  The tail
     bound uses the supplied exponential ``damping`` rate (finite and > 0)
-    when given, otherwise a rate estimated from the last two magnitude samples.
+    when given, otherwise a rate estimated from the last two magnitude
+    samples.  A tail bound above the spec's tolerance warns with a
+    :class:`TruncationWarning`.
     """
+    spec = spec or DEFAULT_SPEC
     X = _scalar(truncation, "truncation X", "positive")
     rate = None if damping is None else _scalar(damping, "damping rate", "positive")
     f_mid, f_end = _check_decay(np.abs(_eval_integrand(f, np.array([X / 2.0, X]))), X)
@@ -734,4 +796,12 @@ def integrate_halfline(
     if rate is None:
         rate = math.log(f_mid / f_end) / (X / 2.0) if f_mid > f_end > 0.0 else 0.0
     tail = f_end / rate if rate > 0 else (0.0 if f_end == 0.0 else math.inf)
+    if tail > spec.tolerance:
+        warnings.warn(
+            TruncationWarning(
+                f"half-line tail estimate {tail:.3e} beyond X={X:g} exceeds tolerance "
+                f"{spec.tolerance:.3e}; raise X for full accuracy"
+            ),
+            stacklevel=2,
+        )
     return HalfLineResult(value=value, tail_estimate=tail)

@@ -348,6 +348,38 @@ class TestErrorSurface:
         assert (code, out) == (2, "")
         assert err.startswith("error: numerical:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("lt", "--expr", "exp(-x)", "--s", "1+1e308i", "--X", "40"),
+        ("lt", "--expr", "exp(-x)", "--s", "1+1e12i", "--X", "40"),
+        ("ft", "--expr", "exp(-x^2)", "--A", "1e12",
+         "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.5"),
+        ("ft", "--expr", "exp(-x^2)", "--A", "1e300",
+         "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.5"),
+    ], ids=["lt-overflow", "lt-1e12", "ft-1e12", "ft-1e300"])
+    def test_rule_over_the_panel_budget_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: numerical: the rule needs ") and err.count("\n") == 1
+        assert "over the budget of 200000 panels" in err
+
+    def test_series_over_the_panel_budget_exit_2(self, capsys, monkeypatch):
+        # K = 100 needs 150 panels for its k = -100 coefficient; the budget is lowered so that
+        # a regression fails quickly instead of building a rule of 1.5e8 panels for K = 1e8.
+        monkeypatch.setattr("unitransform.numerics._MAX_SPLITS", 100)
+        code, out, err = run_cli(capsys, "series", "--expr", "x", "--L", "1", "--K", "100")
+        assert (code, out) == (2, "")
+        assert err == ("error: numerical: coefficient k=-100: the rule needs 150 panels, over the "
+                       "budget of 100 panels; lower the largest frequency or shorten the "
+                       "interval\n")
+
+    def test_half_line_tail_over_tolerance_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "lt", "--expr", "exp(-0.1*x)", "--s", "1", "--X", "10")
+        assert (code, out) == (2, "")
+        assert err == ("error: numerical: half-line tail estimate 1.518e-05 beyond X=10 exceeds "
+                       "tolerance 1.000e-10; raise X for full accuracy\n")
+        doc = run_json(capsys, "lt", "--expr", "exp(-0.1*x)", "--s", "1", "--X", "40")
+        assert doc["value"][0] == pytest.approx(1.0 / 1.1, rel=1e-12)
+
     @pytest.mark.parametrize("command, index", [("series", "coefficient k=-1"),
                                                 ("real-series", "coefficient a_0")])
     def test_series_failure_names_the_index(self, capsys, command, index):
@@ -417,6 +449,19 @@ class TestDeterminismAndEnv:
         lines = out.strip().split("\n")
         assert lines[0] == "k,re,im"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--s", "1+1e308i", "--X", "40"), "the rule needs inf panels"),
+        (("--s", "1", "--X", "10"), "half-line tail estimate 1.518e-05"),
+    ], ids=["panel-budget", "half-line-tail"])
+    def test_entry_point_numerical_error_is_one_line(self, argv, message):
+        result = subprocess.run(
+            [sys.executable, "-m", "unitransform", "lt", "--expr", "exp(-0.1*x)", *argv],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(f"error: numerical: {message}")
+        assert result.stderr.count("\n") == 1
 
     def test_entry_point_subprocess(self, tmp_path):
         result = subprocess.run(

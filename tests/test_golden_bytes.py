@@ -80,9 +80,9 @@ DIGESTS = {
     "lt-s.csv": "f5b644adc6a347b040a9e3a885959b4bbb952aa935b9d00b0f8e223dc94b5191",
     "ilt": "54a9f480495656ce74fe5a60173d2a88be76d1d8b3553d30a8a87affe0729d89",
     "ilt.csv": "79c1eb07cbbdf5eec52d3f0b581284584bad98c6c653feebf90572c929d71741",
-    "fl.json": "d52424febe3d3beaf9e9745d408b8cbdbabcaf77aa66a904875cf37dd9792bcc",
-    "iflt": "a5e9176f763069abe8a850b2fb396d29e91835769f6840837a337ef0e7754e5c",
-    "iflt.csv": "b7edc823d9a930d3fd7a31cee78464dd068eedfd07b237e5e7bb5320bb3a0c8e",
+    "fl.json": "a9fa305efe43c296ec90d19fd7ccbb2f7b4220c437c7823963b8b8abd0522356",
+    "iflt": "b209cc42af5a5821e9f71cdfd2be7fa14c3cf815f0339127cffec680e1318261",
+    "iflt.csv": "532cfba26eeff417ede088b3fdb31b3909705c639344f537a2f3e0ab7fcc7cfa",
     "series.json": "b132685ad3348725fd55bb8213555b692037be59cc490d9b0b3bd9b0b72b2803",
     "series-csv": "01b5c480f493088c8cf5deeb3ecb7027060707daf758e2fb24e55c05f2965061",
     "real-series": "ac3006567df1e677aeecf2b0021857d4f175d04791d15f3887f97f5cd0f8575a",

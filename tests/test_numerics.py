@@ -16,6 +16,7 @@ from unitransform import (
     QuadratureSpec,
     SampledFunction,
     SampledFunction2D,
+    TruncationWarning,
     complex_coefficients,
     forward_ft,
     integrate,
@@ -224,6 +225,33 @@ class TestExpSum:
         got = exp_sum(rows, nodes, tau, 1)
         assert got.shape == (2, 301)
         assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("kind", Grid.KINDS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-row", "stacked"])
+    @pytest.mark.parametrize("size", [1, 2, 127, 128, 129, 257, 4001])
+    def test_plan_adds_the_explicit_sum(self, size, stacked, sign, kind):
+        # 40 Gauss panels on [0, 8], enough for every |w| <= 20.  A row of 4001 uniform
+        # points takes the chirp-z path; the other cases are direct, with 1, 2, 3 or 32
+        # column blocks.
+        nodes, weights = composite_gauss_nodes(0.0, 8.0, 10, oscillation_panels(20.0, 0.0, 8.0))
+        weighted = nodes**2 * np.exp(-nodes) * weights + 0j
+        if stacked:
+            weighted = np.stack([weighted, 1j * weighted[::-1], np.cos(nodes) * weighted])
+        rng = np.random.default_rng(size)
+        if kind == "uniform":
+            grid = Grid.uniform(-20.0, 20.0, size)
+        else:
+            grid = Grid(np.sort(rng.uniform(-20.0, 20.0, size)), kind="gauss-nodes")
+        direct = weighted @ np.exp(sign * 1j * np.outer(nodes, grid.points))
+        plan = numerics._ExpPlan(nodes, grid, sign, stacked)
+        sums = plan.apply(weighted, np.zeros(direct.shape, dtype=complex))
+        assert np.max(np.abs(sums - direct)) <= 1e-13 * np.max(np.abs(direct))
+        np.testing.assert_array_equal(exp_sum(weighted, nodes, grid, sign), sums)
+        held = rng.standard_normal(direct.shape) + 1j * rng.standard_normal(direct.shape)
+        out = held.copy()
+        assert plan.apply(weighted, out) is out
+        np.testing.assert_array_equal(out, held + sums)
 
     def test_non_uniform_grid_and_single_point(self):
         nodes, weighted = self._line_weights()
@@ -482,6 +510,18 @@ class TestOscillationPanels:
     def test_smooth_case_single_panel(self):
         assert oscillation_panels(0.0, -1.0, 1.0) == 1
 
+    @pytest.mark.parametrize("frequency, needed", [(2e5 * math.pi, "300000"), (1e12, "4.77465e+11"),
+                                                   (1e308, "inf")])
+    def test_rule_over_the_panel_budget_raises(self, frequency, needed):
+        message = f"^the rule needs {re.escape(needed)} panels, over the budget of 200000 panels; "
+        with pytest.raises(QuadratureError, match=message):
+            oscillation_panels(frequency, -1.0, 1.0)
+        assert oscillation_panels(2e5 * math.pi / 1.5, -1.0, 1.0) == 200_000
+
+    def test_explicit_panel_count_over_the_budget_raises(self):
+        with pytest.raises(QuadratureError, match="^the rule needs 200001 panels, over the budget"):
+            integrate(lambda x: np.ones_like(x) + 0j, (0.0, 1.0), panels=200_001)
+
 
 class TestIntegrateHalfline:
     def test_exponential(self):
@@ -508,8 +548,20 @@ class TestIntegrateHalfline:
 
     def test_supplied_damping_used_for_tail(self):
         f = lambda x: np.exp(-2.0 * np.asarray(x, float)) + 0j
-        r = integrate_halfline(f, 10.0, damping=2.0)
+        with pytest.warns(TruncationWarning, match="tail estimate 1.031e-09 beyond X=10"):
+            r = integrate_halfline(f, 10.0, damping=2.0)
         assert r.tail_estimate == pytest.approx(math.exp(-20.0) / 2.0, rel=1e-9)
+
+    def test_tail_over_tolerance_warns(self, recwarn):
+        f = lambda x: np.exp(-1.1 * np.asarray(x, float)) + 0j
+        message = (r"^half-line tail estimate 1\.518e-05 beyond X=10 exceeds tolerance "
+                   r"1\.000e-10; raise X for full accuracy$")
+        with pytest.warns(TruncationWarning, match=message):
+            integrate_halfline(f, 10.0)
+        # The same tail within a looser tolerance, or the same integrand to X = 40, passes.
+        integrate_halfline(f, 10.0, QuadratureSpec(tolerance=1e-4))
+        integrate_halfline(f, 40.0)
+        assert not recwarn.list
 
     def test_truncation_must_be_positive(self):
         with pytest.raises(ContractViolationError):
