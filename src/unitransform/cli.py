@@ -16,21 +16,18 @@ command reads is echoed in ``meta.request`` when given (except --output
 and --format, which only choose where and how the bytes are written),
 and no flag is accepted that is not read; a flag the request's mode does
 not read (``lt --s`` with a --sigma/--tau-* line, ``estimate-abscissa
---input`` with --x-*, --quad-method or --quad-tol for the fixed Gauss
-rule of ``lt --sigma`` and ``flt``, --quad-tol with --quad-method
-gauss-legendre or trapezoid) is a validation error.
+--input`` with --x-*, --quad-tol for the fixed Gauss rule of ``lt
+--sigma`` and ``flt``) is a validation error.  Every other command that
+integrates runs the adaptive engine on --quad-order and --quad-tol.
 
 Numeric flags accept plain decimals and pi multiples ("pi", "0.5pi",
-"-2pi").  The environment variable UNITRANSFORM_QUAD_TOL overrides the
-default quadrature tolerance of the adaptive method; an explicit
---quad-tol beats both.
+"-2pi").
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -62,8 +59,6 @@ from .laplace import (
     laplace_line,
 )
 from .numerics import DEFAULT_TOLERANCE, Grid, QuadratureSpec, SampledFunction, _scalar
-
-QUAD_TOL_ENV = "UNITRANSFORM_QUAD_TOL"
 
 GRAM_OFFDIAG_TOL = 1e-10
 RESIDUAL_DECAY_RANGE = (0.4, 0.6)
@@ -193,26 +188,13 @@ def _given(*values) -> bool:
 
 
 def _quad_spec(args, fixed_rule: bool = False) -> QuadratureSpec:
-    """The quadrature in use; a fixed Gauss rule (``lt --sigma``, ``flt``) reads --quad-order,
-    and only the adaptive method reads a tolerance."""
-    if fixed_rule:
-        if _given(args.quad_method, args.quad_tol):
-            raise UsageError(f"{args.command} uses a fixed Gauss rule; give only --quad-order")
+    """The quadrature in use: the adaptive engine on --quad-order and --quad-tol, or for a
+    fixed Gauss rule (``lt --sigma``, ``flt``) --quad-order alone."""
+    if args.quad_tol is None:
         return QuadratureSpec(order=args.quad_order)
-    method = args.quad_method or "adaptive"
-    if method != "adaptive":
-        if args.quad_tol is not None:
-            raise UsageError(f"--quad-method {method} is a fixed rule and reads no tolerance; "
-                             "drop --quad-tol")
-        return QuadratureSpec(method=method, order=args.quad_order)
-    tol = args.quad_tol
-    if tol is None:
-        env = os.environ.get(QUAD_TOL_ENV, str(DEFAULT_TOLERANCE))
-        try:
-            tol = float(env)
-        except ValueError:
-            raise UsageError(f"{QUAD_TOL_ENV} is not a number: {env!r}") from None
-    return QuadratureSpec(order=args.quad_order, tolerance=tol)
+    if fixed_rule:
+        raise UsageError(f"{args.command} uses a fixed Gauss rule; give only --quad-order")
+    return QuadratureSpec(order=args.quad_order, tolerance=args.quad_tol)
 
 
 def _echo(args, spec: QuadratureSpec | None = None, fixed_rule: bool = False) -> dict:
@@ -234,9 +216,7 @@ def _echo(args, spec: QuadratureSpec | None = None, fixed_rule: bool = False) ->
     if fixed_rule:
         request["quad_order"] = spec.order
     elif spec is not None:
-        request.update(quad_method=spec.method, quad_order=spec.order)
-        if spec.method == "adaptive":
-            request["quad_tol"] = spec.tolerance
+        request.update(quad_method=spec.method, quad_order=spec.order, quad_tol=spec.tolerance)
     return {"request": request}
 
 
@@ -414,9 +394,9 @@ class _Command:
     ``flags`` are the command's own flags in ``meta.request`` order.
     ``source`` is how f arrives: ``("expr", "input")`` (exactly one),
     ``("expr",)`` or ``("input",)`` (required), or ``()``.  ``quad``
-    adds --quad-method/--quad-order/--quad-tol, echoed on every request
-    (a fixed method echoes no tolerance, and a fixed Gauss rule build takes
-    and echoes --quad-order only);
+    adds --quad-order/--quad-tol, echoed on every request with
+    ``quad_method`` "adaptive" (a fixed Gauss rule build takes and echoes
+    --quad-order only);
     ``csv`` adds --format json|csv.  Every command takes --output.
     """
 
@@ -477,15 +457,14 @@ _FLAGS: dict[str, dict] = {
                 help="eigenvalue to test (repeatable; default 0 1 5)"),
     "n": dict(type=int, action="append", help="window width index (repeatable; default 4 8 16)"),
     **{name: dict(type=parse_pi_float) for axis in ("lambda", "tau", "x") for name in _grid(axis)},
-    "quad-method": dict(choices=("trapezoid", "gauss-legendre", "adaptive"), default=None),
     "quad-order": dict(type=int, default=10),
     "quad-tol": dict(type=parse_pi_float, default=None,
                      help=f"absolute tolerance of the adaptive method "
-                          f"(default {DEFAULT_TOLERANCE}, or ${QUAD_TOL_ENV})"),
+                          f"(default {DEFAULT_TOLERANCE})"),
     "format": dict(choices=("json", "csv"), default="json"),
     "output": dict(help="output file path (stdout when omitted)"),
 }
-_QUAD = ("quad-method", "quad-order", "quad-tol")
+_QUAD = ("quad-order", "quad-tol")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -77,7 +77,9 @@ def forward_fl(
     ``truncations`` is the pair (A, X): the x integral runs over [-A, A]
     and the t integral over [0, X].  f must decay in x and be of
     exponential type below sigma in t; growth of |f| toward t = X raises
-    :class:`DivergenceError` naming the t axis.
+    :class:`DivergenceError` naming the t axis.  Both axes use the fixed
+    Gauss rule of :func:`numerics._grid_rule` with ``spec.order`` nodes per
+    panel; no other field of ``spec`` is read.
 
     The x-axis :func:`numerics.exp_sum` plan is built once per call; each
     block of t nodes gets one t-axis plan, whose damped sums

@@ -118,7 +118,8 @@ def laplace_line(
 
     All line points share one composite rule fine enough for the fastest
     oscillation on the grid, so the whole line, with the decay probe at X/2
-    and X, costs one integrand call.
+    and X, costs one integrand call.  The rule is fixed, with
+    ``spec.order`` Gauss nodes per panel; no other field of ``spec`` is read.
     """
     X, sigma = _scalar(truncation, "truncation X", "positive"), _scalar(sigma, "sigma")
     nodes, weights = _grid_rule(0.0, X, tau_grid, (spec or DEFAULT_SPEC).order)

@@ -7,9 +7,9 @@ integrands are handled by panel subdivision, see
 :func:`oscillation_panels`; no Filon-type machinery.  Every rule, like
 every adaptive pass, is held to the budget of ``_MAX_SPLITS`` panels
 (:func:`_panel_budget`).  Every pass evaluates f once on its starting
-rule.  In :func:`integrate` and :func:`integrate_grid` that is
-:func:`_start_rule`: a fixed method is that rule summed, and the adaptive
-method bisects its Gauss panels from there.  :func:`integrate_grid`
+rule, ``order`` Gauss nodes on each of its equal panels
+(:func:`composite_gauss_nodes`): ``gauss-legendre`` is that rule summed,
+and the adaptive method bisects its panels from there.  :func:`integrate_grid`
 integrates f against exp(i w x) for a whole grid of w in one pass, and
 :func:`exp_sum` sums samples on the Gauss rule of :func:`_grid_rule`, or
 stored ones, against it, by chirp-z FFTs where that is cheaper than its
@@ -47,7 +47,7 @@ from .errors import (
 
 DEFAULT_TOLERANCE = 1e-10
 
-_METHODS = ("trapezoid", "gauss-legendre", "adaptive")
+_METHODS = ("gauss-legendre", "adaptive")
 _MAX_BISECTIONS = 48
 # Work budget of one adaptive pass: panel splits per _adaptive or _adaptive_grid call,
 # over 100x the most a test needs (1,741, real-series of a piecewise-linear function).
@@ -131,10 +131,11 @@ def _sampled(values, *grids: Grid) -> np.ndarray:
 class QuadratureSpec:
     """Quadrature method selection.
 
-    ``order`` is the node count per panel for Gauss-Legendre and the
-    panel count for the trapezoid rule; the adaptive engine uses it as
-    the base rule refined by bisection.  ``tolerance`` is the absolute
-    error target of the adaptive engine.
+    ``order`` is the number of Gauss-Legendre nodes per panel, of every
+    rule a pass starts from and of each half the adaptive engine bisects
+    into.  ``tolerance`` is the absolute error target of the adaptive
+    engine.  ``gauss-legendre`` is the starting rule summed, unrefined: the
+    reference rule that tests and the acceptance probe compare against.
     """
 
     method: str = "adaptive"
@@ -381,7 +382,7 @@ def _chirp_layout(nodes: np.ndarray, grid: Grid):
 
     The grid must be w0 + m*h (m < M) and the n nodes q interleaved
     sub-grids c_r + p*d (node p*q + r, p < P = n/q), the smallest such q
-    (10 for the default Gauss rule, 1 for trapezoid or equispaced nodes).
+    (10 for the default Gauss rule, 1 for equispaced nodes).
     The plan is taken when ``_CHIRP_SETUP`` plus q FFTs of length
     L >= M + P - 1 cost less than the n*M entries of the direct kernel.
     Returns (c, d, grid points, h, L).
@@ -596,15 +597,6 @@ def _grid_rule(a: float, b: float, grid: Grid, order: int):
     return composite_gauss_nodes(a, b, order, panels)
 
 
-def _start_rule(spec: QuadratureSpec, a: float, b: float, panels: int):
-    """Nodes and weights a pass starts from on ``panels`` equal panels of [a, b]: ``trapezoid``'s
-    ``order * panels + 1`` equispaced nodes, else :func:`composite_gauss_nodes`."""
-    if spec.method == "trapezoid":
-        x = np.linspace(a, b, spec.order * panels + 1)
-        return x, Grid(x).trapezoid_weights()
-    return composite_gauss_nodes(a, b, spec.order, panels)
-
-
 def _bounds(interval: tuple[float, float]) -> tuple[float, float]:
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -644,7 +636,7 @@ def integrate(
     if panels < 1:
         raise ContractViolationError("panel count must be >= 1")
     _panel_budget(panels)
-    nodes, weights = _start_rule(spec, a, b, panels)
+    nodes, weights = composite_gauss_nodes(a, b, spec.order, panels)
     fx = _eval_integrand(f, nodes)
     if spec.method != "adaptive":
         return complex(np.dot(weights, fx))
@@ -690,11 +682,10 @@ def integrate_grid(
     """Integrals of f(x) exp(i*w*x) over [a, b] for every w on ``grid``, sharing the samples.
 
     The rule starts from ``oscillation_panels(max |w|)`` panels.
-    ``gauss-legendre`` and ``trapezoid`` evaluate f once on their
-    :func:`_start_rule` and sum it through :func:`exp_sum`.  ``adaptive``
-    bisects the Gauss panels, see
-    :func:`_adaptive_grid`, over runs of the grid small enough that the
-    starting panels times the run fit in ``_GRID_CELLS``.
+    ``gauss-legendre`` evaluates f once on that rule, :func:`_grid_rule`,
+    and sums it through :func:`exp_sum`.  ``adaptive`` bisects the Gauss
+    panels, see :func:`_adaptive_grid`, over runs of the grid small enough
+    that the starting panels times the run fit in ``_GRID_CELLS``.
 
     Returns the integrals and |f| at a, the starting nodes (the first
     run's) and b, for :func:`_check_ends`.
@@ -702,11 +693,11 @@ def integrate_grid(
     spec = spec or DEFAULT_SPEC
     a, b = _bounds(interval)
     w = grid.points
-    panels = oscillation_panels(float(np.max(np.abs(w))), a, b)
     if spec.method != "adaptive":
-        x, weights = _start_rule(spec, a, b, panels)
+        x, weights = _grid_rule(a, b, grid, spec.order)
         fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
         return exp_sum(weights * fx[1:-1], x, grid, 1), np.abs(fx)
+    panels = oscillation_panels(float(np.max(np.abs(w))), a, b)
     run = max(1, _GRID_CELLS // (2 * panels))
     total = np.empty(w.size, dtype=complex)
     for start in range(0, w.size, run):

@@ -429,18 +429,6 @@ class TestDeterminismAndEnv:
         doc = json.loads(out_a.read_text())
         assert doc["sup_error"] <= 1e-6
 
-    def test_quad_tol_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("UNITRANSFORM_QUAD_TOL", "1e-6")
-        doc = run_json(capsys, "lt", "--expr", "1", "--s", "2+0i", "--X", "40")
-        assert doc["meta"]["request"]["quad_tol"] == 1e-6
-
-    def test_explicit_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("UNITRANSFORM_QUAD_TOL", "1e-6")
-        doc = run_json(
-            capsys, "lt", "--expr", "1", "--s", "2+0i", "--X", "40", "--quad-tol", "1e-12"
-        )
-        assert doc["meta"]["request"]["quad_tol"] == 1e-12
-
     def test_csv_output(self, capsys):
         code, out, err = run_cli(
             capsys, "series", "--expr", "x", "--L", "1", "--K", "1", "--format", "csv"
@@ -474,7 +462,14 @@ class TestDeterminismAndEnv:
 
 
 class TestCommandTable:
-    QUAD = {"--quad-method", "--quad-order", "--quad-tol"}
+    QUAD = {"--quad-order", "--quad-tol"}
+    FIXED_RULE = {
+        "lt": ["lt", "--expr", "x*exp(-x)", "--sigma", "0.5", "--X", "40",
+               "--tau-min", "-1", "--tau-max", "1", "--tau-step", "0.5"],
+        "flt": ["flt", "--expr", "exp(-x^2/2)*exp(-t)", "--sigma", "0.5", "--A", "12",
+                "--X", "40", "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.5",
+                "--tau-min", "-1", "--tau-max", "1", "--tau-step", "0.5"],
+    }
 
     def _subparsers(self):
         parser = build_parser()
@@ -541,9 +536,11 @@ class TestCommandTable:
              "--x-min", "0", "--x-max", "1", "--x-step", "0.5"],
             ["lt", "--expr", "1", "--s", "2+0i", "--X", "40", "--tau-max", "5"],
             ["estimate-abscissa", "--input", "f.json", "--x-step", "1"],
+            ["lt", "--expr", "1", "--s", "2+0i", "--X", "40", "--quad-method", "gauss-legendre"],
+            [*FIXED_RULE["flt"], "--quad-method", "adaptive"],
         ],
         ids=["ilt-quad-tol", "ift-expr", "verify-residual-format", "roundtrip-input",
-             "lt-s-tau-max", "abscissa-input-x-step"],
+             "lt-s-tau-max", "abscissa-input-x-step", "lt-s-quad-method", "flt-quad-method"],
     )
     def test_flag_that_would_not_be_read_is_rejected(self, capsys, stored, argv):
         capsys.readouterr()
@@ -570,17 +567,8 @@ class TestCommandTable:
         assert request["n"] == [4, 8]
         assert list(request)[-3:] == ["quad_method", "quad_order", "quad_tol"]
 
-    FIXED_RULE = {
-        "lt": ["lt", "--expr", "x*exp(-x)", "--sigma", "0.5", "--X", "40",
-               "--tau-min", "-1", "--tau-max", "1", "--tau-step", "0.5"],
-        "flt": ["flt", "--expr", "exp(-x^2/2)*exp(-t)", "--sigma", "0.5", "--A", "12",
-                "--X", "40", "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.5",
-                "--tau-min", "-1", "--tau-max", "1", "--tau-step", "0.5"],
-    }
-
     @pytest.mark.parametrize("command", ["lt", "flt"])
-    @pytest.mark.parametrize("flag", [["--quad-method", "adaptive"], ["--quad-tol", "1e-8"]],
-                             ids=["method", "tol"])
+    @pytest.mark.parametrize("flag", [["--quad-tol", "1e-8"]], ids=["tol"])
     def test_fixed_rule_rejects_unread_quad_flags(self, capsys, command, flag):
         code, out, err = run_cli(capsys, *self.FIXED_RULE[command], *flag)
         assert code == 1
@@ -588,50 +576,12 @@ class TestCommandTable:
         assert err == f"error: validation: {command} uses a fixed Gauss rule; give only --quad-order\n"
 
     @pytest.mark.parametrize("command", ["lt", "flt"])
-    def test_fixed_rule_echoes_only_quad_order(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("UNITRANSFORM_QUAD_TOL", "1e-6")
+    def test_fixed_rule_echoes_only_quad_order(self, capsys, command):
         doc = run_json(capsys, *self.FIXED_RULE[command], "--quad-order", "12")
         request = doc["meta"]["request"]
         assert list(request)[-1] == "quad_order"
         assert request["quad_order"] == 12
         assert "quad_method" not in request and "quad_tol" not in request
-
-    def test_point_laplace_still_echoes_all_quadrature(self, capsys):
-        doc = run_json(capsys, "lt", "--expr", "1", "--s", "2+0i", "--X", "40",
-                       "--quad-method", "gauss-legendre")
-        request = doc["meta"]["request"]
-        assert list(request)[-2:] == ["quad_method", "quad_order"]
-        assert [request[k] for k in ("quad_method", "quad_order")] == ["gauss-legendre", 10]
-        assert "quad_tol" not in request
-
-    FIXED_METHOD = {
-        "series": ["series", "--expr", "x", "--L", "1", "--K", "2"],
-        "real-series": ["real-series", "--expr", "x", "--L", "1", "--K", "2"],
-        "ft": ["ft", "--expr", "exp(-x^2)", "--A", "6", "--lambda-min", "-1",
-               "--lambda-max", "1", "--lambda-step", "0.5"],
-        "lt": ["lt", "--expr", "exp(-x)", "--s", "2+0i", "--X", "40"],
-        "verify-orthogonality": ["verify-orthogonality", "--L", "1", "--K", "2"],
-    }
-
-    @pytest.mark.parametrize("method", ["gauss-legendre", "trapezoid"])
-    @pytest.mark.parametrize("command", list(FIXED_METHOD))
-    def test_fixed_method_rejects_quad_tol(self, capsys, command, method):
-        code, out, err = run_cli(capsys, *self.FIXED_METHOD[command], "--quad-method", method,
-                                 "--quad-tol", "1e-10")
-        assert code == 1
-        assert out == ""
-        assert err == (f"error: validation: --quad-method {method} is a fixed rule and reads "
-                       "no tolerance; drop --quad-tol\n")
-
-    @pytest.mark.parametrize("command", list(FIXED_METHOD))
-    def test_fixed_method_echoes_no_tolerance(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("UNITRANSFORM_QUAD_TOL", "1e-6")
-        doc = run_json(capsys, *self.FIXED_METHOD[command], "--quad-method", "trapezoid",
-                       "--quad-order", "12")
-        request = doc["meta"]["request"]
-        assert list(request)[-2:] == ["quad_method", "quad_order"]
-        assert [request["quad_method"], request["quad_order"]] == ["trapezoid", 12]
-        assert "quad_tol" not in request
 
     def test_non_finite_time_is_a_validation_error(self, capsys, stored):
         capsys.readouterr()

@@ -130,7 +130,6 @@ def library_digests() -> dict:
 
 def test_every_output_matches_its_recorded_digest(tmp_path, monkeypatch, capsysbinary):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("UNITRANSFORM_QUAD_TOL", raising=False)
     digests = {**corpus_digests(capsysbinary), **library_digests()}
     changed = sorted(name for name in DIGESTS if digests.get(name) != DIGESTS[name])
     assert not changed, f"output bytes changed: {changed}"

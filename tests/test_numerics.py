@@ -73,8 +73,9 @@ class TestSampledFunction:
 
 class TestQuadratureSpec:
     def test_validation(self):
-        with pytest.raises(ContractViolationError):
-            QuadratureSpec(method="simpson")
+        for method in ("simpson", "trapezoid"):
+            with pytest.raises(ContractViolationError):
+                QuadratureSpec(method=method)
         with pytest.raises(ContractViolationError):
             QuadratureSpec(order=1)
         with pytest.raises(ContractViolationError):
@@ -169,17 +170,6 @@ class TestIntegrate:
                 lambda x, d=degree + 1: np.asarray(x, float) ** d + 0j, (-1.0, 1.0), spec
             )
             assert abs(v2.real - 2.0 / (degree + 2)) > 1e-13
-
-    def test_trapezoid_error_quarters_when_halving_width(self):
-        exact = math.e - 1.0
-        f = lambda x: np.exp(np.asarray(x, float)) + 0j
-
-        def err(panel_count):
-            spec = QuadratureSpec(method="trapezoid", order=panel_count)
-            return abs(integrate(f, (0.0, 1.0), spec).real - exact)
-
-        ratio = err(64) / err(128)
-        assert 0.8 * 4 <= ratio <= 1.2 * 4
 
     def test_adaptive_meets_tolerance(self):
         spec = QuadratureSpec(method="adaptive", tolerance=1e-12)
@@ -462,10 +452,9 @@ class TestIntegrateGrid:
         # one rule for the whole grid, fine enough for its largest |lam|
         lams = Grid.uniform(-6.0, 6.0, 25)
         exact = math.sqrt(2 * math.pi) * np.exp(-lams.points**2 / 2)
-        for method in ("gauss-legendre", "trapezoid"):
-            got, magnitude = integrate_grid(_gaussian, (-12.0, 12.0), lams, QuadratureSpec(method))
-            np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
-            assert magnitude[0] == magnitude[-1] == pytest.approx(math.exp(-72.0))
+        got, magnitude = integrate_grid(_gaussian, (-12.0, 12.0), lams, GL)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
+        assert magnitude[0] == magnitude[-1] == pytest.approx(math.exp(-72.0))
 
 
 def _narrow(x):
