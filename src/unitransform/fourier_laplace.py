@@ -9,14 +9,15 @@ functions.
 
 Each axis is its 1-D piece, with its 1-D guards reported under the axis
 name.  Forward: both rules come from :func:`numerics._grid_rule`; the x
-axis is a :func:`numerics.exp_sum`, the t axis the damped line sum of
-:func:`laplace.laplace_line`.  The forward build runs per block of t
-nodes: f on the x nodes times the block, its x sums through one plan
-built per call, then their t sums added into the output in place, so its
-peak memory is the output plus one block of about ``_FL_BLOCK`` (x, t)
-points, not set by the length of the t axis.  Inverse: the stored-line
-contour sum of :func:`laplace.bromwich_inverse_from_samples`, then the
-stored-spectrum sum of :func:`fourier_transform.inverse_ft` at x.
+axis is a :func:`numerics.exp_sum` whose ends meet the guard of
+:func:`fourier_transform.forward_ft`, the t axis the damped line sum and
+tail guard of :func:`laplace.laplace_line`.  The forward build runs per
+block of t nodes: f on the x nodes times the block, its x sums through
+one plan built per call, then their t sums added into the output in
+place, so its peak memory is the output plus one block of about
+``_FL_BLOCK`` (x, t) points, not set by the length of the t axis.
+Inverse: the stored-line contour sum of :func:`laplace.bromwich_inverse_from_samples`,
+then the stored-spectrum sum of :func:`fourier_transform.inverse_ft` at x.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .numerics import (
     QuadratureSpec,
     _ExpPlan,
     _check_decay,
+    _check_ends,
     _eval_integrand,
     _grid_rule,
     _scalar,
@@ -48,8 +50,8 @@ _FL_BLOCK = 2**18
 class FourierLaplaceSpectrum:
     """F(lam, sigma + i*tau) indexed by a frequency grid and a contour grid.
 
-    ``convention`` is the tag of its spectrum files.  The spectrum owns a
-    copy of ``values`` and keeps their contour profile, as
+    ``convention`` is the tag of its spectrum files.  The spectrum owns its
+    ``values`` and keeps their contour profile, as
     :class:`laplace.LaplaceSpectrum` does.
     """
 
@@ -75,29 +77,36 @@ def forward_fl(
     """Forward transform on the product of a lambda grid and a tau grid.
 
     ``truncations`` is the pair (A, X): the x integral runs over [-A, A]
-    and the t integral over [0, X].  f must decay in x and be of
-    exponential type below sigma in t; growth of |f| toward t = X raises
-    :class:`DivergenceError` naming the t axis.  Both axes use the fixed
-    Gauss rule of :func:`numerics._grid_rule` with ``spec.order`` nodes per
-    panel; no other field of ``spec`` is read.
+    and the t integral over [0, X], both on the fixed Gauss rule of
+    :func:`numerics._grid_rule` with ``spec.order`` nodes per panel, not
+    refined; ``spec.tolerance`` bounds only the t axis's tail.  The guards
+    read |f| e^{-sigma t}: :func:`numerics._check_decay` its peak over x at
+    t = X/2 and X, the tail weighted by A/pi (the x integral's weight), and
+    :func:`numerics._check_ends` its peak over every t at x = -A, the nodes and A.
 
-    The x-axis :func:`numerics.exp_sum` plan is built once per call; each
-    block of t nodes gets one t-axis plan, whose damped sums
-    :func:`laplace._line_sum` adds into the output in place.  Peak memory
-    is the output plus one block of about ``_FL_BLOCK`` (x, t) points; the
-    returned spectrum then takes its own copy of the output.
+    The x-axis plan is built once per call and each block of t nodes gets
+    one t-axis plan, whose sums :func:`laplace._line_sum` adds into the
+    output in place: peak memory is the output, which the spectrum adopts,
+    plus one block of about ``_FL_BLOCK`` (x, t) points.
     """
     A = _scalar(truncations[0], "truncation A", "positive")
     X, sigma = _scalar(truncations[1], "truncation X", "positive"), _scalar(sigma, "sigma")
-    order = (spec or DEFAULT_SPEC).order
-    x_nodes, x_weights = _grid_rule(-A, A, lambda_grid, order)
-    t_nodes, t_weights = _grid_rule(0.0, X, tau_grid, order)
+    spec = spec or DEFAULT_SPEC
+    x_nodes, x_weights = _grid_rule(-A, A, lambda_grid, spec.order)
+    t_nodes, t_weights = _grid_rule(0.0, X, tau_grid, spec.order)
+    x_ends, x_profile = np.concatenate(([-A], x_nodes, [A])), np.zeros(x_nodes.size + 2)
 
-    def f_on(t: np.ndarray) -> np.ndarray:
-        return _eval_integrand(f, *np.broadcast_arrays(x_nodes[:, None], t[None, :]), at="x,t")
+    def f_on(t: np.ndarray):
+        """(f wx on the x nodes, |f| e^{-sigma t} on x_ends) at t; the latter joins x_profile."""
+        fx = _eval_integrand(f, *np.broadcast_arrays(x_ends[:, None], t[None, :]), at="x,t")
+        magnitude = np.abs(fx)
+        magnitude *= np.exp(-sigma * t)
+        np.maximum(x_profile, magnitude.max(axis=1), out=x_profile)
+        fx[1:-1] *= x_weights[:, None]
+        return fx[1:-1], magnitude
 
-    # Half-line divergence check along the t axis, at the x profile peak.
-    _check_decay(np.max(np.abs(f_on(np.array([X / 2.0, X]))), axis=0), X, "t axis: ")
+    _check_decay(f_on(np.array([X / 2.0, X]))[1].max(axis=0), X, spec.tolerance, "t axis: ",
+                 A / math.pi)
 
     # One pass per block of t nodes, about _FL_BLOCK (x, t) points each: the inner x
     # integrals G(lam, t_m) = (1/2pi) sum_j wx_j f(x_j, t_m) e^{i lam x_j} of the block,
@@ -107,10 +116,10 @@ def forward_fl(
     t_block = max(1, _FL_BLOCK // x_nodes.size)
     for start in range(0, t_nodes.size, t_block):
         t, wt = t_nodes[start:start + t_block], t_weights[start:start + t_block]
-        G = x_sums.apply(f_on(t).T * x_weights, np.zeros((t.size, len(lambda_grid)), dtype=complex))
-        G = G.T / (2.0 * math.pi)
-        _line_sum(G, t, wt, sigma, tau_grid, values)
-    del G, x_sums  # so that the spectrum's copy of values is not made on top of the last block
+        G = x_sums.apply(f_on(t)[0].T, np.zeros((t.size, len(lambda_grid)), dtype=complex))
+        _line_sum(G.T / (2.0 * math.pi), t, wt, sigma, tau_grid, values)
+    _check_ends(x_profile, "x axis: integrand f", "the truncation A", stacklevel=3)
+    values.flags.writeable = False
     return FourierLaplaceSpectrum(lambda_grid, sigma, tau_grid, values)
 
 

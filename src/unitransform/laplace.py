@@ -59,8 +59,8 @@ CONTOUR_STEP = 0.05
 class LaplaceSpectrum:
     """Samples of a transform along the vertical line sigma + i*tau.
 
-    ``convention`` is the tag of its spectrum files.  The spectrum owns a
-    copy of ``values`` and keeps their :func:`_contour_profile` for reads.
+    ``convention`` is the tag of its spectrum files.  The spectrum owns its
+    ``values`` and keeps their :func:`_contour_profile` for reads.
     """
 
     convention: ClassVar[str] = "laplace-line"
@@ -118,15 +118,19 @@ def laplace_line(
 
     All line points share one composite rule fine enough for the fastest
     oscillation on the grid, so the whole line, with the decay probe at X/2
-    and X, costs one integrand call.  The rule is fixed, with
-    ``spec.order`` Gauss nodes per panel; no other field of ``spec`` is read.
+    and X, costs one integrand call.  The rule is fixed, ``spec.order``
+    Gauss nodes per panel, not refined; ``spec.tolerance`` bounds only the
+    tail that :func:`numerics._check_decay` reads from |f| e^{-sigma t}.
     """
+    spec = spec or DEFAULT_SPEC
     X, sigma = _scalar(truncation, "truncation X", "positive"), _scalar(sigma, "sigma")
-    nodes, weights = _grid_rule(0.0, X, tau_grid, (spec or DEFAULT_SPEC).order)
-    fx = _eval_integrand(f, np.concatenate((nodes, [X / 2.0, X])))
-    _check_decay(np.abs(fx[-2:]), X)
-    values = np.zeros(len(tau_grid), dtype=complex)
-    _line_sum(fx[:-2], nodes, weights, sigma, tau_grid, values)
+    nodes, weights = _grid_rule(0.0, X, tau_grid, spec.order)
+    probe = np.array([X / 2.0, X])
+    fx = _eval_integrand(f, np.concatenate((nodes, probe)))
+    _check_decay(np.abs(fx[-2:]) * np.exp(-sigma * probe), X, spec.tolerance)
+    values = _line_sum(fx[:-2], nodes, weights, sigma, tau_grid,
+                       np.zeros(len(tau_grid), dtype=complex))
+    values.flags.writeable = False
     return LaplaceSpectrum(sigma=sigma, tau_grid=tau_grid, values=values)
 
 
@@ -154,15 +158,19 @@ def _contour_step(t: float, spacing: float | None = None, axis: str = "") -> flo
 
 
 def _contour_profile(values: np.ndarray) -> np.ndarray:
-    """|values| along tau (the last axis), largest over the leading axes: the magnitude the
-    endpoint guard reads, since |e^{st}| is constant on the line."""
-    return np.abs(values).reshape(-1, values.shape[-1]).max(axis=0)
+    """|values| along tau (the last axis), largest over the leading axes, 8 rows at a time: the
+    magnitude the endpoint guard reads, since |e^{st}| is constant on the line."""
+    rows = values.reshape(-1, values.shape[-1])
+    return np.max([np.abs(rows[i:i + 8]).max(axis=0) for i in range(0, len(rows), 8)], axis=0)
 
 
 def _store_line_values(spectrum, *grids: Grid) -> None:
-    """Give a frozen line spectrum a checked, read-only copy of its values and their
-    :func:`_contour_profile`; the copy keeps a caller's later writes from staling the profile."""
-    values = _sampled(np.array(spectrum.values, dtype=complex), *grids)
+    """Give a frozen line spectrum checked, read-only values and their :func:`_contour_profile`.
+    It adopts a read-only array that owns its data, a transform's fresh output, and copies any
+    other, a caller's included, whose later writes would stale the profile."""
+    given = spectrum.values
+    fresh = isinstance(given, np.ndarray) and given.flags.owndata and not given.flags.writeable
+    values = _sampled(given if fresh else np.array(given, dtype=complex), *grids)
     object.__setattr__(spectrum, "values", values)
     object.__setattr__(spectrum, "_profile", _contour_profile(values))
 
@@ -194,6 +202,7 @@ def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
     T, sigma = _scalar(T, "contour half-height T", "positive"), _scalar(sigma, "sigma")
     tau_grid = Grid.uniform(-T, T, 2 * math.ceil(T / _contour_step(t)) + 1)
     values = _eval_integrand(fhat, sigma + 1j * tau_grid.points, at="s")
+    values.flags.writeable = False
     return complex(_line_inverse(LaplaceSpectrum(sigma, tau_grid, values), t))
 
 

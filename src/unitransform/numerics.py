@@ -1,9 +1,8 @@
 """Grids, complex-valued sampled functions, and quadrature engines.
 
 All integrals in the toolkit go through :func:`integrate` (finite
-intervals) or :func:`integrate_halfline` (truncated ``[0, X]`` integrals
-with a tail estimate that warns above the tolerance).  Oscillatory
-integrands are handled by panel subdivision, see
+intervals) or :func:`integrate_halfline` (truncated ``[0, X]``
+integrals).  Oscillatory integrands are handled by panel subdivision, see
 :func:`oscillation_panels`; no Filon-type machinery.  Every rule, like
 every adaptive pass, is held to the budget of ``_MAX_SPLITS`` panels
 (:func:`_panel_budget`).  Every pass evaluates f once on its starting
@@ -17,12 +16,13 @@ direct kernel.  :func:`exp_sum` is a plan, :class:`_ExpPlan`, built once
 from the nodes and the grid, and an apply step that adds the sums into a
 caller's array, so a caller that sums many arrays on the same nodes and
 grid builds the kernel once and holds no second output.
-:func:`_eval_integrand` evaluates every callable, :func:`_check_decay` checks every half-line
-truncation and :func:`_check_ends` every truncated interval or contour
-whose integrand should have died out at its ends.  The input contract is
-three guards: :func:`_scalar` for every scalar that defines a problem,
-:func:`_points` for evaluation points given as a scalar or an array, and
-:func:`_sampled` for every array of sampled values.
+:func:`_eval_integrand` evaluates every callable.  Every truncation meets one of the two
+guards that build a :class:`TruncationWarning`: :func:`_check_decay` on a half line (growth
+and tail of the integrand as summed, |f| e^{-sigma t} on a damped line), :func:`_check_ends`
+on an interval or contour whose integrand should have died out at its ends.  The input
+contract is three guards: :func:`_scalar` for every scalar that defines a problem,
+:func:`_points` for evaluation points given as a scalar or an array, and :func:`_sampled`
+for every array of sampled values.
 """
 
 from __future__ import annotations
@@ -293,18 +293,25 @@ def _eval_integrand(f: Callable, *args: np.ndarray, at: str = "x") -> np.ndarray
     return out
 
 
-def _check_decay(ends: np.ndarray, X: float, axis: str = "") -> tuple[float, float]:
-    """Reject growth of |f| from X/2 to the truncation point X.
+def _check_decay(ends: np.ndarray, X: float, tol: float, axis: str = "", scale=1.0) -> float:
+    """The half-line guard, on |g(X/2)| and |g(X)| (``ends``) of the integrand g as it is summed.
 
-    ``ends`` holds |f(X/2)| and |f(X)|; they come back as floats.
-    """
-    f_mid, f_end = float(ends[0]), float(ends[1])
-    if f_end > f_mid:
+    Growth raises :class:`DivergenceError`.  The tail beyond X, |g(X)| over the decay rate
+    the two read, times ``scale`` (the weight of an outer integral), is returned, and warns
+    with a :class:`TruncationWarning` above ``tol``."""
+    g_mid, g_end = float(ends[0]), float(ends[1])
+    if g_end > g_mid:
         raise DivergenceError(
-            f"{axis}integrand grows toward the truncation point: |f({X})|={f_end:.3e} "
-            f"> |f({X / 2.0})|={f_mid:.3e}"
+            f"{axis}integrand grows toward the truncation point: |f({X})|={g_end:.3e} "
+            f"> |f({X / 2.0})|={g_mid:.3e}"
         )
-    return f_mid, f_end
+    rate = math.log(g_mid / g_end) / (X / 2.0) if g_mid > g_end > 0.0 else 0.0
+    tail = scale * g_end / rate if rate > 0 else (0.0 if g_end == 0.0 else math.inf)
+    if tail > tol:
+        warnings.warn(TruncationWarning(
+            f"{axis}half-line tail estimate {tail:.3e} beyond X={X:g} exceeds tolerance "
+            f"{tol:.3e}; raise X for full accuracy"), stacklevel=3)
+    return tail
 
 
 def _check_ends(magnitude: np.ndarray, what: str, remedy: str, stacklevel: int = 4) -> None:
@@ -763,36 +770,11 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec):
     return total, np.abs(fx)
 
 
-def integrate_halfline(
-    f: Callable,
-    truncation: float,
-    spec: QuadratureSpec | None = None,
-    damping: float | None = None,
-    panels: int = 1,
-) -> HalfLineResult:
-    """Integrate f over [0, X] and attach a tail bound for [X, infinity).
-
-    The integrand must decay beyond the truncation point; growth
-    (``|f(X)| > |f(X/2)|``) raises :class:`DivergenceError`.  The tail
-    bound uses the supplied exponential ``damping`` rate (finite and > 0)
-    when given, otherwise a rate estimated from the last two magnitude
-    samples.  A tail bound above the spec's tolerance warns with a
-    :class:`TruncationWarning`.
-    """
+def integrate_halfline(f: Callable, truncation: float, spec: QuadratureSpec | None = None,
+                       panels: int = 1) -> HalfLineResult:
+    """Integrate f over [0, X], with the tail beyond X of :func:`_check_decay`: growth of
+    |f| toward X raises, a tail above the spec's tolerance warns."""
     spec = spec or DEFAULT_SPEC
     X = _scalar(truncation, "truncation X", "positive")
-    rate = None if damping is None else _scalar(damping, "damping rate", "positive")
-    f_mid, f_end = _check_decay(np.abs(_eval_integrand(f, np.array([X / 2.0, X]))), X)
-    value = integrate(f, (0.0, X), spec, panels=panels)
-    if rate is None:
-        rate = math.log(f_mid / f_end) / (X / 2.0) if f_mid > f_end > 0.0 else 0.0
-    tail = f_end / rate if rate > 0 else (0.0 if f_end == 0.0 else math.inf)
-    if tail > spec.tolerance:
-        warnings.warn(
-            TruncationWarning(
-                f"half-line tail estimate {tail:.3e} beyond X={X:g} exceeds tolerance "
-                f"{spec.tolerance:.3e}; raise X for full accuracy"
-            ),
-            stacklevel=2,
-        )
-    return HalfLineResult(value=value, tail_estimate=tail)
+    tail = _check_decay(np.abs(_eval_integrand(f, np.array([X / 2.0, X]))), X, spec.tolerance)
+    return HalfLineResult(value=integrate(f, (0.0, X), spec, panels=panels), tail_estimate=tail)

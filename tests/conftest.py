@@ -18,3 +18,15 @@ if "numpy" in sys.modules:
     )
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+
+def pytest_collection_modifyitems(items):
+    """Fail every test that lets a TruncationWarning escape unasserted.
+
+    The class is named here, after the pin above, because naming it in
+    pyproject.toml's ``filterwarnings`` would import numpy before this file.
+    """
+    import pytest
+
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings("error::unitransform.errors.TruncationWarning"))

@@ -96,6 +96,14 @@ class TestTransformPipelines:
         assert values[0.0].real == pytest.approx(1.0, abs=1e-6)
         assert values[1.0].real == pytest.approx(math.exp(-0.5), abs=1e-6)
 
+    def test_lt_line_damps_growth_below_sigma(self, capsys):
+        # The guards read |f| e^{-sigma t} = e^{-t/2}, not the growing |f|.
+        doc = run_json(capsys, "lt", "--expr", "exp(0.5*x)", "--sigma", "1", "--X", "60",
+                       "--tau-min", "-2", "--tau-max", "2", "--tau-step", "1")
+        values = np.array([complex(re, im) for re, im in doc["values"]])
+        exact = 1.0 / (0.5 + 1j * np.array(doc["tau_grid"]))
+        assert np.max(np.abs(values - exact)) <= 1e-10
+
     def test_lt_line_then_ilt(self, capsys, tmp_path):
         line_path = str(tmp_path / "line.json")
         code, _, err = run_cli(
@@ -396,6 +404,16 @@ class TestErrorSurface:
         assert out == ""
         assert err.startswith("error: numerical: integrand f at the endpoints is 1.00e+00 of its peak")
 
+    def test_flt_without_decay_in_x_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "flt", "--expr", "exp(-x^2/200)*exp(-t)", "--sigma", "0.5", "--A", "2",
+            "--X", "40", "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "1",
+            "--tau-min", "-1", "--tau-max", "1", "--tau-step", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: numerical: x axis: integrand f at the endpoints is 9.81e-01 of "
+                       "its peak; raise the truncation A for full accuracy\n")
+
     def test_aliasing_exit_2(self, capsys, tmp_path):
         spectrum_path = str(tmp_path / "coarse.json")
         code, _, err = run_cli(
@@ -441,7 +459,9 @@ class TestDeterminismAndEnv:
     @pytest.mark.parametrize("argv, message", [
         (("--s", "1+1e308i", "--X", "40"), "the rule needs inf panels"),
         (("--s", "1", "--X", "10"), "half-line tail estimate 1.518e-05"),
-    ], ids=["panel-budget", "half-line-tail"])
+        (("--sigma", "0", "--X", "10", "--tau-min", "-1", "--tau-max", "1", "--tau-step", "1"),
+         "half-line tail estimate 3.679e+00 beyond X=10"),
+    ], ids=["panel-budget", "half-line-tail", "line-tail"])
     def test_entry_point_numerical_error_is_one_line(self, argv, message):
         result = subprocess.run(
             [sys.executable, "-m", "unitransform", "lt", "--expr", "exp(-0.1*x)", *argv],

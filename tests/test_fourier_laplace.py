@@ -153,8 +153,8 @@ class TestStreamedBuild:
 
     def test_peak_memory_does_not_grow_with_the_t_axis(self):
         # 61 x 2001 at X = 40 is 1.7M (x, t) points, 27 MB as complex: the bound admits the
-        # output, the spectrum's own copy of it and a few copies of one block, never the whole
-        # t axis.  Each block's t sums are added into the output in place.
+        # output, which the spectrum adopts without a copy, and three copies of one block,
+        # never the whole t axis.  Each block's t sums are added into the output in place.
         lam_grid, tau_grid = Grid.uniform(-6.0, 6.0, 61), Grid.uniform(-50.0, 50.0, 2001)
         forward_fl(separable, lam_grid, 0.5, tau_grid, (A_TRUNC, X_TRUNC))
         tracemalloc.start()
@@ -163,7 +163,7 @@ class TestStreamedBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 2 * values.nbytes + 3 * 16 * _FL_BLOCK
+        bound = values.nbytes + 3 * 16 * _FL_BLOCK
         assert peak <= bound, f"peak {peak / 1e6:.1f} MB exceeds {bound / 1e6:.1f} MB"
 
 
@@ -175,9 +175,9 @@ class TestInverse:
         T = 100.0
         n = int(math.ceil(T / 0.05))
         tau_grid = Grid.uniform(-T, T, 2 * n + 1)
-        spectrum = forward_fl(separable, lam_grid, 0.0, tau_grid, (A_TRUNC, 20.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
+            spectrum = forward_fl(separable, lam_grid, 0.0, tau_grid, (A_TRUNC, 20.0))
             for x, t in ((0.0, 1.0), (0.5, 0.5)):
                 value = inverse_fl(spectrum, x, t)
                 assert value.real == pytest.approx(
@@ -339,8 +339,9 @@ class TestSeparability:
         lam_grid = Grid.uniform(-4.0, 4.0, 17)
         tau_grid = Grid.uniform(-5.0, 5.0, 21)
         sigma = 0.3
-        fl = forward_fl(lambda x, t: g(x) * h(t), lam_grid, sigma, tau_grid, (A_TRUNC, X_TRUNC))
+        X = 60.0  # t^3 e^{-0.8 t} leaves a tail of 4e-16 here, 1e-9 at X_TRUNC
+        fl = forward_fl(lambda x, t: g(x) * h(t), lam_grid, sigma, tau_grid, (A_TRUNC, X))
         ft = forward_ft(g, lam_grid, A_TRUNC, QuadratureSpec(method="gauss-legendre"))
-        line = laplace_line(h, sigma, tau_grid, X_TRUNC)
+        line = laplace_line(h, sigma, tau_grid, X)
         expected = np.outer(ft.values, line.values)
         assert np.max(np.abs(fl.values - expected)) <= 1e-12 * np.max(np.abs(expected))

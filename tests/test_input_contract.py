@@ -30,7 +30,6 @@ from unitransform import (
     forward_laplace,
     gram_matrix,
     integrate,
-    integrate_halfline,
     laplace_line,
     real_coefficients,
     residual_ratio,
@@ -129,10 +128,6 @@ NOT_A_NUMBER = {
                              "panel count must be a non-negative integer, got 2.5"),
     "integrate panels=nan": (lambda: integrate(f, (0.0, 1.0), panels=NAN),
                              "panel count must be a non-negative integer, got nan"),
-    "integrate_halfline damping=nan": (lambda: integrate_halfline(f, 10.0, damping=NAN),
-                                       "damping rate must be finite and > 0, got nan"),
-    "integrate_halfline damping=-1": (lambda: integrate_halfline(f, 10.0, damping=-1),
-                                      "damping rate must be finite and > 0, got -1"),
     "FourierCoefficientSet c_0=nan": (lambda: FourierCoefficientSet(1.0, {0: NAN}),
                                       "coefficient with k=0 must be a finite number, got nan"),
     "FourierCoefficientSet c_1='a'": (lambda: FourierCoefficientSet(1.0, {-1: 1j, 0: 1, 1: "a"}),

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from decimal import Context, Decimal
 
 import numpy as np
@@ -18,14 +19,16 @@ from unitransform import (
     SampledFunction2D,
     TruncationWarning,
     complex_coefficients,
+    forward_fl,
     forward_ft,
+    forward_laplace,
     integrate,
     integrate_halfline,
     laplace_line,
     oscillation_panels,
 )
 from unitransform import numerics
-from unitransform.numerics import composite_gauss_nodes, exp_sum, integrate_grid
+from unitransform.numerics import ENDPOINT_RATIO, composite_gauss_nodes, exp_sum, integrate_grid
 
 GL = QuadratureSpec(method="gauss-legendre", order=10)
 
@@ -535,12 +538,6 @@ class TestIntegrateHalfline:
         assert r.tail_estimate == 0.0
         assert r.value == pytest.approx(1.0, abs=1e-9)
 
-    def test_supplied_damping_used_for_tail(self):
-        f = lambda x: np.exp(-2.0 * np.asarray(x, float)) + 0j
-        with pytest.warns(TruncationWarning, match="tail estimate 1.031e-09 beyond X=10"):
-            r = integrate_halfline(f, 10.0, damping=2.0)
-        assert r.tail_estimate == pytest.approx(math.exp(-20.0) / 2.0, rel=1e-9)
-
     def test_tail_over_tolerance_warns(self, recwarn):
         f = lambda x: np.exp(-1.1 * np.asarray(x, float)) + 0j
         message = (r"^half-line tail estimate 1\.518e-05 beyond X=10 exceeds tolerance "
@@ -555,3 +552,60 @@ class TestIntegrateHalfline:
     def test_truncation_must_be_positive(self):
         with pytest.raises(ContractViolationError):
             integrate_halfline(lambda x: 0j, 0.0)
+
+
+def _exp(rate):
+    return lambda t: np.exp(rate * np.asarray(t, float)) + 0j
+
+
+SIGMA, TAU, LAM, A_FL = 1.0, Grid.uniform(-2.0, 2.0, 5), Grid.uniform(-3.0, 3.0, 7), 12.0
+
+# Every transform that cuts an integral, seen along its cut: (build, kind, axis, tail weight).
+# A "t" build(g, X) returns int_0^X g(t) e^{-(SIGMA + i tau) t} dt on TAU; an "x" build(g, A)
+# returns (1/2pi) int_-A^A g(x) e^{i lam x} dx on LAM.  forward_fl's other axis carries
+# e^{-x^2/2} (sqrt(2 pi)/2pi at lam = 0) or e^{-t} (1/2 at s = 1).
+CUTS = {
+    "forward_laplace": (lambda g, X: np.array([forward_laplace(g, SIGMA + 1j * tau, X).value
+                                               for tau in TAU.points]), "t", "", 1.0),
+    "laplace_line": (lambda g, X: laplace_line(g, SIGMA, TAU, X).values, "t", "", 1.0),
+    "forward_fl-t": (lambda g, X: forward_fl(lambda x, t: _gaussian(x) * g(t), LAM, SIGMA, TAU,
+                                             (A_FL, X)).values[3] * math.sqrt(2.0 * math.pi),
+                     "t", "t axis: ", A_FL / math.pi),
+    "forward_ft": (lambda g, A: forward_ft(g, LAM, A).values, "x", "", None),
+    "forward_fl-x": (lambda g, A: 2.0 * forward_fl(lambda x, t: g(x) * _exp(-1.0)(t), LAM,
+                                                   SIGMA, TAU, (A, 40.0)).values[:, 2],
+                     "x", "x axis: ", None),
+}
+CHECKS = {"t": ("growth", "tail", "accept"), "x": ("ends", "accept")}
+
+
+class TestTruncationGuards:
+    """Each cut meets one of the two guards of numerics: _check_decay on the summed integrand
+    at X/2 and X, or _check_ends at x = +-A."""
+
+    @pytest.mark.parametrize("cut, check", [(c, k) for c in CUTS for k in CHECKS[CUTS[c][1]]])
+    def test_cut_meets_its_guard(self, cut, check):
+        build, kind, axis, weight = CUTS[cut]
+        if check == "growth":  # g e^{-sigma t} = e^{t/2}
+            with pytest.raises(DivergenceError, match=f"^{axis}integrand grows toward the "):
+                build(_exp(1.5), 40.0)
+        elif check == "tail":  # g e^{-sigma t} = e^{-t/10} leaves e^{-1}/0.1 beyond X = 10
+            text = (f"{axis}half-line tail estimate {weight * math.exp(-1.0) / 0.1:.3e} beyond "
+                    "X=10 exceeds tolerance 1.000e-10; raise X for full accuracy")
+            with pytest.warns(TruncationWarning, match=f"^{re.escape(text)}$"):
+                build(_exp(0.9), 10.0)
+        elif check == "ends":  # e^{-A^2/2} at ten times, then a tenth of, the endpoint ratio
+            with pytest.warns(TruncationWarning, match=f"^{axis}integrand f at the endpoints is "):
+                build(_gaussian, math.sqrt(2.0 * math.log(0.1 / ENDPOINT_RATIO)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TruncationWarning)
+                build(_gaussian, math.sqrt(2.0 * math.log(10.0 / ENDPOINT_RATIO)))
+        else:  # e^{t/2} at sigma = 1 transforms to 1/(1/2 + i tau); the gaussian to its own
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TruncationWarning)
+                if kind == "t":
+                    values, exact = build(_exp(0.5), 60.0), 1.0 / (0.5 + 1j * TAU.points)
+                else:
+                    values = build(_gaussian, 12.0)
+                    exact = np.exp(-LAM.points**2 / 2.0) / math.sqrt(2.0 * math.pi)
+            assert np.max(np.abs(values - exact)) <= 1e-10
