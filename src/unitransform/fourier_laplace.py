@@ -8,16 +8,14 @@ composition of the two 1-D pairs is an exact identity on separable
 functions.
 
 Each axis is its 1-D piece, with its 1-D guards reported under the axis
-name.  Forward: both rules come from :func:`numerics._grid_rule`; the x
-axis is a :func:`numerics.exp_sum` whose ends meet the guard of
-:func:`fourier_transform.forward_ft`, the t axis the damped line sum and
-tail guard of :func:`laplace.laplace_line`.  The forward build runs per
-block of t nodes: f on the x nodes times the block, its x sums through
-one plan built per call, then their t sums added into the output in
-place, so its peak memory is the output plus one block of about
-``_FL_BLOCK`` (x, t) points, not set by the length of the t axis.
-Inverse: the stored-line contour sum of :func:`laplace.bromwich_inverse_from_samples`,
-then the stored-spectrum sum of :func:`fourier_transform.inverse_ft` at x.
+name.  Forward: both rules come from :func:`numerics._grid_rule`, and f
+is damped where it is evaluated, to f e^{-sigma t}, as in
+:func:`laplace.laplace_line`; the x axis is a :func:`numerics.exp_sum`
+whose ends meet the guard of :func:`fourier_transform.forward_ft`, the t
+axis the tail guard of :func:`laplace.laplace_line`, one block of t nodes
+at a time (:func:`forward_fl`).  Inverse: the stored-line contour sum of
+:func:`laplace.bromwich_inverse_from_samples`, then the stored-spectrum
+sum of :func:`fourier_transform.inverse_ft` at x.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fourier_transform import _inverse_sum
-from .laplace import _line_inverse, _line_sum, _store_line_values
+from .laplace import _line_inverse, _store_line_values
 from .numerics import (
     DEFAULT_SPEC,
     Grid,
@@ -37,6 +35,7 @@ from .numerics import (
     _ExpPlan,
     _check_decay,
     _check_ends,
+    _check_exp,
     _eval_integrand,
     _grid_rule,
     _scalar,
@@ -79,45 +78,46 @@ def forward_fl(
     ``truncations`` is the pair (A, X): the x integral runs over [-A, A]
     and the t integral over [0, X], both on the fixed Gauss rule of
     :func:`numerics._grid_rule` with ``spec.order`` nodes per panel, not
-    refined; ``spec.tolerance`` bounds only the t axis's tail.  The guards
-    read |f| e^{-sigma t}: :func:`numerics._check_decay` its peak over x at
-    t = X/2 and X, the tail weighted by A/pi (the x integral's weight), and
+    refined; ``spec.tolerance`` bounds only the t axis's tail.  Each
+    evaluated block of f is damped in place, once, to g = f e^{-sigma t},
+    and the guards read |g|: :func:`numerics._check_decay` its peak over x
+    at t = X/2 and X, the tail weighted by A/pi (the x integral's weight),
     :func:`numerics._check_ends` its peak over every t at x = -A, the nodes and A.
 
     The x-axis plan is built once per call and each block of t nodes gets
-    one t-axis plan, whose sums :func:`laplace._line_sum` adds into the
-    output in place: peak memory is the output, which the spectrum adopts,
-    plus one block of about ``_FL_BLOCK`` (x, t) points.
+    one t-axis plan, whose sums are added into the output in place: peak
+    memory is the output, which the spectrum adopts, plus one block of
+    about ``_FL_BLOCK`` (x, t) points, not set by the length of the t axis.
     """
     A = _scalar(truncations[0], "truncation A", "positive")
     X, sigma = _scalar(truncations[1], "truncation X", "positive"), _scalar(sigma, "sigma")
+    _check_exp(-sigma * X, f"e^(-sigma*X) at sigma={sigma:g}, X={X:g}")
     spec = spec or DEFAULT_SPEC
     x_nodes, x_weights = _grid_rule(-A, A, lambda_grid, spec.order)
     t_nodes, t_weights = _grid_rule(0.0, X, tau_grid, spec.order)
     x_ends, x_profile = np.concatenate(([-A], x_nodes, [A])), np.zeros(x_nodes.size + 2)
 
     def f_on(t: np.ndarray):
-        """(f wx on the x nodes, |f| e^{-sigma t} on x_ends) at t; the latter joins x_profile."""
-        fx = _eval_integrand(f, *np.broadcast_arrays(x_ends[:, None], t[None, :]), at="x,t")
-        magnitude = np.abs(fx)
-        magnitude *= np.exp(-sigma * t)
+        """(g wx on the x nodes, max over x_ends of |g| per t), g = f e^{-sigma t} in place."""
+        g = _eval_integrand(f, *np.broadcast_arrays(x_ends[:, None], t[None, :]), at="x,t")
+        g *= np.exp(-sigma * t)
+        magnitude = np.abs(g)
         np.maximum(x_profile, magnitude.max(axis=1), out=x_profile)
-        fx[1:-1] *= x_weights[:, None]
-        return fx[1:-1], magnitude
+        g[1:-1] *= x_weights[:, None]
+        return g[1:-1], magnitude.max(axis=0)
 
-    _check_decay(f_on(np.array([X / 2.0, X]))[1].max(axis=0), X, spec.tolerance, "t axis: ",
-                 A / math.pi)
+    _check_decay(f_on(np.array([X / 2.0, X]))[1], X, spec.tolerance, "t axis: ", A / math.pi)
 
     # One pass per block of t nodes, about _FL_BLOCK (x, t) points each: the inner x
-    # integrals G(lam, t_m) = (1/2pi) sum_j wx_j f(x_j, t_m) e^{i lam x_j} of the block,
-    # then their damped t sums for every s = sigma + i*tau, added into the output.
+    # integrals G(lam, t_m) = sum_j wx_j g(x_j, t_m) e^{i lam x_j} of the block, then
+    # their t sums, times 1/2pi, for every tau, added into the output.
     values = np.zeros((len(lambda_grid), len(tau_grid)), dtype=complex)
     x_sums = _ExpPlan(x_nodes, lambda_grid, 1, stacked=True)
     t_block = max(1, _FL_BLOCK // x_nodes.size)
     for start in range(0, t_nodes.size, t_block):
         t, wt = t_nodes[start:start + t_block], t_weights[start:start + t_block]
         G = x_sums.apply(f_on(t)[0].T, np.zeros((t.size, len(lambda_grid)), dtype=complex))
-        _line_sum(G.T / (2.0 * math.pi), t, wt, sigma, tau_grid, values)
+        _ExpPlan(t, tau_grid, -1, True).apply(G.T * (wt / (2.0 * math.pi)), values)
     _check_ends(x_profile, "x axis: integrand f", "the truncation A", stacklevel=3)
     values.flags.writeable = False
     return FourierLaplaceSpectrum(lambda_grid, sigma, tau_grid, values)

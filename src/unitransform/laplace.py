@@ -1,18 +1,18 @@
 """Laplace transform, truncated contour inversion, and growth-rate tools.
 
 The forward transform is the half-line integral of f(x) exp(-s*x) with a
-truncation point and a tail estimate; a whole line of s values is one
-damped sum, :func:`_line_sum`.  Inversion, :func:`_line_inverse`,
-integrates along the vertical line Re(s) = sigma, truncated at height T,
-by the trapezoid rule in the imaginary coordinate; there is no contour
-deformation or series acceleration, so convergence in T is slow (O(1/T))
-whenever the transform decays like 1/s.  Both sums, with the contour
-guards, also serve the s axis of :mod:`fourier_laplace`:
-:func:`_contour_step` (a coarser stored contour raises
-:class:`AliasingError`) and :func:`numerics._check_ends` (a
-:class:`TruncationWarning` when the integrand at the endpoints exceeds
-1e-6 of its peak, read from the :func:`_contour_profile` that a stored
-spectrum computes once, at construction).
+truncation point and a tail estimate; a line of s values sums the samples
+of f, damped once to f e^{-sigma t}, against e^{-i tau t}.  Inversion,
+:func:`_line_inverse`, integrates along the vertical line Re(s) = sigma,
+truncated at height T, by the trapezoid rule in the imaginary coordinate;
+there is no contour deformation or series acceleration, so convergence in
+T is slow (O(1/T)) whenever the transform decays like 1/s.  It serves the s
+axis of :mod:`fourier_laplace` too, with its guards: :func:`_contour_step`
+(a coarser stored contour raises :class:`AliasingError`) and
+:func:`numerics._check_ends` (a :class:`TruncationWarning` when the
+integrand at the endpoints exceeds 1e-6 of its peak, read from the
+:func:`_contour_profile` that a stored spectrum computes once).  A damping
+e^{-sigma X} or contour weight e^{sigma t} beyond float range raises first.
 
 The evaluation line matters: the inversion is only valid for sigma above
 the abscissa of convergence of the original function, which
@@ -40,13 +40,14 @@ from .numerics import (
     HalfLineResult,
     QuadratureSpec,
     SampledFunction,
-    _ExpPlan,
     _check_decay,
     _check_ends,
+    _check_exp,
     _eval_integrand,
     _grid_rule,
     _sampled,
     _scalar,
+    exp_sum,
     integrate_halfline,
     oscillation_panels,
 )
@@ -99,6 +100,7 @@ def forward_laplace(
     z = complex(s)
     s = complex(_scalar(z.real, "Re s"), _scalar(z.imag, "Im s"))
     X = _scalar(truncation, "truncation X", "positive")
+    _check_exp(-s.real * X, f"e^(-sigma*X) at sigma={s.real:g}, X={X:g}")
     panels = oscillation_panels(s.imag, 0.0, X)
 
     def integrand(x):
@@ -118,30 +120,20 @@ def laplace_line(
 
     All line points share one composite rule fine enough for the fastest
     oscillation on the grid, so the whole line, with the decay probe at X/2
-    and X, costs one integrand call.  The rule is fixed, ``spec.order``
-    Gauss nodes per panel, not refined; ``spec.tolerance`` bounds only the
-    tail that :func:`numerics._check_decay` reads from |f| e^{-sigma t}.
+    and X, costs one integrand call, damped once to g = f e^{-sigma t}, which
+    :func:`numerics._check_decay` reads and the rule sums.  The rule is fixed,
+    ``spec.order`` Gauss nodes per panel; ``spec.tolerance`` bounds only the tail.
     """
     spec = spec or DEFAULT_SPEC
     X, sigma = _scalar(truncation, "truncation X", "positive"), _scalar(sigma, "sigma")
+    _check_exp(-sigma * X, f"e^(-sigma*X) at sigma={sigma:g}, X={X:g}")
     nodes, weights = _grid_rule(0.0, X, tau_grid, spec.order)
-    probe = np.array([X / 2.0, X])
-    fx = _eval_integrand(f, np.concatenate((nodes, probe)))
-    _check_decay(np.abs(fx[-2:]) * np.exp(-sigma * probe), X, spec.tolerance)
-    values = _line_sum(fx[:-2], nodes, weights, sigma, tau_grid,
-                       np.zeros(len(tau_grid), dtype=complex))
+    t = np.concatenate((nodes, [X / 2.0, X]))
+    g = _eval_integrand(f, t) * np.exp(-sigma * t)
+    _check_decay(np.abs(g[-2:]), X, spec.tolerance)
+    values = exp_sum(g[:-2] * weights, nodes, tau_grid, -1)
     values.flags.writeable = False
     return LaplaceSpectrum(sigma=sigma, tau_grid=tau_grid, values=values)
-
-
-def _line_sum(samples: np.ndarray, nodes, weights, sigma: float, tau_grid: Grid,
-              out: np.ndarray) -> np.ndarray:
-    """Add the rule sums of ``samples`` (f at ``nodes``) * e^{-(sigma + i*tau) t} into ``out``.
-
-    Damps ``samples`` in place; returns ``out``.
-    """
-    samples *= weights * np.exp(-sigma * nodes)
-    return _ExpPlan(nodes, tau_grid, -1, samples.ndim > 1).apply(samples, out)
 
 
 def _contour_step(t: float, spacing: float | None = None, axis: str = "") -> float:
@@ -184,6 +176,7 @@ def _line_inverse(spectrum, t: float, axis: str = ""):
     if len(tau_grid) < 3:
         raise ContractViolationError(f"{axis}contour needs at least three samples")
     _contour_step(t, float(np.max(np.diff(tau_grid.points))), axis)
+    _check_exp(spectrum.sigma * t, f"e^(sigma*t) at sigma={spectrum.sigma:g}, t={t:g}")
     _check_ends(spectrum._profile, f"{axis}contour integrand", "the contour half-height T")
     s = spectrum.sigma + 1j * tau_grid.points
     return (spectrum.values @ (np.exp(s * t) * tau_grid.trapezoid_weights())) / (2.0 * math.pi)

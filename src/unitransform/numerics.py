@@ -4,7 +4,7 @@ All integrals in the toolkit go through :func:`integrate` (finite
 intervals) or :func:`integrate_halfline` (truncated ``[0, X]``
 integrals).  Oscillatory integrands are handled by panel subdivision, see
 :func:`oscillation_panels`; no Filon-type machinery.  Every rule, like
-every adaptive pass, is held to the budget of ``_MAX_SPLITS`` panels
+every adaptive call, is held to the budget of ``_MAX_SPLITS`` panels
 (:func:`_panel_budget`).  Every pass evaluates f once on its starting
 rule, ``order`` Gauss nodes on each of its equal panels
 (:func:`composite_gauss_nodes`): ``gauss-legendre`` is that rule summed,
@@ -18,11 +18,11 @@ caller's array, so a caller that sums many arrays on the same nodes and
 grid builds the kernel once and holds no second output.
 :func:`_eval_integrand` evaluates every callable.  Every truncation meets one of the two
 guards that build a :class:`TruncationWarning`: :func:`_check_decay` on a half line (growth
-and tail of the integrand as summed, |f| e^{-sigma t} on a damped line), :func:`_check_ends`
-on an interval or contour whose integrand should have died out at its ends.  The input
-contract is three guards: :func:`_scalar` for every scalar that defines a problem,
-:func:`_points` for evaluation points given as a scalar or an array, and :func:`_sampled`
-for every array of sampled values.
+and tail of the integrand as summed, f e^{-sigma t} on a damped line), :func:`_check_ends` on
+an interval or contour whose integrand should have died out at its ends; :func:`_check_exp`
+refuses an e^z beyond float range before it is formed.  The input contract is three guards:
+:func:`_scalar` for every scalar that defines a problem, :func:`_points` for evaluation
+points given as a scalar or an array, and :func:`_sampled` for every array of sampled values.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ _GRID_CELLS = 1 << 16
 ENDPOINT_RATIO = 1e-6
 # Largest QuadratureSpec.order: leggauss(n) builds an n x n companion matrix.
 MAX_QUAD_ORDER = 1000
+_LOG_MAX = math.log(np.finfo(float).max)  # about 709.78: e^z overflows for any z above it
 
 
 _RULES = {"finite": "finite", "positive": "finite and > 0", "count": "a non-negative integer",
@@ -331,6 +332,12 @@ def _check_ends(magnitude: np.ndarray, what: str, remedy: str, stacklevel: int =
             ),
             stacklevel=stacklevel,
         )
+
+
+def _check_exp(exponent: float, what: str) -> None:
+    """Refuse e^exponent, before it is formed, beyond float range; ``what`` names the factors."""
+    if exponent > _LOG_MAX:
+        raise QuadratureError(f"{what} overflows a float: exponent {exponent:.6g} > {_LOG_MAX:.2f}")
 
 
 def _phase(a: float, b: float, n: np.ndarray) -> np.ndarray:
@@ -692,7 +699,7 @@ def integrate_grid(
     ``gauss-legendre`` evaluates f once on that rule, :func:`_grid_rule`,
     and sums it through :func:`exp_sum`.  ``adaptive`` bisects the Gauss
     panels, see :func:`_adaptive_grid`, over runs of the grid small enough
-    that the starting panels times the run fit in ``_GRID_CELLS``.
+    that the starting panels times the run fit in ``_GRID_CELLS``, under one split budget.
 
     Returns the integrals and |f| at a, the starting nodes (the first
     run's) and b, for :func:`_check_ends`.
@@ -705,16 +712,17 @@ def integrate_grid(
         fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
         return exp_sum(weights * fx[1:-1], x, grid, 1), np.abs(fx)
     panels = oscillation_panels(float(np.max(np.abs(w))), a, b)
-    run = max(1, _GRID_CELLS // (2 * panels))
+    run, splits = max(1, _GRID_CELLS // (2 * panels)), 0
     total = np.empty(w.size, dtype=complex)
     for start in range(0, w.size, run):
-        total[start:start + run], ends = _adaptive_grid(f, a, b, w[start:start + run], spec)
+        piece = w[start:start + run]
+        total[start:start + run], ends, splits = _adaptive_grid(f, a, b, piece, spec, splits)
         if start == 0:
             magnitude = ends
     return total, magnitude
 
 
-def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec):
+def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec, splits: int):
     """Adaptive integrals of f(x) exp(i*w*x) over [a, b] for every w, sharing the bisection.
 
     Panels go through a depth-first stack in batches of at most
@@ -725,9 +733,9 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec):
     when ``max over w |fine - coarse| <= tol * width / span``, the test of
     :func:`integrate` at its worst frequency; ``_MAX_BISECTIONS`` and the
     unresolved-defect :class:`QuadratureError` apply per frequency as there,
-    and ``_MAX_SPLITS`` to the panels split in all batches together.
+    and ``_MAX_SPLITS`` to the splits of all batches and earlier runs (``splits``).
 
-    Returns the integrals and |f| at a, the starting Gauss nodes and b.
+    Returns the integrals, |f| at a, the starting Gauss nodes and b, and the splits so far.
     """
     order, tol, span = spec.order, spec.tolerance, b - a
     rows = max(1, _GRID_CELLS // (2 * w.size))
@@ -743,7 +751,6 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec):
         stack.append((lo[s:s + rows], hi[s:s + rows], coarse, 0))
     total = np.zeros(w.size, dtype=complex)
     defect = np.zeros(w.size)
-    splits = 0
     while stack:
         lo, hi, coarse, depth = stack.pop()
         mid = (lo + hi) / 2.0
@@ -767,7 +774,7 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec):
         coarse = np.concatenate((left[split], right[split]))
         for s in reversed(range(0, lo.size, rows)):
             stack.append((lo[s:s + rows], hi[s:s + rows], coarse[s:s + rows], depth + 1))
-    return total, np.abs(fx)
+    return total, np.abs(fx), splits
 
 
 def integrate_halfline(f: Callable, truncation: float, spec: QuadratureSpec | None = None,

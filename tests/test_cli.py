@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from unitransform import cli
 from unitransform.cli import _COMMANDS, build_parser, main, parse_complex, parse_pi_float
 from unitransform.cli import UsageError
 
@@ -414,6 +415,43 @@ class TestErrorSurface:
         assert err == ("error: numerical: x axis: integrand f at the endpoints is 9.81e-01 of "
                        "its peak; raise the truncation A for full accuracy\n")
 
+    LAMBDA = ("--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.5")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("ft", "--expr", "exp(-x^2)", "--A", "6", "--lambda-min", "-1", "--lambda-max", "1"),
+         1, "validation: missing --lambda-step"),
+        (("ft", "--expr", "exp(-x^2)", "--A", "6",
+          "--lambda-min", "1", "--lambda-max", "-1", "--lambda-step", "0.5"),
+         1, "validation: --lambda-max must exceed --lambda-min"),
+        (("series", "--expr", "x*t", "--L", "1", "--K", "1"),
+         1, "validation: this command takes a function of x only; expression uses t"),
+        (("ilt", "--input", "ft.json", "--t", "1"),
+         1, "validation: ilt needs a spectrum with convention laplace-line"),
+        (("lt", "--expr", "exp(-x)", "--X", "40"),
+         1, "validation: lt needs --s, or --sigma with --tau-min/--tau-max/--tau-step"),
+        (("flt", "--expr", "exp(-x^2-t)", "--A", "6", "--X", "40", *LAMBDA,
+          "--tau-min", "-1", "--tau-max", "1", "--tau-step", "1"),
+         1, "validation: flt needs --sigma"),
+        (("verify-orthogonality", "--L", "1", "--K", "1"),
+         2, "numerical: verification check failed; see the report output"),
+    ], ids=["ft-no-lambda-step", "ft-lambda-max-below-min", "series-uses-t", "ilt-of-ft",
+            "lt-no-s-no-sigma", "flt-no-sigma", "verify-orthogonality-failed"])
+    def test_refusal_from_argv(self, capsys, monkeypatch, tmp_path, argv, code, message):
+        # ft.json is an FT spectrum for ilt to refuse.  No real Gram matrix fails its check,
+        # so the tolerance is set to 0, which its rounding-level off-diagonal exceeds.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "GRAM_OFFDIAG_TOL", 0.0)
+        ft = ("ft", "--expr", "exp(-x^2)", "--A", "6", *self.LAMBDA, "--output", "ft.json")
+        assert run_cli(capsys, *ft)[0] == 0
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, err) == (code, f"error: {message}\n")
+        if code == 1:
+            assert out == ""
+        else:
+            report = json.loads(out)
+            assert report["check"] == "orthogonality" and report["passed"] is False
+            assert report["tolerance"] == 0 and report["offdiagonal_max"] > 0
+
     def test_aliasing_exit_2(self, capsys, tmp_path):
         spectrum_path = str(tmp_path / "coarse.json")
         code, _, err = run_cli(
@@ -470,6 +508,24 @@ class TestDeterminismAndEnv:
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith(f"error: numerical: {message}")
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("lt", "--expr", "exp(-30*x)", "--sigma", "-20", "--X", "40",
+         "--tau-min", "-1", "--tau-max", "1", "--tau-step", "1"),
+        ("flt", "--expr", "exp(-x^2/2)*exp(-30*t)", "--sigma", "-20", "--A", "8", "--X", "40",
+         "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "1",
+         "--tau-min", "-1", "--tau-max", "1", "--tau-step", "1"),
+        ("lt", "--expr", "exp(-30*x)", "--s", "-20", "--X", "40"),
+    ], ids=["lt-line", "flt", "lt-point"])
+    def test_damping_outside_float_range_is_one_line(self, argv):
+        # e^{-sigma X} = e^{800} is refused before it is formed, with no RuntimeWarning.
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "unitransform", *argv],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == ("error: numerical: e^(-sigma*X) at sigma=-20, X=40 overflows a "
+                                 "float: exponent 800 > 709.78\n")
 
     def test_entry_point_subprocess(self, tmp_path):
         result = subprocess.run(

@@ -320,9 +320,10 @@ class TestTwoDimensionalOrthogonality:
 class TestSeparability:
     """forward_fl of g(x) h(t) is the outer product of forward_ft(g) and laplace_line(h).
 
-    The t axis of forward_fl is the very ``_line_sum`` of laplace_line, so
-    this checks the x axis (against the gauss-legendre whole-grid FT on the
-    same rule) and the 1/(2 pi) split, not the t rule.
+    The t axis of forward_fl sums the damped integrand on the rule of
+    laplace_line, and TestStreamedBuild checks it against an explicit double
+    sum, so this checks the x axis (against the gauss-legendre whole-grid FT
+    on the same rule) and the 1/(2 pi) split, not the t rule.
     """
 
     @settings(max_examples=10, deadline=None)

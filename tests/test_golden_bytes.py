@@ -8,7 +8,8 @@ it writes (and must print nothing); any other by the SHA-256 of its stdout.
 Requests that read ``--input`` read the files of earlier ones.
 
 A digest changes only when a command's output bytes change; such a change
-must be stated and explained, and the table below re-recorded.
+must be stated and explained, and the table below re-recorded from the
+digests that the failure message prints.
 """
 
 import hashlib
@@ -74,15 +75,15 @@ DIGESTS = {
     "ift.csv": "697a928743639c5083df73f6ef1486302adfaa7002ebcc2f4c7ed99483650424",
     "estimate-abscissa-input": "d87bc965a2408da70121981c4ad2c1575ee7ebd5611221b37206be7ad95d6d61",
     "estimate-abscissa-expr": "aa8256e9f0b9bbb71f5640c8c1d9855223daa3465d932fe83f217e78ff02808e",
-    "line.json": "20f98d73c9bd7a2c3b5d4e253728666760dc5b8ae664ead859d7d9d15fb4c7a3",
-    "line.csv": "11766da67531ba1ba4272c242044ffff91edfe4c66000ebc5538d437da76738e",
+    "line.json": "af564534d536cb5b6cb55073273c0b82545b293516516e62eb9bfc1c688a1ad8",
+    "line.csv": "02ab37fe593d7740ab028789dcc4b46211984b5c277122184095bc798df78afb",
     "lt-s": "ffdc4d99619b1284debb70ca8ec0e23bc2fa9155d5905d9de018b37417eb9ca6",
     "lt-s.csv": "f5b644adc6a347b040a9e3a885959b4bbb952aa935b9d00b0f8e223dc94b5191",
-    "ilt": "54a9f480495656ce74fe5a60173d2a88be76d1d8b3553d30a8a87affe0729d89",
-    "ilt.csv": "79c1eb07cbbdf5eec52d3f0b581284584bad98c6c653feebf90572c929d71741",
-    "fl.json": "a9fa305efe43c296ec90d19fd7ccbb2f7b4220c437c7823963b8b8abd0522356",
-    "iflt": "b209cc42af5a5821e9f71cdfd2be7fa14c3cf815f0339127cffec680e1318261",
-    "iflt.csv": "532cfba26eeff417ede088b3fdb31b3909705c639344f537a2f3e0ab7fcc7cfa",
+    "ilt": "5fdd727060e56d37f33f9863b9ffcc9f9757f7c5829c101fa715b7f69f59284f",
+    "ilt.csv": "661f464bddb0a006f6a4a600b2859dea6415d57e4259783970b1b5b777d1e8f6",
+    "fl.json": "a4fae8d78c5b95ea3bf03dd44f3daf29f064d4a90a7dc937c40557822d49af57",
+    "iflt": "53719115a35713529d6b04976d309b83dad2415b11ab369652e88ade93d2b7d8",
+    "iflt.csv": "cfca1b8b9e7656b4183429b2d00ec38bf7f7be2b8dce3e4637529c0f025dac84",
     "series.json": "b132685ad3348725fd55bb8213555b692037be59cc490d9b0b3bd9b0b72b2803",
     "series-csv": "01b5c480f493088c8cf5deeb3ecb7027060707daf758e2fb24e55c05f2965061",
     "real-series": "ac3006567df1e677aeecf2b0021857d4f175d04791d15f3887f97f5cd0f8575a",
@@ -132,5 +133,6 @@ def test_every_output_matches_its_recorded_digest(tmp_path, monkeypatch, capsysb
     monkeypatch.chdir(tmp_path)
     digests = {**corpus_digests(capsysbinary), **library_digests()}
     changed = sorted(name for name in DIGESTS if digests.get(name) != DIGESTS[name])
-    assert not changed, f"output bytes changed: {changed}"
+    got = "".join(f'\n    "{name}": "{digests.get(name)}",' for name in changed)
+    assert not changed, f"output bytes changed: {changed}; digests now:{got}"
     assert set(digests) == set(DIGESTS)

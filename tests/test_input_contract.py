@@ -18,10 +18,12 @@ from unitransform import (
     Grid,
     LaplaceSpectrum,
     QuadratureSpec,
+    RealFourierCoefficientSet,
     SampledFunction,
     SampledFunction2D,
     WindowedTestSequence,
     bromwich_inverse,
+    bromwich_inverse_from_samples,
     complex_coefficients,
     dirichlet_delta,
     discrete_eigenvalues,
@@ -30,6 +32,7 @@ from unitransform import (
     forward_laplace,
     gram_matrix,
     integrate,
+    inverse_ft,
     laplace_line,
     real_coefficients,
     residual_ratio,
@@ -38,7 +41,7 @@ from unitransform import (
 )
 from unitransform import cli
 from unitransform.cli import main
-from unitransform.io_formats import load_spectrum
+from unitransform.io_formats import load_spectrum, spectrum_payload, to_json_bytes
 from unitransform.numerics import _sampled, _scalar
 
 INF, NAN = math.inf, math.nan
@@ -185,6 +188,55 @@ FAILED_LATE_OR_SILENTLY = {
 @pytest.mark.parametrize("call, message", FAILED_LATE_OR_SILENTLY.values(),
                          ids=FAILED_LATE_OR_SILENTLY.keys())
 def test_checked_where_it_enters(call, message):
+    with pytest.raises(ContractViolationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def load_empty_document():
+    with open("empty.json", "w") as fh:
+        fh.write("{}")
+    return load_spectrum("empty.json")
+
+
+GAUSS = Grid(np.array([-0.5, 0.5]), kind="gauss-nodes")
+# Refusals of the data types, engines and file layer, each with its exact message; the
+# test runs in a scratch directory, where load_empty_document writes its file.
+REFUSED = {
+    "Grid []": (lambda: Grid([]), "grid points must form a non-empty 1-D sequence"),
+    "Grid [0, nan]": (lambda: Grid([0.0, NAN]), "grid points must be finite"),
+    "Grid.uniform b < a": (lambda: Grid.uniform(1.0, 0.0, 3), "grid requires a < b"),
+    "Grid.spacing gauss-nodes": (lambda: GAUSS.spacing,
+                                 "spacing is defined for uniform grids only"),
+    "Grid.spacing one point": (lambda: Grid([1.0]).spacing, "spacing needs at least two points"),
+    "integrate panels=0": (lambda: integrate(f, (0.0, 1.0), panels=0),
+                           "panel count must be >= 1"),
+    "bromwich_inverse_from_samples two points":
+        (lambda: bromwich_inverse_from_samples(
+            LaplaceSpectrum(0.5, Grid.uniform(-0.05, 0.05, 2), np.ones(2)), 1.0),
+         "contour needs at least three samples"),
+    "inverse_ft one point": (lambda: inverse_ft(ContinuousSpectrum(Grid([0.0]), np.ones(1)),
+                                                TAU), "spectrum grid needs at least two points"),
+    "FourierCoefficientSet {}": (lambda: FourierCoefficientSet(1.0, {}),
+                                 "coefficient set may not be empty"),
+    "RealFourierCoefficientSet a gap":
+        (lambda: RealFourierCoefficientSet(1.0, {0: 1.0, 2: 1.0}, {1: 0.0, 2: 0.0}),
+         "a-coefficients must cover k = 0..K"),
+    "RealFourierCoefficientSet b gap":
+        (lambda: RealFourierCoefficientSet(1.0, {0: 1.0, 1: 1.0, 2: 1.0}, {2: 0.0}),
+         "b-coefficients must cover k = 1..K"),
+    "Eigenvalue kind 'point'": (lambda: Eigenvalue(1.0, "point"),
+                                "spectrum kind must be 'discrete' or 'continuum', got 'point'"),
+    "to_json_bytes object": (lambda: to_json_bytes({"a": object()}), "cannot serialize object"),
+    "spectrum_payload object": (lambda: spectrum_payload(object(), {}), "not a spectrum: object"),
+    "load_spectrum {}": (load_empty_document,
+                         "empty.json is not a toolkit file (missing 'kind')"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSED.values(), ids=REFUSED.keys())
+def test_library_refusal_message(call, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ContractViolationError) as info:
         call()
     assert str(info.value) == message

@@ -15,6 +15,7 @@ from unitransform import (
     Grid,
     InsufficientDataError,
     LaplaceSpectrum,
+    QuadratureError,
     QuadratureSpec,
     SampledFunction,
     TruncationWarning,
@@ -150,6 +151,12 @@ class TestBromwichInverse:
         fhat = lambda s: np.where(s.imag > 5, np.inf, 1 / (s + 1) ** 2)
         with pytest.raises(EvaluationError, match="s="):
             bromwich_inverse(fhat, 1.0, 50.0, 1.0)
+
+    def test_contour_weight_outside_float_range_raises(self):
+        # e^{sigma t} = e^{800} is refused before it is formed, not summed into nan + nan i.
+        with pytest.raises(QuadratureError, match=r"^e\^\(sigma\*t\) at sigma=10, t=80 overflows a "
+                           r"float: exponent 800 > 709\.78$"):
+            bromwich_inverse(lambda s: 1.0 / (s + 1.0) ** 2, 10.0, 20.0, 80.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ContractViolationError):

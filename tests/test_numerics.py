@@ -492,6 +492,20 @@ class TestWorkBudget:
         monkeypatch.setattr(numerics, "_MAX_SPLITS", 1000)
         np.testing.assert_array_equal(run(), value)
 
+    def test_split_budget_spans_the_runs_of_one_call(self, monkeypatch):
+        # Each frequency runs alone, as in test_panel_arrays_stay_within_cells, and each run
+        # splits 13 panels, 39 in the call: a budget of 20 holds any one run but not the call.
+        monkeypatch.setattr(numerics, "_GRID_CELLS", 1)
+        grid = Grid.uniform(-1.0, 1.0, 3)
+        value = integrate_grid(_narrow, (-1.0, 1.0), grid)[0]
+        monkeypatch.setattr(numerics, "_MAX_SPLITS", 39)
+        np.testing.assert_array_equal(integrate_grid(_narrow, (-1.0, 1.0), grid)[0], value)
+        monkeypatch.setattr(numerics, "_MAX_SPLITS", 20)
+        integrate_grid(_narrow, (-1.0, 1.0), Grid([1.0]))
+        with pytest.raises(QuadratureError, match="^adaptive quadrature stopped at its budget of "
+                           "20 panel splits"):
+            integrate_grid(_narrow, (-1.0, 1.0), grid)
+
 
 class TestOscillationPanels:
     def test_scales_with_frequency_and_width(self):
