@@ -14,7 +14,15 @@ class EvaluationError(UniTransformError):
 
 
 class QuadratureError(UniTransformError):
-    """A quadrature failed to converge or could not be carried out."""
+    """A quadrature failed to converge or could not be carried out.
+
+    ``frequency`` is the w of a whole-grid pass (``numerics.integrate_grid``) at which its
+    unresolved defect or split budget failed, and None for any other failure.
+    """
+
+    def __init__(self, message: str, frequency: float | None = None):
+        super().__init__(message)
+        self.frequency = frequency
 
 
 class DivergenceError(QuadratureError):

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, EvaluationError, QuadratureError
-from .numerics import QuadratureSpec, _points, _scalar, integrate, oscillation_panels
+from .numerics import (
+    Grid,
+    QuadratureSpec,
+    _points,
+    _scalar,
+    integrate,
+    integrate_grid,
+    oscillation_panels,
+)
 
 CONJUGATE_SYMMETRY_TOL = 1e-8
 
@@ -173,14 +181,22 @@ def gram_matrix(L: float, K: int, spec: QuadratureSpec | None = None) -> np.ndar
 
     Entry (i, j) corresponds to indices k = i - K and l = j - K and is
     the quadrature of exp(-i*(k-l)*pi*x/L) over (-L, L).  It depends on
-    i - j only, so each of the 4K+1 differences is integrated once.  The
-    exact value is 2L on the diagonal and 0 elsewhere.
+    the difference m = k - l only, so the 4K+1 differences are one
+    :func:`numerics.integrate_grid` pass of f = 1 over the uniform grid
+    m*pi/L, m = -2K..2K (one point for K = 0); f is real, so each
+    quadrature is the conjugate of the pass's value at m*pi/L.  The exact
+    value is 2L on the diagonal and 0 elsewhere.  A failure names the
+    difference its estimate is worst at, the first in a tie:
+    "inner product k-l=<m>: ...".
     """
     L, K = _scalar(L, "L", "positive"), _scalar(K, "K", "count")
-    by_difference = np.array([
-        _indexed_integral(lambda x, d=d: np.exp(-1j * d * np.asarray(x)), d, L, spec,
-                          f"inner product k-l={m}")
-        for m, d in ((m, m * math.pi / L) for m in range(-2 * K, 2 * K + 1))
-    ])
+    try:
+        # The panel budget of the rule, set by m = -2K, before its grid can overflow.
+        oscillation_panels(2 * K * math.pi / L, -L, L)
+        grid = Grid(np.arange(-2 * K, 2 * K + 1) * math.pi / L)
+        by_difference = integrate_grid(np.ones_like, (-L, L), grid, spec)[0].conj()
+    except QuadratureError as exc:
+        m = -2 * K if exc.frequency is None else round(exc.frequency * L / math.pi)
+        raise QuadratureError(f"inner product k-l={m}: {exc}") from exc
     index = np.arange(2 * K + 1)
     return by_difference[index[:, None] - index + 2 * K]

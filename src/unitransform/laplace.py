@@ -157,29 +157,33 @@ def _contour_profile(values: np.ndarray) -> np.ndarray:
 
 
 def _store_line_values(spectrum, *grids: Grid) -> None:
-    """Give a frozen line spectrum checked, read-only values and their :func:`_contour_profile`.
-    It adopts a read-only array that owns its data, a transform's fresh output, and copies any
-    other, a caller's included, whose later writes would stale the profile."""
+    """Give a frozen line spectrum checked, read-only values and the read state of
+    :func:`_line_inverse`: their :func:`_contour_profile`, the contour points s = sigma + i*tau,
+    the tau trapezoid weights and the largest tau step (0 on a one-point grid).  It adopts a
+    read-only array that owns its data, a transform's fresh output, and copies any other, a
+    caller's included, whose later writes would stale the profile."""
     given = spectrum.values
     fresh = isinstance(given, np.ndarray) and given.flags.owndata and not given.flags.writeable
     values = _sampled(given if fresh else np.array(given, dtype=complex), *grids)
+    tau = spectrum.tau_grid.points
     object.__setattr__(spectrum, "values", values)
     object.__setattr__(spectrum, "_profile", _contour_profile(values))
+    object.__setattr__(spectrum, "_s", spectrum.sigma + 1j * tau)
+    object.__setattr__(spectrum, "_weights", spectrum.tau_grid.trapezoid_weights())
+    object.__setattr__(spectrum, "_step", float(np.max(np.diff(tau), initial=0.0)))
 
 
 def _line_inverse(spectrum, t: float, axis: str = ""):
     """(1/2pi) sum_k w_k values[..., k] e^{s_k t} along the tau axis of a line spectrum,
     s_k = sigma + i*tau_k, by the trapezoid rule, behind the endpoint guard on the profile
-    the spectrum stored at construction: the tau grid, of any kind, needs three points and
-    its largest step must obey :func:`_contour_step`."""
-    tau_grid = spectrum.tau_grid
-    if len(tau_grid) < 3:
+    the spectrum stored at construction, with the rest of its read state: the tau grid, of
+    any kind, needs three points and its largest step must obey :func:`_contour_step`."""
+    if len(spectrum.tau_grid) < 3:
         raise ContractViolationError(f"{axis}contour needs at least three samples")
-    _contour_step(t, float(np.max(np.diff(tau_grid.points))), axis)
+    _contour_step(t, spectrum._step, axis)
     _check_exp(spectrum.sigma * t, f"e^(sigma*t) at sigma={spectrum.sigma:g}, t={t:g}")
     _check_ends(spectrum._profile, f"{axis}contour integrand", "the contour half-height T")
-    s = spectrum.sigma + 1j * tau_grid.points
-    return (spectrum.values @ (np.exp(s * t) * tau_grid.trapezoid_weights())) / (2.0 * math.pi)
+    return (spectrum.values @ (np.exp(spectrum._s * t) * spectrum._weights)) / (2.0 * math.pi)
 
 
 def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
@@ -190,10 +194,14 @@ def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
     absorbs the 1/i of the line integral.  The imaginary part of the
     result should be near zero for real originals and serves as a
     consistency diagnostic.  fhat is sampled on a uniform tau grid with
-    the step of :func:`_contour_step` and read as a stored line spectrum.
+    the step of :func:`_contour_step` and read as a stored line spectrum;
+    a contour weight e^{sigma t} beyond float range is refused before fhat
+    is evaluated.
     """
     T, sigma = _scalar(T, "contour half-height T", "positive"), _scalar(sigma, "sigma")
-    tau_grid = Grid.uniform(-T, T, 2 * math.ceil(T / _contour_step(t)) + 1)
+    step = _contour_step(t)
+    _check_exp(sigma * t, f"e^(sigma*t) at sigma={sigma:g}, t={t:g}")
+    tau_grid = Grid.uniform(-T, T, 2 * math.ceil(T / step) + 1)
     values = _eval_integrand(fhat, sigma + 1j * tau_grid.points, at="s")
     values.flags.writeable = False
     return complex(_line_inverse(LaplaceSpectrum(sigma, tau_grid, values), t))

@@ -560,20 +560,23 @@ def _adaptive(f, edges: np.ndarray, start: np.ndarray, tol: float) -> complex:
     return total
 
 
-def _check_defect(defect: float, tol: float) -> None:
-    """Fail an adaptive pass as soon as its unresolved defect, which can only grow, exceeds tol."""
+def _check_defect(defect: float, tol: float, frequency: float | None = None) -> None:
+    """Fail an adaptive pass as soon as its unresolved defect, which can only grow, exceeds tol;
+    ``frequency`` is the grid frequency of a whole-grid pass that the defect is worst at."""
     if defect > tol:
         raise QuadratureError(
-            f"adaptive quadrature error estimate {defect:.3e} exceeds tolerance {tol:.3e}"
+            f"adaptive quadrature error estimate {defect:.3e} exceeds tolerance {tol:.3e}",
+            frequency,
         )
 
 
-def _over_budget(estimate: float, tol: float):
+def _over_budget(estimate: float, tol: float, frequency: float | None = None):
     """Stop a pass past ``_MAX_SPLITS``; ``estimate`` is its defect plus the change of the
-    panels being split."""
+    panels being split, worst at ``frequency`` in a whole-grid pass."""
     raise QuadratureError(
         f"adaptive quadrature stopped at its budget of {_MAX_SPLITS} panel splits; "
-        f"error estimate so far {estimate:.3e}, tolerance {tol:.3e}"
+        f"error estimate so far {estimate:.3e}, tolerance {tol:.3e}",
+        frequency,
     )
 
 
@@ -702,7 +705,10 @@ def integrate_grid(
     that the starting panels times the run fit in ``_GRID_CELLS``, under one split budget.
 
     Returns the integrals and |f| at a, the starting nodes (the first
-    run's) and b, for :func:`_check_ends`.
+    run's) and b, for :func:`_check_ends`.  An adaptive pass that fails
+    its defect or split budget raises a :class:`QuadratureError` whose
+    ``frequency`` is the w on the grid its estimate is worst at, the first
+    in a tie, so a caller can name it.
     """
     spec = spec or DEFAULT_SPEC
     a, b = _bounds(interval)
@@ -765,11 +771,14 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec, s
         stuck = ~done & ((depth >= _MAX_BISECTIONS) | (mid <= lo) | (mid >= hi))
         total += fine[done | stuck].sum(axis=0)
         defect += change[stuck].sum(axis=0)
-        _check_defect(float(np.max(defect)), tol)
+        worst = int(np.argmax(defect))
+        _check_defect(float(defect[worst]), tol, float(w[worst]))
         split = ~(done | stuck)
         splits += int(np.count_nonzero(split))
         if splits > _MAX_SPLITS:
-            _over_budget(float(np.max(defect + change[split].sum(axis=0))), tol)
+            estimate = defect + change[split].sum(axis=0)
+            worst = int(np.argmax(estimate))
+            _over_budget(float(estimate[worst]), tol, float(w[worst]))
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
         coarse = np.concatenate((left[split], right[split]))
         for s in reversed(range(0, lo.size, rows)):

@@ -20,6 +20,7 @@ from unitransform import (
     real_coefficients,
     synthesize,
 )
+from unitransform.numerics import integrate_grid
 
 
 def _as_real(f):
@@ -283,30 +284,44 @@ class TestSeriesTransformConvention:
 
 
 class TestGramMatrixByDifference:
-    @pytest.mark.parametrize("K, L", [(3, 1.0), (8, math.pi), (5, 2.5)])
+    @pytest.mark.parametrize("K, L", [(3, 1.0), (8, math.pi), (5, 2.5), (32, 1.0), (0, 0.5)])
     def test_one_integral_per_difference(self, monkeypatch, K, L):
+        # The 4K+1 differences m = k - l are one integrate_grid pass of f = 1 over m pi/L,
+        # m = -2K..2K, with no integrate call, read back through the Toeplitz index.
         import unitransform.fourier_series as fs
 
-        calls = []
+        grids, singles = [], []
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return integrate(*args, **kwargs)
+        def grid_spy(f, interval, grid, spec=None):
+            grids.append(grid.points)
+            return integrate_grid(f, interval, grid, spec)
 
-        monkeypatch.setattr(fs, "integrate", spy)
+        monkeypatch.setattr(fs, "integrate_grid", grid_spy)
+        monkeypatch.setattr(fs, "integrate", lambda *args, **kw: singles.append(args))
         gram = gram_matrix(L, K)
-        assert len(calls) == 4 * K + 1
+        assert len(grids) == 1 and not singles
+        np.testing.assert_array_equal(grids[0], np.arange(-2 * K, 2 * K + 1) * math.pi / L)
         monkeypatch.undo()
 
-        # The per-entry loop: one quadrature of exp(-i (k - l) pi x / L) per (i, j).
+        # The per-entry loop: the quadrature of exp(-i (k - l) pi x / L) for each (i, j),
+        # integrated once per difference i - j and read back by it.
         size = 2 * K + 1
+        by_difference = {}
         entries = np.empty((size, size), dtype=complex)
         for i in range(size):
             for j in range(size):
-                diff = (i - j) * math.pi / L
-                entries[i, j] = integrate(
-                    lambda x, d=diff: np.exp(-1j * d * np.asarray(x)),
-                    (-L, L),
-                    panels=oscillation_panels(diff, -L, L),
-                )
-        assert np.array_equal(gram, entries)
+                if i - j not in by_difference:
+                    diff = (i - j) * math.pi / L
+                    by_difference[i - j] = integrate(
+                        lambda x, d=diff: np.exp(-1j * d * np.asarray(x)),
+                        (-L, L),
+                        panels=oscillation_panels(diff, -L, L),
+                    )
+                entries[i, j] = by_difference[i - j]
+        assert np.max(np.abs(gram - entries)) <= 1e-14 * 2 * L
+        assert np.max(np.abs(gram - 2 * L * np.eye(size))) <= 1e-14 * 2 * L
+
+    def test_gauss_legendre_rule(self):
+        L, K = math.pi, 8
+        gram = gram_matrix(L, K, QuadratureSpec(method="gauss-legendre"))
+        assert np.max(np.abs(gram - 2 * L * np.eye(2 * K + 1))) <= 1e-12

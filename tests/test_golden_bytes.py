@@ -88,7 +88,7 @@ DIGESTS = {
     "series-csv": "01b5c480f493088c8cf5deeb3ecb7027060707daf758e2fb24e55c05f2965061",
     "real-series": "ac3006567df1e677aeecf2b0021857d4f175d04791d15f3887f97f5cd0f8575a",
     "real-series.csv": "2a4d4d70ef75a3bbbbabb899e9c87b52e1150ccc4248fbd7ce4ccf798dc66713",
-    "verify-orthogonality": "5a8fc7c9fc416df73d5aea416d7b866ca8c4c8af66fe1ac09f3c59ac9b8c2d7c",
+    "verify-orthogonality": "840429c05148aea1aa83333ea0f6005edd6d9871f9be53e6dd59240504f44da8",
     "verify-residual": "5d0fb267ebe00253f534adaa54618e55fff38e145c5cfbb7ff3796d717783e18",
     "roundtrip.json": "b3b267aa97309447a682de08c85631ce03c48bc3751cd0d9841833f87b84ee0d",
     "function2d": "ecf04c44f544dcf0b801efd05303734a790e03732172be4610de182366c60e41",

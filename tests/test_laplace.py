@@ -158,6 +158,18 @@ class TestBromwichInverse:
                            r"float: exponent 800 > 709\.78$"):
             bromwich_inverse(lambda s: 1.0 / (s + 1.0) ** 2, 10.0, 20.0, 80.0)
 
+    def test_contour_weight_refused_before_fhat_is_sampled(self):
+        calls = []
+
+        def fhat(s):
+            calls.append(np.size(s))
+            return 1.0 / (s + 1.0) ** 2
+
+        with pytest.raises(QuadratureError, match=r"^e\^\(sigma\*t\) at sigma=10, t=80 overflows a "
+                           r"float: exponent 800 > 709\.78$"):
+            bromwich_inverse(fhat, 10.0, 400.0, 80.0)
+        assert calls == []
+
     def test_parameter_validation(self):
         with pytest.raises(ContractViolationError):
             bromwich_inverse(lambda s: 1.0 / s, 1.0, 0.0, 1.0)

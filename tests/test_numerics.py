@@ -506,6 +506,21 @@ class TestWorkBudget:
                            "20 panel splits"):
             integrate_grid(_narrow, (-1.0, 1.0), grid)
 
+    def test_failure_names_its_worst_frequency(self, monkeypatch):
+        with pytest.raises(QuadratureError, match="exceeds tolerance") as failed:
+            forward_ft(lambda x: np.exp(-np.asarray(x, float) ** 2) / np.asarray(x, float),
+                       Grid.uniform(-0.5, 0.5, 3), 6.0)
+        assert failed.value.frequency in (-0.5, 0.0, 0.5)
+        # f = 1 reads the same estimate at w and -w: the tie goes to the first w on the grid.
+        monkeypatch.setattr(numerics, "_MAX_SPLITS", 10)
+        with pytest.raises(QuadratureError, match="budget") as failed:
+            integrate_grid(np.ones_like, (-1.0, 1.0), Grid(np.arange(-2, 3) * math.pi),
+                           QuadratureSpec(tolerance=1e-300))
+        assert failed.value.frequency == -2 * math.pi
+        with pytest.raises(QuadratureError, match="budget") as failed:
+            integrate(_narrow, (-1.0, 1.0))
+        assert failed.value.frequency is None
+
 
 class TestOscillationPanels:
     def test_scales_with_frequency_and_width(self):
