@@ -112,12 +112,12 @@ def forward_fl(
     # integrals G(lam, t_m) = sum_j wx_j g(x_j, t_m) e^{i lam x_j} of the block, then
     # their t sums, times 1/2pi, for every tau, added into the output.
     values = np.zeros((len(lambda_grid), len(tau_grid)), dtype=complex)
-    x_sums = _ExpPlan(x_nodes, lambda_grid, 1, stacked=True)
+    x_sums = _ExpPlan(x_nodes, lambda_grid, 1)
     t_block = max(1, _FL_BLOCK // x_nodes.size)
     for start in range(0, t_nodes.size, t_block):
         t, wt = t_nodes[start:start + t_block], t_weights[start:start + t_block]
         G = x_sums.apply(f_on(t)[0].T, np.zeros((t.size, len(lambda_grid)), dtype=complex))
-        _ExpPlan(t, tau_grid, -1, True).apply(G.T * (wt / (2.0 * math.pi)), values)
+        _ExpPlan(t, tau_grid, -1).apply(G.T * (wt / (2.0 * math.pi)), values)
     _check_ends(x_profile, "x axis: integrand f", "the truncation A", stacklevel=3)
     values.flags.writeable = False
     return FourierLaplaceSpectrum(lambda_grid, sigma, tau_grid, values)

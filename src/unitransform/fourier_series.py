@@ -11,7 +11,9 @@ Coefficients are computed by quadrature (never FFT); the truncation at
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,19 @@ from .numerics import (
 CONJUGATE_SYMMETRY_TOL = 1e-8
 
 
+def _top_index(coefficients: dict, *others: dict) -> int:
+    """K of a coefficient set: the largest key of ``coefficients``, which may not be empty.
+
+    Every key there and in ``others`` must be an integer, not a bool; anything else raises
+    :class:`ContractViolationError`."""
+    if not coefficients:
+        raise ContractViolationError("coefficient set may not be empty")
+    for k in itertools.chain(coefficients, *others):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ContractViolationError(f"coefficient index must be an integer, got {k}")
+    return max(coefficients)
+
+
 @dataclass(frozen=True)
 class FourierCoefficientSet:
     """Complex coefficients c_k for k in [-K, K] on the interval (-L, L)."""
@@ -39,11 +54,8 @@ class FourierCoefficientSet:
 
     def __post_init__(self):
         _scalar(self.L, "L", "positive")
-        ks = sorted(self.c)
-        if not ks:
-            raise ContractViolationError("coefficient set may not be empty")
-        K = ks[-1]
-        if ks != list(range(-K, K + 1)):
+        K = _top_index(self.c)
+        if sorted(self.c) != list(range(-K, K + 1)):
             raise ContractViolationError(
                 "coefficient indices must form a symmetric range -K..K"
             )
@@ -74,7 +86,7 @@ class RealFourierCoefficientSet:
 
     def __post_init__(self):
         _scalar(self.L, "L", "positive")
-        K = max(self.a) if self.a else -1
+        K = _top_index(self.a, self.b)
         if sorted(self.a) != list(range(0, K + 1)):
             raise ContractViolationError("a-coefficients must cover k = 0..K")
         if sorted(self.b) != list(range(1, K + 1)):

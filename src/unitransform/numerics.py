@@ -1,19 +1,21 @@
 """Grids, complex-valued sampled functions, and quadrature engines.
 
-All integrals in the toolkit go through :func:`integrate` (finite
-intervals) or :func:`integrate_halfline` (truncated ``[0, X]``
-integrals).  Oscillatory integrands are handled by panel subdivision, see
+The integral of a function over one interval goes through :func:`integrate`
+(finite intervals) or :func:`integrate_halfline` (truncated ``[0, X]``
+integrals); integrals against exp(i w x) for a whole grid of w go through
+:func:`integrate_grid` (``forward_ft`` and the Gram matrix); and fixed-rule
+or stored samples are summed against that kernel by :func:`exp_sum`
+(``laplace_line``, ``forward_fl`` and ``inverse_ft``).
+Oscillatory integrands are handled by panel subdivision, see
 :func:`oscillation_panels`; no Filon-type machinery.  Every rule, like
 every adaptive call, is held to the budget of ``_MAX_SPLITS`` panels
 (:func:`_panel_budget`).  Every pass evaluates f once on its starting
 rule, ``order`` Gauss nodes on each of its equal panels
 (:func:`composite_gauss_nodes`): ``gauss-legendre`` is that rule summed,
-and the adaptive method bisects its panels from there.  :func:`integrate_grid`
-integrates f against exp(i w x) for a whole grid of w in one pass, and
-:func:`exp_sum` sums samples on the Gauss rule of :func:`_grid_rule`, or
-stored ones, against it, by chirp-z FFTs where that is cheaper than its
-direct kernel.  :func:`exp_sum` is a plan, :class:`_ExpPlan`, built once
-from the nodes and the grid, and an apply step that adds the sums into a
+and the adaptive method bisects its panels from there.  :func:`exp_sum`
+sums one row by chirp-z FFTs where that is cheaper than the direct
+kernel; every other sum is a plan, :class:`_ExpPlan`, built once from the
+nodes, the grid and the sign, and an apply step that adds the sums into a
 caller's array, so a caller that sums many arrays on the same nodes and
 grid builds the kernel once and holds no second output.
 :func:`_eval_integrand` evaluates every callable.  Every truncation meets one of the two
@@ -449,48 +451,39 @@ def _chirp_sum(weighted: np.ndarray, sign: int, c: np.ndarray, d: float, w: np.n
 
 
 class _ExpPlan:
-    """The kernel of :func:`exp_sum` for fixed nodes, grid and sign, built once.
+    """The direct kernel of :func:`exp_sum` for fixed nodes, grid and sign, built once.
 
-    ``stacked`` says whether :meth:`apply` gets one row or stacked rows; it
-    picks the path as :func:`exp_sum` describes.  A direct plan holds the
-    whole kernel when the grid fits in one block of ``_EXP_BLOCK`` columns;
-    on a longer uniform grid it holds the step kernel instead.
+    On a uniform grid of two or more points the plan holds the step kernel
+    exp(sign*i*b*h*nodes), b < ``_EXP_BLOCK``, a recurrence started from 1
+    with the step h taken from ``grid.spacing``; block a's kernel is
+    exp(sign*i*w_a*nodes) times it, one broadcast multiply into a reused
+    buffer, so rounding cannot drift from block to block.  Any other grid
+    gets a direct exponential per block.
     """
 
-    def __init__(self, nodes: np.ndarray, grid: Grid, sign: int, stacked: bool):
+    def __init__(self, nodes: np.ndarray, grid: Grid, sign: int):
         self.nodes, self.w, self.sign = nodes, grid.points, sign
-        self.chirp = None if stacked else _chirp_layout(nodes, grid)
-        self.kernel = self.step = None
-        if self.chirp is not None:
-            return
-        one_block = self.w.size <= _EXP_BLOCK
+        self.step = None
         if grid.kind == "uniform" and self.w.size > 1:
             ratio = np.exp(sign * 1j * grid.spacing * nodes)
-            kernel = np.repeat(ratio[:, None], min(self.w.size, _EXP_BLOCK), axis=1)
-            kernel[:, 0] = np.exp(sign * 1j * self.w[0] * nodes) if one_block else 1.0
-            np.cumprod(kernel, axis=1, out=kernel)
-            self.kernel, self.step = (kernel, None) if one_block else (None, kernel)
-        elif one_block:
-            self.kernel = np.exp(sign * 1j * np.outer(nodes, self.w))
+            step = np.repeat(ratio[:, None], min(self.w.size, _EXP_BLOCK), axis=1)
+            step[:, 0] = 1.0
+            self.step = np.cumprod(step, axis=1, out=step)
 
     def apply(self, weighted: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add the sums of ``weighted`` (node axis last) into ``out`` (grid axis last).
+        """Add the sums of ``weighted`` (node axis last) into ``out`` (grid axis last), one
+        block of ``_EXP_BLOCK`` grid columns at a time.
 
         Returns ``out``.
         """
-        if self.chirp is not None:
-            out += _chirp_sum(weighted, self.sign, *self.chirp)
-            return out
         buffer = None if self.step is None else np.empty_like(self.step)
         for start in range(0, self.w.size, _EXP_BLOCK):
             cols = self.w[start:start + _EXP_BLOCK]
-            if self.kernel is not None:
-                kernel = self.kernel
-            elif buffer is not None:
+            if buffer is None:
+                kernel = np.exp(self.sign * 1j * np.outer(self.nodes, cols))
+            else:
                 kernel = np.multiply(np.exp(self.sign * 1j * cols[0] * self.nodes)[:, None],
                                      self.step[:, :cols.size], out=buffer[:, :cols.size])
-            else:
-                kernel = np.exp(self.sign * 1j * np.outer(self.nodes, cols))
             out[..., start:start + cols.size] += weighted @ kernel
         return out
 
@@ -499,27 +492,19 @@ def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int) -> n
     """Sum ``weighted`` against exp(sign*i*w*nodes) for every w on the grid.
 
     Returns ``weighted @ exp(sign * 1j * outer(nodes, grid.points))``; the
-    node axis is the last axis of ``weighted``.  It is one :class:`_ExpPlan`,
-    applied once; a caller that sums several arrays on the same nodes and
-    grid builds the plan once and applies it to each, adding into its own
-    output.  Two kernel paths:
-
-    * Chirp-z: one row (``weighted.ndim == 1``) on a uniform grid whose nodes
-      are interleaved uniform sub-grids, when its FFTs cost less than the
-      direct kernel (see :func:`_chirp_layout`), is q Bluestein chirp-z
-      transforms, :func:`_chirp_sum`, with every large phase reduced exactly.
-    * Direct: anything else, one block of ``_EXP_BLOCK`` grid columns at a
-      time.  On a uniform grid of one block the kernel is a recurrence:
-      each column is the previous one times exp(sign*i*h*nodes), with the
-      step h taken from ``grid.spacing``.  On a longer uniform grid the
-      same recurrence, started from 1, gives the step kernel
-      exp(sign*i*b*h*nodes), b < ``_EXP_BLOCK``, once per plan; block a's
-      kernel is a fresh exp(sign*i*w_a*nodes) times the step kernel, one
-      broadcast multiply into a reused buffer, so rounding cannot drift
-      from block to block.  Any other grid gets a direct exponential.
+    node axis is the last axis of ``weighted``.  One row (``weighted.ndim ==
+    1``) on a uniform grid whose nodes are interleaved uniform sub-grids,
+    when its FFTs cost less than the direct kernel (see
+    :func:`_chirp_layout`), is q Bluestein chirp-z transforms,
+    :func:`_chirp_sum`, with every large phase reduced exactly.  Every
+    other sum is one :class:`_ExpPlan` applied once; a caller that sums
+    several arrays on the same nodes and grid builds the plan once and
+    applies it to each, adding into its own output.
     """
+    if weighted.ndim == 1 and (chirp := _chirp_layout(nodes, grid)) is not None:
+        return _chirp_sum(weighted, sign, *chirp)
     out = np.zeros(weighted.shape[:-1] + grid.points.shape, dtype=complex)
-    return _ExpPlan(nodes, grid, sign, weighted.ndim > 1).apply(weighted, out)
+    return _ExpPlan(nodes, grid, sign).apply(weighted, out)
 
 
 def _adaptive(f, edges: np.ndarray, start: np.ndarray, tol: float) -> complex:

@@ -71,9 +71,9 @@ CORPUS = [
 DIGESTS = {
     "ft.json": "cda0ab378b234dc889e55be5b91bbe784cabd4e058715ba235b7df656fca7af7",
     "ft-csv": "295623eb416d829731f7c7d5f701a4ecc6858291506915a1218342549d66e2f3",
-    "ift.json": "f85387bc13b8d35edfd8cfcc12004e0287dadef68f22157eb3fb2b88a13c2b36",
-    "ift.csv": "697a928743639c5083df73f6ef1486302adfaa7002ebcc2f4c7ed99483650424",
-    "estimate-abscissa-input": "d87bc965a2408da70121981c4ad2c1575ee7ebd5611221b37206be7ad95d6d61",
+    "ift.json": "57e727ad938cdf10e8d7acf1e2a2c8109871e1b5bc57ea2a28f428db96508861",
+    "ift.csv": "251c79576279d19e8b2d2b703525313a130a54dae828e00fad7d471a6595030e",
+    "estimate-abscissa-input": "12f6aaffd105a7a948b4af156158c2d9b1a7d6b83cc9d1e77d9a7571af78e6c1",
     "estimate-abscissa-expr": "aa8256e9f0b9bbb71f5640c8c1d9855223daa3465d932fe83f217e78ff02808e",
     "line.json": "af564534d536cb5b6cb55073273c0b82545b293516516e62eb9bfc1c688a1ad8",
     "line.csv": "02ab37fe593d7740ab028789dcc4b46211984b5c277122184095bc798df78afb",
@@ -81,16 +81,16 @@ DIGESTS = {
     "lt-s.csv": "f5b644adc6a347b040a9e3a885959b4bbb952aa935b9d00b0f8e223dc94b5191",
     "ilt": "5fdd727060e56d37f33f9863b9ffcc9f9757f7c5829c101fa715b7f69f59284f",
     "ilt.csv": "661f464bddb0a006f6a4a600b2859dea6415d57e4259783970b1b5b777d1e8f6",
-    "fl.json": "a4fae8d78c5b95ea3bf03dd44f3daf29f064d4a90a7dc937c40557822d49af57",
-    "iflt": "53719115a35713529d6b04976d309b83dad2415b11ab369652e88ade93d2b7d8",
-    "iflt.csv": "cfca1b8b9e7656b4183429b2d00ec38bf7f7be2b8dce3e4637529c0f025dac84",
+    "fl.json": "d974aa9380a25e30d0396267a3404b939bc5de3e3e1be485665827c9b86e63e2",
+    "iflt": "353771d355f3a3ca17477f08a5458ab9f4f253400387615f7b0565e9177c6536",
+    "iflt.csv": "aca150b69de50c6159027ff382c30ad345648abf82fd958cfc6610db13cc7aae",
     "series.json": "b132685ad3348725fd55bb8213555b692037be59cc490d9b0b3bd9b0b72b2803",
     "series-csv": "01b5c480f493088c8cf5deeb3ecb7027060707daf758e2fb24e55c05f2965061",
     "real-series": "ac3006567df1e677aeecf2b0021857d4f175d04791d15f3887f97f5cd0f8575a",
     "real-series.csv": "2a4d4d70ef75a3bbbbabb899e9c87b52e1150ccc4248fbd7ce4ccf798dc66713",
     "verify-orthogonality": "840429c05148aea1aa83333ea0f6005edd6d9871f9be53e6dd59240504f44da8",
     "verify-residual": "5d0fb267ebe00253f534adaa54618e55fff38e145c5cfbb7ff3796d717783e18",
-    "roundtrip.json": "b3b267aa97309447a682de08c85631ce03c48bc3751cd0d9841833f87b84ee0d",
+    "roundtrip.json": "e0288b5f8a16aa8fd1e9d7542fab17aa4612bc1f7895e7697ce15c98a3a4b9fd",
     "function2d": "ecf04c44f544dcf0b801efd05303734a790e03732172be4610de182366c60e41",
     "gauss-line": "296fbdf60c1ca7c751a164040bccda01985b50d5bafd8561e30c247d854695ed",
     "gauss-line-csv": "9aedfc7c3b2102ea41bcf4c717fcfb892bf8c4cb64dde5ded32d5cd91ed2fb47",

@@ -219,6 +219,15 @@ REFUSED = {
                                                 TAU), "spectrum grid needs at least two points"),
     "FourierCoefficientSet {}": (lambda: FourierCoefficientSet(1.0, {}),
                                  "coefficient set may not be empty"),
+    "FourierCoefficientSet index 0.0": (lambda: FourierCoefficientSet(L=1.0, c={0.0: 1}),
+                                        "coefficient index must be an integer, got 0.0"),
+    "FourierCoefficientSet index True": (lambda: FourierCoefficientSet(L=1.0, c={True: 1}),
+                                         "coefficient index must be an integer, got True"),
+    "RealFourierCoefficientSet a index 0.0":
+        (lambda: RealFourierCoefficientSet(L=1.0, a={0.0: 1.0}, b={}),
+         "coefficient index must be an integer, got 0.0"),
+    "RealFourierCoefficientSet {} {}": (lambda: RealFourierCoefficientSet(L=1.0, a={}, b={}),
+                                        "coefficient set may not be empty"),
     "RealFourierCoefficientSet a gap":
         (lambda: RealFourierCoefficientSet(1.0, {0: 1.0, 2: 1.0}, {1: 0.0, 2: 0.0}),
          "a-coefficients must cover k = 0..K"),

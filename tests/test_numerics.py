@@ -224,9 +224,9 @@ class TestExpSum:
     @pytest.mark.parametrize("stacked", [False, True], ids=["one-row", "stacked"])
     @pytest.mark.parametrize("size", [1, 2, 127, 128, 129, 257, 4001])
     def test_plan_adds_the_explicit_sum(self, size, stacked, sign, kind):
-        # 40 Gauss panels on [0, 8], enough for every |w| <= 20.  A row of 4001 uniform
-        # points takes the chirp-z path; the other cases are direct, with 1, 2, 3 or 32
-        # column blocks.
+        # 40 Gauss panels on [0, 8], enough for every |w| <= 20.  The plan is the direct
+        # kernel, with 1, 2, 3 or 32 column blocks; exp_sum takes chirp-z on one row of 257
+        # or 4001 uniform points and this plan on every other case.
         nodes, weights = composite_gauss_nodes(0.0, 8.0, 10, oscillation_panels(20.0, 0.0, 8.0))
         weighted = nodes**2 * np.exp(-nodes) * weights + 0j
         if stacked:
@@ -237,10 +237,12 @@ class TestExpSum:
         else:
             grid = Grid(np.sort(rng.uniform(-20.0, 20.0, size)), kind="gauss-nodes")
         direct = weighted @ np.exp(sign * 1j * np.outer(nodes, grid.points))
-        plan = numerics._ExpPlan(nodes, grid, sign, stacked)
+        plan = numerics._ExpPlan(nodes, grid, sign)
         sums = plan.apply(weighted, np.zeros(direct.shape, dtype=complex))
         assert np.max(np.abs(sums - direct)) <= 1e-13 * np.max(np.abs(direct))
-        np.testing.assert_array_equal(exp_sum(weighted, nodes, grid, sign), sums)
+        summed = exp_sum(weighted, nodes, grid, sign)
+        assert summed.shape == direct.shape
+        assert np.max(np.abs(summed - direct)) <= 1e-13 * np.max(np.abs(direct))
         held = rng.standard_normal(direct.shape) + 1j * rng.standard_normal(direct.shape)
         out = held.copy()
         assert plan.apply(weighted, out) is out
@@ -450,6 +452,23 @@ class TestIntegrateGrid:
         exact = math.sqrt(2 * math.pi) * np.exp(-(lams.points - 4.0) ** 2 / 2)
         np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
         assert max(sizes) <= 64
+
+    def test_each_run_starts_from_its_own_largest_frequency(self, monkeypatch):
+        # 46 starting panels for |w| = 8 by one frequency fill 92 cells, so each w runs
+        # alone, from oscillation_panels(|w|) panels of 10 nodes plus the two ends.  The
+        # bisection calls evaluate 20 nodes per panel, so their sizes are 0 mod 10.  One
+        # rule for the whole grid passed the same tests, but on 2,001 lambda over
+        # [-100, 100] it evaluated 418,292 points, against 334,452, in 1.66 s against 0.90 s.
+        starts = []
+
+        def f(x):
+            if np.size(x) % 10 == 2:
+                starts.append(np.size(x))
+            return _gaussian(x)
+
+        monkeypatch.setattr(numerics, "_GRID_CELLS", 92)
+        integrate_grid(f, (-12.0, 12.0), Grid.uniform(-8.0, 8.0, 5))
+        assert starts == [462, 232, 12, 232, 462]
 
     def test_fixed_rules_resolve_every_frequency(self):
         # one rule for the whole grid, fine enough for its largest |lam|
