@@ -152,7 +152,8 @@ def residual_ratio(
     support: the real part of the integral of
     exp(-2*sigma*x) * (|(M - lam) y_n|^2 + i |y_n|^2) is the squared
     residual and its imaginary part the squared norm, and the adaptive test
-    on the complex pair bounds each.
+    on the complex pair bounds each.  The weight is taken as e^{-sigma x}
+    inside both squares, so no factor e^{sigma x} is formed.
     """
     if problem.kind not in ("whole-line", "weighted-halfline"):
         raise ContractViolationError(
@@ -166,10 +167,10 @@ def residual_ratio(
     rate = sigma - 1j * lam0
 
     def squares(x):
-        y = np.exp(rate * x - (x / n) ** 2 / 2.0)
+        y = np.exp((rate - sigma) * x - (x / n) ** 2 / 2.0)
         dy = (rate - x / n**2) * y
         applied = 1j * (dy - sigma * y) - lam * y
-        return np.exp(-2.0 * sigma * x) * (np.abs(applied) ** 2 + 1j * np.abs(y) ** 2)
+        return np.abs(applied) ** 2 + 1j * np.abs(y) ** 2
 
     # Seed enough panels that the window bump cannot slip between nodes.
     both = integrate(squares, interval, spec, panels=8)

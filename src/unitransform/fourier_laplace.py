@@ -32,13 +32,13 @@ from .numerics import (
     DEFAULT_SPEC,
     Grid,
     QuadratureSpec,
-    _ExpPlan,
     _check_decay,
     _check_ends,
     _check_exp,
     _eval_integrand,
     _grid_rule,
     _scalar,
+    exp_sum,
 )
 
 # (x, t) points of f evaluated, and summed onto the contour, per pass of forward_fl.
@@ -84,10 +84,11 @@ def forward_fl(
     at t = X/2 and X, the tail weighted by A/pi (the x integral's weight),
     :func:`numerics._check_ends` its peak over every t at x = -A, the nodes and A.
 
-    The x-axis plan is built once per call and each block of t nodes gets
-    one t-axis plan, whose sums are added into the output in place: peak
-    memory is the output, which the spectrum adopts, plus one block of
-    about ``_FL_BLOCK`` (x, t) points, not set by the length of the t axis.
+    Each block of t nodes is summed onto the lambda grid by one
+    :func:`numerics.exp_sum` and onto the tau grid by a second, which adds
+    into the output in place: peak memory is the output, which the spectrum
+    adopts, plus one block of about ``_FL_BLOCK`` (x, t) points, not set by
+    the length of the t axis.
     """
     A = _scalar(truncations[0], "truncation A", "positive")
     X, sigma = _scalar(truncations[1], "truncation X", "positive"), _scalar(sigma, "sigma")
@@ -112,12 +113,11 @@ def forward_fl(
     # integrals G(lam, t_m) = sum_j wx_j g(x_j, t_m) e^{i lam x_j} of the block, then
     # their t sums, times 1/2pi, for every tau, added into the output.
     values = np.zeros((len(lambda_grid), len(tau_grid)), dtype=complex)
-    x_sums = _ExpPlan(x_nodes, lambda_grid, 1)
     t_block = max(1, _FL_BLOCK // x_nodes.size)
     for start in range(0, t_nodes.size, t_block):
         t, wt = t_nodes[start:start + t_block], t_weights[start:start + t_block]
-        G = x_sums.apply(f_on(t)[0].T, np.zeros((t.size, len(lambda_grid)), dtype=complex))
-        _ExpPlan(t, tau_grid, -1).apply(G.T * (wt / (2.0 * math.pi)), values)
+        G = exp_sum(f_on(t)[0].T, x_nodes, lambda_grid, 1)
+        exp_sum(G.T * (wt / (2.0 * math.pi)), t, tau_grid, -1, out=values)
     _check_ends(x_profile, "x axis: integrand f", "the truncation A", stacklevel=3)
     values.flags.writeable = False
     return FourierLaplaceSpectrum(lambda_grid, sigma, tau_grid, values)

@@ -14,10 +14,9 @@ rule, ``order`` Gauss nodes on each of its equal panels
 (:func:`composite_gauss_nodes`): ``gauss-legendre`` is that rule summed,
 and the adaptive method bisects its panels from there.  :func:`exp_sum`
 sums one row by chirp-z FFTs where that is cheaper than the direct
-kernel; every other sum is a plan, :class:`_ExpPlan`, built once from the
-nodes, the grid and the sign, and an apply step that adds the sums into a
-caller's array, so a caller that sums many arrays on the same nodes and
-grid builds the kernel once and holds no second output.
+kernel, and every other sum by the direct kernel, block by block; it adds
+the sums into an array the caller passes, so a caller that sums many
+arrays onto one output holds no second output.
 :func:`_eval_integrand` evaluates every callable.  Every truncation meets one of the two
 guards that build a :class:`TruncationWarning`: :func:`_check_decay` on a half line (growth
 and tail of the integrand as summed, f e^{-sigma t} on a damped line), :func:`_check_ends` on
@@ -450,61 +449,47 @@ def _chirp_sum(weighted: np.ndarray, sign: int, c: np.ndarray, d: float, w: np.n
     return conv.sum(axis=0) * chirp[:M] * turn(c[0], h, k[:M]) * turn(c[0], w[0], np.array([1]))
 
 
-class _ExpPlan:
-    """The direct kernel of :func:`exp_sum` for fixed nodes, grid and sign, built once.
+def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Add the sums of ``weighted`` against exp(sign*i*w*nodes), for every w on the grid,
+    into ``out`` (grid axis last; a fresh zero array when None) and return it.
 
-    On a uniform grid of two or more points the plan holds the step kernel
-    exp(sign*i*b*h*nodes), b < ``_EXP_BLOCK``, a recurrence started from 1
-    with the step h taken from ``grid.spacing``; block a's kernel is
+    The sums are ``weighted @ exp(sign * 1j * outer(nodes, grid.points))``;
+    the node axis is the last axis of ``weighted``.  One row (``weighted.ndim
+    == 1``) on a uniform grid whose nodes are interleaved uniform sub-grids,
+    when its FFTs cost less than the direct kernel (see
+    :func:`_chirp_layout`), is q Bluestein chirp-z transforms,
+    :func:`_chirp_sum`, with every large phase reduced exactly.  Every other
+    sum runs the direct kernel, one block of ``_EXP_BLOCK`` grid columns at a
+    time.  On a uniform grid of two or more points that kernel is the step
+    kernel exp(sign*i*b*h*nodes), b < ``_EXP_BLOCK``, a recurrence started
+    from 1 with the step h taken from ``grid.spacing``; block a's kernel is
     exp(sign*i*w_a*nodes) times it, one broadcast multiply into a reused
     buffer, so rounding cannot drift from block to block.  Any other grid
     gets a direct exponential per block.
     """
-
-    def __init__(self, nodes: np.ndarray, grid: Grid, sign: int):
-        self.nodes, self.w, self.sign = nodes, grid.points, sign
-        self.step = None
-        if grid.kind == "uniform" and self.w.size > 1:
-            ratio = np.exp(sign * 1j * grid.spacing * nodes)
-            step = np.repeat(ratio[:, None], min(self.w.size, _EXP_BLOCK), axis=1)
-            step[:, 0] = 1.0
-            self.step = np.cumprod(step, axis=1, out=step)
-
-    def apply(self, weighted: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add the sums of ``weighted`` (node axis last) into ``out`` (grid axis last), one
-        block of ``_EXP_BLOCK`` grid columns at a time.
-
-        Returns ``out``.
-        """
-        buffer = None if self.step is None else np.empty_like(self.step)
-        for start in range(0, self.w.size, _EXP_BLOCK):
-            cols = self.w[start:start + _EXP_BLOCK]
-            if buffer is None:
-                kernel = np.exp(self.sign * 1j * np.outer(self.nodes, cols))
-            else:
-                kernel = np.multiply(np.exp(self.sign * 1j * cols[0] * self.nodes)[:, None],
-                                     self.step[:, :cols.size], out=buffer[:, :cols.size])
-            out[..., start:start + cols.size] += weighted @ kernel
-        return out
-
-
-def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int) -> np.ndarray:
-    """Sum ``weighted`` against exp(sign*i*w*nodes) for every w on the grid.
-
-    Returns ``weighted @ exp(sign * 1j * outer(nodes, grid.points))``; the
-    node axis is the last axis of ``weighted``.  One row (``weighted.ndim ==
-    1``) on a uniform grid whose nodes are interleaved uniform sub-grids,
-    when its FFTs cost less than the direct kernel (see
-    :func:`_chirp_layout`), is q Bluestein chirp-z transforms,
-    :func:`_chirp_sum`, with every large phase reduced exactly.  Every
-    other sum is one :class:`_ExpPlan` applied once; a caller that sums
-    several arrays on the same nodes and grid builds the plan once and
-    applies it to each, adding into its own output.
-    """
+    w = grid.points
     if weighted.ndim == 1 and (chirp := _chirp_layout(nodes, grid)) is not None:
-        return _chirp_sum(weighted, sign, *chirp)
-    out = np.zeros(weighted.shape[:-1] + grid.points.shape, dtype=complex)
-    return _ExpPlan(nodes, grid, sign).apply(weighted, out)
+        sums = _chirp_sum(weighted, sign, *chirp)
+        return sums if out is None else np.add(out, sums, out=out)
+    if out is None:
+        out = np.zeros(weighted.shape[:-1] + w.shape, dtype=complex)
+    step = None
+    if grid.kind == "uniform" and w.size > 1:
+        step = np.repeat(np.exp(sign * 1j * grid.spacing * nodes)[:, None],
+                         min(w.size, _EXP_BLOCK), axis=1)
+        step[:, 0] = 1.0
+        np.cumprod(step, axis=1, out=step)
+        buffer = np.empty_like(step)
+    for start in range(0, w.size, _EXP_BLOCK):
+        cols = w[start:start + _EXP_BLOCK]
+        if step is None:
+            kernel = np.exp(sign * 1j * np.outer(nodes, cols))
+        else:
+            kernel = np.multiply(np.exp(sign * 1j * cols[0] * nodes)[:, None],
+                                 step[:, :cols.size], out=buffer[:, :cols.size])
+        out[..., start:start + cols.size] += weighted @ kernel
+    return out
 
 
 def _adaptive(f, edges: np.ndarray, start: np.ndarray, tol: float) -> complex:

@@ -204,6 +204,18 @@ class TestResidualRatio:
             expected = math.sqrt((lam - lam0) ** 2 + 1.0 / (2.0 * n * n))
             assert r == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("sigma", [8.0, 50.0])
+    def test_large_sigma_does_not_overflow(self, sigma):
+        # The weight e^{-2 sigma x} cancels |e^{sigma x}|^2, so the ratio cannot depend on sigma.
+        problem = EigenProblemSpec.weighted_halfline(sigma)
+        for n in (4, 8, 16):
+            for lam in (0.0, 1.0):
+                r = residual_ratio(problem, lam, WindowedTestSequence(lam=lam, n=n))
+                assert r == pytest.approx(oracle_ratio(n), rel=1e-12)
+        detuned = WindowedTestSequence(lam=5.0, n=8)
+        reference = residual_ratio(EigenProblemSpec.weighted_halfline(0.5), 5.3, detuned)
+        assert residual_ratio(problem, 5.3, detuned) == pytest.approx(reference, rel=1e-12)
+
     @pytest.mark.parametrize("problem", [EigenProblemSpec.whole_line(),
                                          EigenProblemSpec.weighted_halfline(0.5)],
                              ids=["whole-line", "weighted-halfline"])

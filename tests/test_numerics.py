@@ -224,9 +224,9 @@ class TestExpSum:
     @pytest.mark.parametrize("stacked", [False, True], ids=["one-row", "stacked"])
     @pytest.mark.parametrize("size", [1, 2, 127, 128, 129, 257, 4001])
     def test_plan_adds_the_explicit_sum(self, size, stacked, sign, kind):
-        # 40 Gauss panels on [0, 8], enough for every |w| <= 20.  The plan is the direct
-        # kernel, with 1, 2, 3 or 32 column blocks; exp_sum takes chirp-z on one row of 257
-        # or 4001 uniform points and this plan on every other case.
+        # 40 Gauss panels on [0, 8], enough for every |w| <= 20.  The direct kernel runs in
+        # 1, 2, 3 or 32 column blocks; exp_sum takes chirp-z on one row of 257 or 4001
+        # uniform points, and the direct kernel on that row passed as a stack of one.
         nodes, weights = composite_gauss_nodes(0.0, 8.0, 10, oscillation_panels(20.0, 0.0, 8.0))
         weighted = nodes**2 * np.exp(-nodes) * weights + 0j
         if stacked:
@@ -237,16 +237,15 @@ class TestExpSum:
         else:
             grid = Grid(np.sort(rng.uniform(-20.0, 20.0, size)), kind="gauss-nodes")
         direct = weighted @ np.exp(sign * 1j * np.outer(nodes, grid.points))
-        plan = numerics._ExpPlan(nodes, grid, sign)
-        sums = plan.apply(weighted, np.zeros(direct.shape, dtype=complex))
-        assert np.max(np.abs(sums - direct)) <= 1e-13 * np.max(np.abs(direct))
+        rows = exp_sum(weighted if stacked else weighted[None], nodes, grid, sign)
+        assert np.max(np.abs(rows.reshape(direct.shape) - direct)) <= 1e-13 * np.max(np.abs(direct))
         summed = exp_sum(weighted, nodes, grid, sign)
         assert summed.shape == direct.shape
         assert np.max(np.abs(summed - direct)) <= 1e-13 * np.max(np.abs(direct))
         held = rng.standard_normal(direct.shape) + 1j * rng.standard_normal(direct.shape)
         out = held.copy()
-        assert plan.apply(weighted, out) is out
-        np.testing.assert_array_equal(out, held + sums)
+        assert exp_sum(weighted, nodes, grid, sign, out=out) is out
+        np.testing.assert_array_equal(out, held + summed)
 
     def test_non_uniform_grid_and_single_point(self):
         nodes, weighted = self._line_weights()
@@ -310,6 +309,23 @@ class TestChirpZ:
         assert subgrids == [10]
         exp_sum(np.stack([weighted, weighted]), nodes, tau, -1)
         assert subgrids == [10]
+
+    def test_forward_ft_sums_one_row_by_chirp_z_with_sign_plus_one(self, monkeypatch):
+        # The gauss-legendre pass of a 481-point FT: 690 nodes in 10 interleaved sub-grids.
+        lam = Grid.uniform(-12.0, 12.0, 481)
+        calls = []
+        chirp_sum = numerics._chirp_sum
+
+        def spy(weighted, sign, c, *rest):
+            calls.append((sign, c.size))
+            return chirp_sum(weighted, sign, c, *rest)
+
+        monkeypatch.setattr(numerics, "_chirp_sum", spy)
+        spectrum = forward_ft(lambda x: np.exp(-x**2 / 2), lam, 12.0,
+                              QuadratureSpec(method="gauss-legendre"))
+        exact = np.exp(-lam.points**2 / 2) / math.sqrt(2.0 * math.pi)
+        assert calls == [(1, 10)]
+        assert np.max(np.abs(spectrum.values - exact)) <= 1e-13 * np.max(exact)
 
     def test_small_sums_stay_direct(self):
         nodes, _ = composite_gauss_nodes(0.0, 40.0, 10, oscillation_panels(2.0, 0.0, 40.0))
