@@ -84,18 +84,21 @@ def inverse_ft(spectrum: ContinuousSpectrum, x_grid: Grid) -> SampledFunction:
     No 1/(2*pi) factor appears here; it lives in the forward direction.
     The spectrum is known only at its grid points, so the integral is a
     trapezoid sum over that grid.  Requests with |x| * grid-step above
-    pi/4 are rejected as aliased.
+    pi/4 are rejected as aliased; a :class:`TruncationWarning` says when
+    |F| at either end of the grid exceeds 1e-6 of its peak.
     """
     return SampledFunction(x_grid, _inverse_sum(spectrum.lambda_grid, spectrum.values, x_grid))
 
 
 def _inverse_sum(lambda_grid: Grid, values: np.ndarray, x: Grid | float, axis: str = ""):
     """Trapezoid sum over the stored grid of ``values`` * exp(-i*lam*x), at every x on a grid or
-    one x.  The grid must be uniform, with two points or more, and obey :func:`_check_aliasing`."""
+    one x.  The grid must be uniform, with two points or more, and obey :func:`_check_aliasing`;
+    |values| at its ends meets the endpoint guard of :func:`numerics._check_ends`."""
     if len(lambda_grid) < 2:
         raise ContractViolationError(f"{axis}spectrum grid needs at least two points")
     if lambda_grid.kind != "uniform":
         raise ContractViolationError(f"{axis}inverse transform requires a uniform frequency grid")
+    _check_ends(np.abs(values), f"{axis}spectrum", "the largest |lambda| of the spectrum grid")
     w, lams = lambda_grid.trapezoid_weights(), lambda_grid.points
     if isinstance(x, Grid):
         _check_aliasing(lambda_grid.spacing, float(np.max(np.abs(x.points))), axis)

@@ -19,8 +19,8 @@ Kinds::
     value         {"kind":"value","value":[re,im],"meta":{...}}
     report        {"kind":"report","check":..., ...fields..., "meta":{...}}
 
-A grid that is not uniform carries its kind after its points, as
-``"<grid key>_kind": "gauss-nodes"``; a grid without that key is uniform.
+A grid is stored as its points alone; whether it is uniform is read from
+them, and a ``"<grid key>_kind"`` entry of an older file is ignored.
 Every file embeds the request that produced it under meta.request.
 """
 
@@ -125,18 +125,10 @@ def complex_pairs(values) -> np.ndarray:
     return np.stack([np.real(values), np.imag(values)], -1)
 
 
-def _grid_fields(key: str, grid: Grid) -> dict:
-    """``{key: points}``, plus ``{key}_kind`` for a grid that is not uniform."""
-    fields: dict = {key: grid.points}
-    if grid.kind != "uniform":
-        fields[f"{key}_kind"] = grid.kind
-    return fields
-
-
 def function_payload(fn: SampledFunction, meta: dict) -> dict:
     return {
         "kind": "function",
-        **_grid_fields("grid", fn.grid),
+        "grid": fn.grid.points,
         "values": complex_pairs(fn.values),
         "meta": meta,
     }
@@ -145,8 +137,8 @@ def function_payload(fn: SampledFunction, meta: dict) -> dict:
 def function2d_payload(fn: SampledFunction2D, meta: dict) -> dict:
     return {
         "kind": "function2d",
-        **_grid_fields("x_grid", fn.x_grid),
-        **_grid_fields("t_grid", fn.t_grid),
+        "x_grid": fn.x_grid.points,
+        "t_grid": fn.t_grid.points,
         "values": complex_pairs(fn.values),
         "meta": meta,
     }
@@ -181,7 +173,7 @@ def spectrum_payload(spectrum, meta: dict) -> dict:
     for field in dataclasses.fields(spectrum):
         value = getattr(spectrum, field.name)
         if isinstance(value, Grid):
-            payload.update(_grid_fields(field.name, value))
+            payload[field.name] = value.points
         elif field.name == "values":
             payload["values"] = complex_pairs(value)
         else:
@@ -232,18 +224,6 @@ def _read(doc: dict, key: str, path: str, convert):
         raise ContractViolationError(f"{path}: malformed '{key}' entries") from exc
 
 
-def _grid_kind(value) -> str:
-    if value not in Grid.KINDS:
-        raise ValueError(f"unknown grid kind {value!r}")
-    return value
-
-
-def _grid(doc: dict, key: str, path: str) -> Grid:
-    kind_key = f"{key}_kind"
-    kind = _read(doc, kind_key, path, _grid_kind) if kind_key in doc else "uniform"
-    return _read(doc, key, path, lambda v: Grid(_floats(v), kind=kind))
-
-
 def _number(value) -> float:
     """A JSON number as a float; a string or a boolean is a TypeError."""
     if type(value) not in (int, float):
@@ -284,7 +264,7 @@ def _entry(doc: dict, key: str, path: str):
         return _read(doc, key, path, _complex)
     if key == "sigma":
         return _read(doc, key, path, _number)
-    return _grid(doc, key, path)
+    return _read(doc, key, path, lambda v: Grid(_floats(v)))
 
 
 def load_function(path: str) -> SampledFunction:

@@ -50,6 +50,8 @@ DEFAULT_TOLERANCE = 1e-10
 
 _METHODS = ("gauss-legendre", "adaptive")
 _MAX_BISECTIONS = 48
+# A change of at most this times |fine| is rounding alone, which no split can shrink.
+_ROUNDING = 8 * np.finfo(float).eps
 # Work budget of one adaptive pass: panel splits per _adaptive or _adaptive_grid call,
 # over 100x the most a test needs (1,741, real-series of a piecewise-linear function).
 # Also the most panels any rule starts from (the most a test needs: 3,820, T=400 at X=40).
@@ -164,31 +166,27 @@ DEFAULT_SPEC = QuadratureSpec()
 class Grid:
     """Ordered real abscissae.
 
-    ``kind`` is either ``"uniform"`` (constant spacing, checked to a
-    relative tolerance of 1e-12) or ``"gauss-nodes"``.
+    ``kind`` is worked out from the points: ``"uniform"`` when the spacing is
+    constant to a relative tolerance of 1e-12 (every grid of one or two
+    points), ``"nonuniform"`` otherwise.
     """
 
     __slots__ = ("points", "kind")
-    KINDS = ("uniform", "gauss-nodes")
 
-    def __init__(self, points: Sequence[float] | np.ndarray, kind: str = "uniform"):
+    def __init__(self, points: Sequence[float] | np.ndarray):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size == 0:
             raise ContractViolationError("grid points must form a non-empty 1-D sequence")
         if not np.all(np.isfinite(pts)):
             raise ContractViolationError("grid points must be finite")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
+        d = np.diff(pts)
+        if not np.all(d > 0):
             raise ContractViolationError("grid points must be strictly increasing")
-        if kind not in Grid.KINDS:
-            raise ContractViolationError(f"unknown grid kind {kind!r}")
-        if kind == "uniform" and pts.size > 2:
-            d = np.diff(pts)
-            mean = d.mean()
-            if np.max(np.abs(d - mean)) > 1e-12 * max(abs(mean), np.max(np.abs(pts))):
-                raise ContractViolationError("uniform grid has non-constant spacing")
+        mean = d.mean() if d.size else 0.0
+        scale = 1e-12 * max(abs(mean), np.max(np.abs(pts)))
         pts.flags.writeable = False
         self.points = pts
-        self.kind = kind
+        self.kind = "uniform" if np.all(np.abs(d - mean) <= scale) else "nonuniform"
 
     @classmethod
     def uniform(cls, a: float, b: float, num: int) -> "Grid":
@@ -196,10 +194,10 @@ class Grid:
         if num < 1:
             raise ContractViolationError("grid needs at least one point")
         if num == 1:
-            return cls(np.array([a]), kind="uniform")
+            return cls(np.array([a]))
         if not a < b:
             raise ContractViolationError("grid requires a < b")
-        return cls(np.linspace(a, b, num), kind="uniform")
+        return cls(np.linspace(a, b, num))
 
     @property
     def spacing(self) -> float:
@@ -323,7 +321,7 @@ def _check_ends(magnitude: np.ndarray, what: str, remedy: str, stacklevel: int =
     first and last; the :class:`TruncationWarning` reads "<what> at the
     endpoints is ... of its peak; raise <remedy> for full accuracy".
     """
-    peak = float(np.max(magnitude))
+    peak = float(magnitude.max())
     ends = max(magnitude[0], magnitude[-1])
     if peak > 0 and ends > ENDPOINT_RATIO * peak:
         warnings.warn(
@@ -515,9 +513,10 @@ def _adaptive(f, edges: np.ndarray, start: np.ndarray, tol: float) -> complex:
         fine = left + right
         if abs(fine - coarse) <= tol * (hi - lo) / span:
             total += fine
-        elif depth >= _MAX_BISECTIONS or mid <= lo or mid >= hi:
-            # Cannot subdivide further (jump or machine resolution); keep
-            # the refined value and account for its unresolved defect.
+        elif (depth >= _MAX_BISECTIONS or mid <= lo or mid >= hi
+              or abs(fine - coarse) <= _ROUNDING * abs(fine)):
+            # Cannot subdivide further (jump, machine resolution or a change that is
+            # rounding); keep the refined value and account for its unresolved defect.
             total += fine
             defect += abs(fine - coarse)
             _check_defect(defect, tol)
@@ -707,7 +706,8 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec, s
     starting panels' sums and at most one more batch per bisection level.
     Each batch evaluates f once, on both halves of its panels.  A panel is accepted
     when ``max over w |fine - coarse| <= tol * width / span``, the test of
-    :func:`integrate` at its worst frequency; ``_MAX_BISECTIONS`` and the
+    :func:`integrate` at its worst frequency; ``_MAX_BISECTIONS``, the rounding
+    test (``_ROUNDING``, met by every failing frequency) and the
     unresolved-defect :class:`QuadratureError` apply per frequency as there,
     and ``_MAX_SPLITS`` to the splits of all batches and earlier runs (``splits``).
 
@@ -735,10 +735,12 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec, s
         left, right = halves[:lo.size], halves[lo.size:]
         fine = left + right
         change = np.abs(fine - coarse)
-        done = np.max(change, axis=1) <= tol * (hi - lo) / span
-        # A panel that cannot be split further (jump or machine resolution)
-        # keeps its refined value and accounts for its unresolved defect.
-        stuck = ~done & ((depth >= _MAX_BISECTIONS) | (mid <= lo) | (mid >= hi))
+        limit = tol * (hi - lo)[:, None] / span
+        done = np.all(change <= limit, axis=1)
+        # A panel that cannot be split further (jump, machine resolution, or every failing
+        # frequency's change rounding) keeps its refined value and accounts for its defect.
+        rounding = np.all(change <= np.maximum(limit, _ROUNDING * np.abs(fine)), axis=1)
+        stuck = ~done & (rounding | (depth >= _MAX_BISECTIONS) | (mid <= lo) | (mid >= hi))
         total += fine[done | stuck].sum(axis=0)
         defect += change[stuck].sum(axis=0)
         worst = int(np.argmax(defect))

@@ -335,6 +335,20 @@ class TestErrorSurface:
             "write the file with --format json\n"
         )
 
+    def test_spectrum_cut_before_it_decays_exit_2(self, capsys, tmp_path):
+        # |F| at lambda = +-1 is e^-0.5 of its peak: summed as it stands, ift read 0.6826,
+        # 0.5877 and 0.3534 where f is 1, 0.6065 and 0.1353.
+        path = str(tmp_path / "ft.json")
+        code, _, err = run_cli(capsys, "ft", "--expr", "exp(-x^2/2)", "--A", "12",
+                               "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "0.05",
+                               "--output", path)
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "ift", "--input", path,
+                                 "--x-min", "0", "--x-max", "2", "--x-step", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: numerical: spectrum at the endpoints is 6.07e-01 of its peak; "
+                       "raise the largest |lambda| of the spectrum grid for full accuracy\n")
+
     def test_expression_error_positioned(self, capsys):
         code, _, err = run_cli(capsys, "series", "--expr", "foo(x)", "--L", "1", "--K", "0")
         assert code == 1
@@ -593,8 +607,9 @@ class TestCommandTable:
         for argv in (
             ["lt", "--expr", "x*exp(-x)", "--sigma", "0.5", "--X", "40",
              "--tau-min", "-1", "--tau-max", "1", "--tau-step", "0.05", "--output", "line.json"],
-            ["ft", "--expr", "exp(-x^2/2)", "--A", "12", "--lambda-min", "-1",
-             "--lambda-max", "1", "--lambda-step", "0.25", "--output", "spectrum.json"],
+            # lambda on [-6, 6]: |F| has decayed to e^-18 of its peak at the ends, so ift reads it.
+            ["ft", "--expr", "exp(-x^2/2)", "--A", "12", "--lambda-min", "-6",
+             "--lambda-max", "6", "--lambda-step", "0.25", "--output", "spectrum.json"],
             ["ift", "--input", "spectrum.json", "--x-min", "-2", "--x-max", "2",
              "--x-step", "0.1", "--output", "f.json"],
         ):

@@ -25,7 +25,7 @@ from unitransform import (
 from unitransform import laplace
 
 TAU = Grid.uniform(-10.0, 10.0, 401)
-LAMBDA = Grid.uniform(-2.0, 2.0, 9)
+LAMBDA = Grid.uniform(-4.0, 4.0, 17)  # |F| ~ e^{-lambda^2} ends at e^-16 of its peak
 SIGMA = 0.5
 
 

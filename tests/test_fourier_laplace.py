@@ -93,7 +93,7 @@ class TestForward:
     def test_gauss_nodes_tau_grid_matches_closed_form(self):
         # F(lam, s) = e^{-lam^2/2} / sqrt(2 pi) * 1 / (s + 1)
         nodes, _ = composite_gauss_nodes(-6.0, 6.0, 4, 3)
-        tau_grid = Grid(nodes, kind="gauss-nodes")
+        tau_grid = Grid(nodes)
         lam_grid = Grid.uniform(-2.0, 2.0, 9)
         spectrum = forward_fl(separable, lam_grid, 0.5, tau_grid, (A_TRUNC, X_TRUNC))
         expected = np.outer(
@@ -141,7 +141,7 @@ class TestStreamedBuild:
             (Grid.uniform(-6.0, 6.0, 11), Grid.uniform(-10.0, 10.0, 401)),
             (Grid.uniform(3.0, 3.0, 1), Grid.uniform(-16.0, 16.0, 161)),
             (Grid.uniform(-6.0, 6.0, 11),
-             Grid(composite_gauss_nodes(-10.0, 10.0, 5, 40)[0], kind="gauss-nodes")),
+             Grid(composite_gauss_nodes(-10.0, 10.0, 5, 40)[0])),
         ],
         ids=["uniform", "one-lambda", "gauss-nodes-tau"],
     )
@@ -212,12 +212,25 @@ class TestInverse:
             inverse_fl(spectrum, 0.0, 1.0)
 
     def test_truncation_warning_names_s_axis(self):
-        lam_grid = Grid.uniform(-1.0, 1.0, 5)
+        # Flat along tau, so the s axis warns; a unit gaussian in lambda cut at +-6, so the
+        # lambda axis does not.
+        lam_grid = Grid.uniform(-6.0, 6.0, 25)
         tau_grid = Grid.uniform(-3.0, 3.0, 121)
-        values = np.ones((5, 121), dtype=complex)
+        values = np.exp(-lam_grid.points[:, None] ** 2 / 2.0) * np.ones((25, 121), dtype=complex)
         spectrum = FourierLaplaceSpectrum(lam_grid, 0.0, tau_grid, values)
         with pytest.warns(TruncationWarning, match="s axis"):
             inverse_fl(spectrum, 0.0, 1.0)
+
+    def test_truncation_warning_names_lambda_axis(self):
+        # Decayed along tau, so the s axis is quiet; a unit gaussian in lambda cut at +-1.
+        lam_grid = Grid.uniform(-1.0, 1.0, 21)
+        tau_grid = Grid.uniform(-3.0, 3.0, 121)
+        values = np.outer(np.exp(-lam_grid.points**2 / 2.0), np.exp(-4.0 * tau_grid.points**2))
+        spectrum = FourierLaplaceSpectrum(lam_grid, 0.0, tau_grid, values)
+        with pytest.warns(TruncationWarning, match="^lambda axis: spectrum at the endpoints is "
+                          r"6\.07e-01 of its peak") as caught:
+            inverse_fl(spectrum, 0.0, 1.0)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_time_must_be_positive(self):
         lam_grid = Grid.uniform(-1.0, 1.0, 5)
@@ -237,7 +250,7 @@ class TestInverseOnGaussNodesContour:
 
     def _spectrum(self, panels):
         nodes, _ = composite_gauss_nodes(-50.0, 50.0, 4, panels)
-        tau_grid = Grid(nodes, kind="gauss-nodes")
+        tau_grid = Grid(nodes)
         values = np.outer(
             np.exp(-self.LAM_GRID.points**2 / 2.0) / math.sqrt(2.0 * math.pi),
             6.0 / (self.SIGMA + 1j * tau_grid.points + 1.0) ** 4,

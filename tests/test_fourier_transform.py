@@ -155,10 +155,19 @@ class TestInverse:
 
     def test_nonuniform_grid_rejected(self):
         pts = np.concatenate([np.linspace(-1, 0, 5), np.linspace(0.1, 2, 4)])
-        grid = Grid(np.unique(pts), kind="gauss-nodes")
+        grid = Grid(np.unique(pts))
         spectrum = ContinuousSpectrum(grid, np.zeros(len(grid), dtype=complex))
         with pytest.raises(ContractViolationError):
             inverse_ft(spectrum, Grid.uniform(-0.1, 0.1, 3))
+
+    def test_spectrum_cut_before_it_decays_warns(self):
+        # The ift repro: cut at +-1, |F| at the ends is e^-0.5 of its peak, and the sum
+        # reads 0.6826 at x = 0 where f is 1.
+        spectrum = forward_ft(gaussian, Grid.uniform(-1.0, 1.0, 41), 12.0)
+        with pytest.warns(TruncationWarning, match=r"^spectrum at the endpoints is 6\.07e-01 of "
+                          r"its peak; raise the largest \|lambda\| of the spectrum grid") as caught:
+            inverse_ft(spectrum, Grid.uniform(0.0, 2.0, 3))
+        assert [w.filename for w in caught] == [__file__]
 
     def test_full_roundtrip_sup_error(self):
         lam_grid = Grid.uniform(-12.0, 12.0, 481)

@@ -21,16 +21,18 @@ from unitransform import io_formats as io
 from unitransform.cli import main
 from unitransform.numerics import composite_gauss_nodes
 
+# Each lambda range reaches +-6, where |F| of a unit gaussian is e^-18 of its peak, so the
+# stored spectrum passes the endpoint guard of the ift and iflt lambda sums.
 _FT = ["ft", "--expr", "exp(-(x-0.5)^2/2)", "--A", "12",
-       "--lambda-min", "-4", "--lambda-max", "4", "--lambda-step", "0.1"]
+       "--lambda-min", "-6", "--lambda-max", "6", "--lambda-step", "0.1"]
 _IFT = ["ift", "--input", "ft.json", "--x-min", "-3", "--x-max", "3", "--x-step", "0.25"]
 _LINE = ["lt", "--expr", "x^3*exp(-x)", "--sigma", "0.5", "--X", "40",
          "--tau-min", "-50", "--tau-max", "50", "--tau-step", "0.05"]
 _POINT = ["lt", "--expr", "exp(-x)", "--s", "2-1i", "--X", "40"]
 _ILT = ["ilt", "--input", "line.json", "--t", "1"]
-# A 31 x 401 Fourier-Laplace spectrum.
+# A 61 x 401 Fourier-Laplace spectrum.
 _FLT = ["flt", "--expr", "exp(-x^2/2)*t^7*exp(-t)", "--sigma", "0.5", "--A", "12", "--X", "40",
-        "--lambda-min", "-3", "--lambda-max", "3", "--lambda-step", "0.2",
+        "--lambda-min", "-6", "--lambda-max", "6", "--lambda-step", "0.2",
         "--tau-min", "-10", "--tau-max", "10", "--tau-step", "0.05"]
 _IFLT = ["iflt", "--input", "fl.json", "--x", "0.5", "--t", "1"]
 _SERIES = ["series", "--expr", "exp(cos(pi*x))", "--L", "1", "--K", "6"]
@@ -69,11 +71,11 @@ CORPUS = [
 # Recorded from the per-number renderer that wrote each float through format_float, with
 # one BLAS thread (conftest.py pins it): the flt and iflt bytes go through a complex matmul.
 DIGESTS = {
-    "ft.json": "cda0ab378b234dc889e55be5b91bbe784cabd4e058715ba235b7df656fca7af7",
-    "ft-csv": "295623eb416d829731f7c7d5f701a4ecc6858291506915a1218342549d66e2f3",
-    "ift.json": "57e727ad938cdf10e8d7acf1e2a2c8109871e1b5bc57ea2a28f428db96508861",
-    "ift.csv": "251c79576279d19e8b2d2b703525313a130a54dae828e00fad7d471a6595030e",
-    "estimate-abscissa-input": "12f6aaffd105a7a948b4af156158c2d9b1a7d6b83cc9d1e77d9a7571af78e6c1",
+    "ft.json": "570f1b96f5c6e5aab4ee9df6d5ed4f800966d47ededff780338e54a1971efa72",
+    "ft-csv": "a86428f7fba127e0bd229bd6a2a20002f7fe82e7dc65a2a8fc5ae94feb2a67a6",
+    "ift.json": "255e5f9ca5ffadb937e12b97170c3a89edf30fb47912c1baba1a0f44bc2b4747",
+    "ift.csv": "b2c4733e4fc408495eb2129ebd032c6658ebeb4af17cd8d09ae8168bbd06a6b6",
+    "estimate-abscissa-input": "003b47f52dfbc77d7d43c65673642032d890d58d86f1f0cef9e9e43f268591bc",
     "estimate-abscissa-expr": "aa8256e9f0b9bbb71f5640c8c1d9855223daa3465d932fe83f217e78ff02808e",
     "line.json": "af564534d536cb5b6cb55073273c0b82545b293516516e62eb9bfc1c688a1ad8",
     "line.csv": "02ab37fe593d7740ab028789dcc4b46211984b5c277122184095bc798df78afb",
@@ -81,9 +83,9 @@ DIGESTS = {
     "lt-s.csv": "f5b644adc6a347b040a9e3a885959b4bbb952aa935b9d00b0f8e223dc94b5191",
     "ilt": "5fdd727060e56d37f33f9863b9ffcc9f9757f7c5829c101fa715b7f69f59284f",
     "ilt.csv": "661f464bddb0a006f6a4a600b2859dea6415d57e4259783970b1b5b777d1e8f6",
-    "fl.json": "d974aa9380a25e30d0396267a3404b939bc5de3e3e1be485665827c9b86e63e2",
-    "iflt": "353771d355f3a3ca17477f08a5458ab9f4f253400387615f7b0565e9177c6536",
-    "iflt.csv": "aca150b69de50c6159027ff382c30ad345648abf82fd958cfc6610db13cc7aae",
+    "fl.json": "b02d03ca998db6306695856d8c91eeea74ef949f6d89c68b5aefb92abe43ff56",
+    "iflt": "6808b4bf5a7f600cef5a73a1d9711104b17800548e96d79ecc7a0ff229ae3f44",
+    "iflt.csv": "333b5fd13a9a637d1f669441698dcccbaa13639d5550da2c40b62d6e97947f8d",
     "series.json": "b132685ad3348725fd55bb8213555b692037be59cc490d9b0b3bd9b0b72b2803",
     "series-csv": "01b5c480f493088c8cf5deeb3ecb7027060707daf758e2fb24e55c05f2965061",
     "real-series": "ac3006567df1e677aeecf2b0021857d4f175d04791d15f3887f97f5cd0f8575a",
@@ -91,8 +93,8 @@ DIGESTS = {
     "verify-orthogonality": "840429c05148aea1aa83333ea0f6005edd6d9871f9be53e6dd59240504f44da8",
     "verify-residual": "5d0fb267ebe00253f534adaa54618e55fff38e145c5cfbb7ff3796d717783e18",
     "roundtrip.json": "e0288b5f8a16aa8fd1e9d7542fab17aa4612bc1f7895e7697ce15c98a3a4b9fd",
-    "function2d": "ecf04c44f544dcf0b801efd05303734a790e03732172be4610de182366c60e41",
-    "gauss-line": "296fbdf60c1ca7c751a164040bccda01985b50d5bafd8561e30c247d854695ed",
+    "function2d": "1db9f2c3afec43aa6556aab26848edfdfcda60dd903a342cfd70d9a9cc0b69db",
+    "gauss-line": "bfbe11d0907c77bd18793871ca6f7d82a175ad47f99aa0de6848055c0466a009",
     "gauss-line-csv": "9aedfc7c3b2102ea41bcf4c717fcfb892bf8c4cb64dde5ded32d5cd91ed2fb47",
 }
 
@@ -119,7 +121,7 @@ def corpus_digests(capsysbinary) -> dict:
 
 def library_digests() -> dict:
     """Writers no command reaches: a 2-D function and a line spectrum on Gauss-node grids."""
-    x = Grid(composite_gauss_nodes(-1.0, 1.0, 3, 2)[0], kind="gauss-nodes")
+    x = Grid(composite_gauss_nodes(-1.0, 1.0, 3, 2)[0])
     t = Grid.uniform(0.0, 2.0, 5)
     values = np.exp(-x.points[:, None] ** 2 - 1j * t.points[None, :]) - 1.0
     fn = io.function2d_payload(SampledFunction2D(x, t, values), {"request": {}})

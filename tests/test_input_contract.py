@@ -199,7 +199,7 @@ def load_empty_document():
     return load_spectrum("empty.json")
 
 
-GAUSS = Grid(np.array([-0.5, 0.5]), kind="gauss-nodes")
+GAUSS = Grid(np.polynomial.legendre.leggauss(4)[0])
 # Refusals of the data types, engines and file layer, each with its exact message; the
 # test runs in a scratch directory, where load_empty_document writes its file.
 REFUSED = {

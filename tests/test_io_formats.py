@@ -97,13 +97,13 @@ class TestSpectrumFiles:
     def test_gauss_nodes_line_roundtrip(self, tmp_path):
         # 300 five-node panels keep every step under the contour bound 0.05
         nodes, _ = composite_gauss_nodes(-25.0, 25.0, 5, 300)
-        tau = Grid(nodes, kind="gauss-nodes")
+        tau = Grid(nodes)
         line = laplace_line(lambda x: np.asarray(x, float) * np.exp(-np.asarray(x, float)) + 0j,
                             0.5, tau, 40.0)
         payload = io.spectrum_payload(line, {"request": {}})
-        assert list(payload)[3:5] == ["tau_grid", "tau_grid_kind"]
+        assert list(payload) == ["kind", "convention", "sigma", "tau_grid", "values", "meta"]
         loaded = io.load_spectrum(_write(tmp_path, "line.json", payload))
-        assert loaded.tau_grid.kind == "gauss-nodes"
+        assert loaded.tau_grid.kind == "nonuniform"
         np.testing.assert_array_equal(loaded.tau_grid.points, tau.points)
         np.testing.assert_array_equal(loaded.values, line.values)
         exact = math.exp(-1.0)  # t e^{-t} at t = 1
@@ -112,6 +112,18 @@ class TestSpectrumFiles:
         with pytest.warns(TruncationWarning):
             reloaded = bromwich_inverse_from_samples(loaded, 1.0)
         assert abs(reloaded - exact) == abs(in_memory - exact) < 1e-3
+
+    @pytest.mark.parametrize("points, kind", [([-1.0, 0.0, 1.0], "uniform"),
+                                              ([-1.0, 0.0, 0.5], "nonuniform")])
+    def test_older_kind_entry_is_ignored(self, tmp_path, points, kind):
+        # Older files labelled a grid by a "<key>_kind" entry; the points alone say its kind.
+        key = "tau_grid"
+        doc = {"kind": "spectrum", "convention": "laplace-line", "sigma": 1.0,
+               key: points, f"{key}_kind": "gauss-nodes",
+               "values": [[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]]}
+        loaded = io.load_spectrum(_write(tmp_path, "old.json", doc))
+        assert loaded.tau_grid.kind == kind
+        np.testing.assert_array_equal(loaded.tau_grid.points, points)
 
     def test_uniform_grids_record_no_kind(self):
         grid = Grid.uniform(-1.0, 1.0, 3)
@@ -187,13 +199,6 @@ class TestMalformedFiles:
         doc = {"kind": "spectrum", "convention": "laplace-line", "sigma": 1,
                "tau_grid": [0, 1], "values": [[1, 0], [0.5, 0]]}
         assert io.load_spectrum(self._file(tmp_path, doc)).sigma == 1.0
-
-    def test_unknown_grid_kind(self, tmp_path):
-        doc = {"kind": "spectrum", "convention": "laplace-line", "sigma": 1.0,
-               "tau_grid": [0.0, 1.0], "tau_grid_kind": "chebyshev",
-               "values": [[1.0, 0.0], [0.5, 0.0]]}
-        with pytest.raises(ContractViolationError, match=r"bad\.json: malformed 'tau_grid_kind'"):
-            io.load_spectrum(self._file(tmp_path, doc))
 
 
 class TestCsv:

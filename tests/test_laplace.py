@@ -196,8 +196,9 @@ class TestBromwichFromSamples:
             bromwich_inverse_from_samples(spectrum, 1.0)
 
     def test_coarse_non_uniform_contour_rejected(self):
-        # The step bound holds on every grid kind, not only uniform ones.
-        tau_grid = Grid(np.linspace(-10.0, 10.0, 21), kind="gauss-nodes")
+        # The step bound holds on every grid kind, not only uniform ones: steps of 1, then 0.5.
+        tau_grid = Grid(np.concatenate((np.linspace(-10.0, 0.0, 11), np.linspace(0.5, 10.0, 20))))
+        assert tau_grid.kind == "nonuniform"
         spectrum = LaplaceSpectrum(0.0, tau_grid, 1.0 / (1.0 + 1j * tau_grid.points) ** 2)
         with pytest.raises(AliasingError, match="contour step 1 exceeds"):
             bromwich_inverse_from_samples(spectrum, 1.0)
@@ -268,7 +269,7 @@ class TestLaplaceLine:
     def test_gauss_nodes_tau_grid_matches_closed_form(self):
         # L[t^3 e^{-t}](s) = 6 / (s + 1)^4 on a non-uniform tau grid
         nodes, _ = composite_gauss_nodes(-10.0, 10.0, 5, 4)
-        tau_grid = Grid(nodes, kind="gauss-nodes")
+        tau_grid = Grid(nodes)
         f = lambda x: np.asarray(x, float) ** 3 * np.exp(-np.asarray(x, float)) + 0j
         spectrum = laplace_line(f, 0.5, tau_grid, 40.0)
         expected = 6.0 / (1.5 + 1j * tau_grid.points) ** 4

@@ -22,6 +22,7 @@ from unitransform import (
     forward_fl,
     forward_ft,
     forward_laplace,
+    gram_matrix,
     integrate,
     integrate_halfline,
     laplace_line,
@@ -47,17 +48,29 @@ class TestGrid:
             Grid([0.0, 2.0, 1.0])
 
     def test_uniform_spacing_enforced(self):
-        with pytest.raises(ContractViolationError):
-            Grid([0.0, 1.0, 2.0, 3.5])
-        Grid([0.0, 1.0, 2.0, 3.5], kind="gauss-nodes")  # fine for non-uniform kind
+        grid = Grid([0.0, 1.0, 2.0, 3.5])
+        assert grid.kind == "nonuniform"
+        with pytest.raises(ContractViolationError, match="spacing is defined for uniform grids only"):
+            grid.spacing
 
     def test_trapezoid_weights_sum_to_length(self):
         g = Grid.uniform(2.0, 7.0, 11)
         assert g.trapezoid_weights().sum() == pytest.approx(5.0)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ContractViolationError):
-            Grid([0.0, 1.0], kind="chebyshev")
+    @pytest.mark.parametrize("grid, kind", [
+        (Grid.uniform(-400.0, 400.0, 16001), "uniform"),
+        (Grid.uniform(0.1, 0.7, 7), "uniform"),
+        (Grid([2.5]), "uniform"),
+        (Grid([-3.0, 7.0]), "uniform"),
+        (Grid(np.arange(-64, 65) * math.pi / 2.5), "uniform"),  # the Gram grid, K = 32
+        (Grid(np.linspace(-1.0, 1.0, 9) + 1e-14 * (-1.0) ** np.arange(9)), "uniform"),
+        (Grid(composite_gauss_nodes(-1.0, 1.0, 10, 3)[0]), "nonuniform"),
+        (Grid(np.linspace(-1.0, 1.0, 9) + 1e-11 * (-1.0) ** np.arange(9)), "nonuniform"),
+    ], ids=["uniform-16001", "uniform-7", "one-point", "two-point", "gram", "uniform-to-1e-12",
+            "gauss-nodes", "uneven-by-1e-11"])
+    def test_kind_is_read_from_the_points(self, grid, kind):
+        assert grid.kind == kind
+        assert Grid(grid.points.tolist()).kind == kind
 
 
 class TestSampledFunction:
@@ -219,7 +232,7 @@ class TestExpSum:
         assert got.shape == (2, 301)
         assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
-    @pytest.mark.parametrize("kind", Grid.KINDS)
+    @pytest.mark.parametrize("kind", ["uniform", "gauss-nodes"])  # gauss-nodes: uneven points
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("stacked", [False, True], ids=["one-row", "stacked"])
     @pytest.mark.parametrize("size", [1, 2, 127, 128, 129, 257, 4001])
@@ -235,7 +248,7 @@ class TestExpSum:
         if kind == "uniform":
             grid = Grid.uniform(-20.0, 20.0, size)
         else:
-            grid = Grid(np.sort(rng.uniform(-20.0, 20.0, size)), kind="gauss-nodes")
+            grid = Grid(np.sort(rng.uniform(-20.0, 20.0, size)))
         direct = weighted @ np.exp(sign * 1j * np.outer(nodes, grid.points))
         rows = exp_sum(weighted if stacked else weighted[None], nodes, grid, sign)
         assert np.max(np.abs(rows.reshape(direct.shape) - direct)) <= 1e-13 * np.max(np.abs(direct))
@@ -249,7 +262,7 @@ class TestExpSum:
 
     def test_non_uniform_grid_and_single_point(self):
         nodes, weighted = self._line_weights()
-        for grid in (Grid([-3.0, -1.0, 0.5, 4.0], kind="gauss-nodes"), Grid.uniform(2.0, 3.0, 1)):
+        for grid in (Grid([-3.0, -1.0, 0.5, 4.0]), Grid.uniform(2.0, 3.0, 1)):
             direct = weighted @ np.exp(-1j * np.outer(nodes, grid.points))
             assert np.allclose(exp_sum(weighted, nodes, grid, -1), direct, rtol=0, atol=1e-15)
 
@@ -326,6 +339,32 @@ class TestChirpZ:
         exact = np.exp(-lam.points**2 / 2) / math.sqrt(2.0 * math.pi)
         assert calls == [(1, 10)]
         assert np.max(np.abs(spectrum.values - exact)) <= 1e-13 * np.max(exact)
+
+    @pytest.mark.parametrize("layout", ["grid off the lattice", "no sub-grid fits"])
+    def test_one_row_that_no_plan_fits_runs_the_direct_kernel(self, monkeypatch, layout):
+        if layout == "grid off the lattice":
+            # Uniform at 1e-12, but +-3e-14 on the points is far off the 4-ulp lattice.
+            nodes, weights = composite_gauss_nodes(0.0, 40.0, 10, 955)
+            grid = Grid(np.linspace(-20.0, 20.0, 4001) + 3e-14 * (-1.0) ** np.arange(4001))
+            # The step kernel reads these points as uniform, each within 1e-13 of where it is.
+            offset = 1e-13
+        else:
+            # A prime count of random nodes: only q = 1 divides it, and it is no lattice.
+            nodes = np.sort(np.random.default_rng(11).uniform(0.0, 40.0, 5003))
+            weights = np.full(nodes.size, 40.0 / nodes.size)
+            grid = Grid.uniform(-20.0, 20.0, 4001)
+            offset = 0.0
+        assert grid.kind == "uniform"
+        assert numerics._chirp_layout(nodes, grid) is None
+        calls = []
+        monkeypatch.setattr(numerics, "_chirp_sum", lambda *args: calls.append(args))
+        weighted = nodes**3 * np.exp(-1.5 * nodes) * weights + 0j
+        direct = self._direct(weighted, nodes, grid, -1)
+        got = exp_sum(weighted, nodes, grid, -1)
+        assert calls == []
+        # A point read offset from where it is moves each term's phase by up to max|x| * offset.
+        bound = 1e-13 * np.max(np.abs(direct)) + 40.0 * offset * np.sum(np.abs(weighted))
+        assert np.max(np.abs(got - direct)) <= bound
 
     def test_small_sums_stay_direct(self):
         nodes, _ = composite_gauss_nodes(0.0, 40.0, 10, oscillation_panels(2.0, 0.0, 40.0))
@@ -546,15 +585,37 @@ class TestWorkBudget:
             forward_ft(lambda x: np.exp(-np.asarray(x, float) ** 2) / np.asarray(x, float),
                        Grid.uniform(-0.5, 0.5, 3), 6.0)
         assert failed.value.frequency in (-0.5, 0.0, 0.5)
-        # f = 1 reads the same estimate at w and -w: the tie goes to the first w on the grid.
+        # A real f reads the same estimate at w and -w: the tie goes to the first w on the grid.
         monkeypatch.setattr(numerics, "_MAX_SPLITS", 10)
         with pytest.raises(QuadratureError, match="budget") as failed:
-            integrate_grid(np.ones_like, (-1.0, 1.0), Grid(np.arange(-2, 3) * math.pi),
-                           QuadratureSpec(tolerance=1e-300))
+            integrate_grid(lambda x: np.asarray(x, float) ** -2, (-1.0, 1.0),
+                           Grid(np.arange(-2, 3) * math.pi))
         assert failed.value.frequency == -2 * math.pi
         with pytest.raises(QuadratureError, match="budget") as failed:
             integrate(_narrow, (-1.0, 1.0))
         assert failed.value.frequency is None
+
+
+class TestRoundingIsStuck:
+    """A panel whose every failing change is rounding (at most 8 eps |fine|) is stuck at once:
+    its change joins the defect, so an unreachable tolerance fails on it, not at the budget."""
+
+    def test_unreachable_tolerance_fails_on_the_defect(self):
+        with pytest.raises(QuadratureError, match="^inner product k-l=-2: adaptive quadrature "
+                           "error estimate .* exceeds tolerance 1.000e-300$"):
+            gram_matrix(1.0, 1, QuadratureSpec(tolerance=1e-300))
+        with pytest.raises(QuadratureError, match="^adaptive quadrature error estimate .* "
+                           "exceeds tolerance 1.000e-300$") as failed:
+            integrate(lambda x: np.exp(np.asarray(x, float)) + 0j, (-1.0, 1.0),
+                      QuadratureSpec(tolerance=1e-300))
+        assert failed.value.frequency is None
+
+    def test_reachable_tolerance_is_met(self):
+        # Rounding on a panel is far below tolerance 1e-13 times its share of the interval.
+        exact = 2.0 * math.sin(5.0) / 5.0
+        v = integrate(lambda x: np.exp(5j * np.asarray(x, float)), (-1.0, 1.0),
+                      QuadratureSpec(tolerance=1e-13))
+        assert abs(v - exact) <= 1e-13
 
 
 class TestOscillationPanels:
