@@ -7,6 +7,10 @@ convert a coefficient set to the opposite convention swap c_k and c_{-k}.
 
 Coefficients are computed by quadrature (never FFT); the truncation at
 |k| <= K is hard, so Gibbs behavior near jumps is observable by design.
+The complex coefficients, like the Gram matrix, are one
+:func:`numerics.integrate_grid` pass over the grid k*pi/L, so f is
+resolved once for every k; the real coefficients keep one integral per
+cosine and sine, an independent route to the same numbers.
 """
 
 from __future__ import annotations
@@ -109,21 +113,36 @@ def _indexed_integral(integrand, freq: float, L: float, spec: QuadratureSpec | N
         raise QuadratureError(f"{index}: {exc}") from exc
 
 
+def _index_pass(f, L: float, n: int, spec: QuadratureSpec | None, index: str) -> np.ndarray:
+    """The integrals of f(x) exp(i*m*pi*x/L) over (-L, L), m = -n..n, as one
+    :func:`numerics.integrate_grid` pass; a failure is a :class:`QuadratureError`
+    "<index>=<m>: ..." naming the m its estimate is worst at, or m = -n, which sets the rule,
+    when it names no frequency.  The rule's panel budget is checked before its grid is built,
+    so a grid that would overflow a float is refused on the budget."""
+    try:
+        oscillation_panels(n * math.pi / L, -L, L)
+        return integrate_grid(f, (-L, L), Grid(np.arange(-n, n + 1) * math.pi / L), spec)[0]
+    except (QuadratureError, EvaluationError) as exc:
+        w = getattr(exc, "frequency", None)
+        m = -n if w is None else round(w * L / math.pi)
+        raise QuadratureError(f"{index}={m}: {exc}") from exc
+
+
 def complex_coefficients(
     f, L: float, K: int, spec: QuadratureSpec | None = None
 ) -> FourierCoefficientSet:
     """Compute c_k = (1/2L) * integral of f(x) exp(i*k*pi*x/L) over (-L, L).
 
-    The integrand for index k oscillates with |k| periods over the
-    interval, so the quadrature is subdivided proportionally.
+    The 2K+1 coefficients are one :func:`numerics.integrate_grid` pass of f
+    over the uniform grid k*pi/L, k = -K..K, divided by 2L: f is evaluated
+    once per panel for every k, on panels fine enough for the largest |k|.
+    A failure names the index its estimate is worst at, the first in a tie,
+    and k = -K, the index that sets the rule, when it has none:
+    "coefficient k=<k>: ...".
     """
     L, K = _scalar(L, "L", "positive"), _scalar(K, "K", "count")
-    c = {}
-    for k in range(-K, K + 1):
-        freq = k * math.pi / L
-        c[k] = _indexed_integral(lambda x: f(x) * np.exp(1j * freq * np.asarray(x)), freq, L,
-                                 spec, f"coefficient k={k}") / (2.0 * L)
-    return FourierCoefficientSet(L=L, c=c)
+    values = _index_pass(f, L, K, spec, "coefficient k") / (2.0 * L)
+    return FourierCoefficientSet(L=L, c=dict(zip(range(-K, K + 1), values.tolist())))
 
 
 def synthesize(coeffs: FourierCoefficientSet, x):
@@ -202,13 +221,6 @@ def gram_matrix(L: float, K: int, spec: QuadratureSpec | None = None) -> np.ndar
     "inner product k-l=<m>: ...".
     """
     L, K = _scalar(L, "L", "positive"), _scalar(K, "K", "count")
-    try:
-        # The panel budget of the rule, set by m = -2K, before its grid can overflow.
-        oscillation_panels(2 * K * math.pi / L, -L, L)
-        grid = Grid(np.arange(-2 * K, 2 * K + 1) * math.pi / L)
-        by_difference = integrate_grid(np.ones_like, (-L, L), grid, spec)[0].conj()
-    except QuadratureError as exc:
-        m = -2 * K if exc.frequency is None else round(exc.frequency * L / math.pi)
-        raise QuadratureError(f"inner product k-l={m}: {exc}") from exc
+    by_difference = _index_pass(np.ones_like, L, 2 * K, spec, "inner product k-l").conj()
     index = np.arange(2 * K + 1)
     return by_difference[index[:, None] - index + 2 * K]

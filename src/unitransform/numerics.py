@@ -3,9 +3,9 @@
 The integral of a function over one interval goes through :func:`integrate`
 (finite intervals) or :func:`integrate_halfline` (truncated ``[0, X]``
 integrals); integrals against exp(i w x) for a whole grid of w go through
-:func:`integrate_grid` (``forward_ft`` and the Gram matrix); and fixed-rule
-or stored samples are summed against that kernel by :func:`exp_sum`
-(``laplace_line``, ``forward_fl`` and ``inverse_ft``).
+:func:`integrate_grid` (``forward_ft``, the complex Fourier coefficients and
+the Gram matrix); and fixed-rule or stored samples are summed against that
+kernel by :func:`exp_sum` (``laplace_line``, ``forward_fl`` and ``inverse_ft``).
 Oscillatory integrands are handled by panel subdivision, see
 :func:`oscillation_panels`; no Filon-type machinery.  Every rule, like
 every adaptive call, is held to the budget of ``_MAX_SPLITS`` panels

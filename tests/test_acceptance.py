@@ -226,11 +226,6 @@ def test_criterion_10_bromwich_fast_decay(name, f, fhat):
     "name,f,fhat,abscissa",
     [(n, f, fh, a) for n, f, fh, a in LAPLACE_TABLE if n in ("1", "exp(2t)")],
 )
-@pytest.mark.xfail(
-    strict=True,
-    reason="transforms decaying like 1/s keep a contour-truncation tail of order "
-    "exp(sigma t)/(pi T t): measured 1.1e-3 to 8.7e-3 at T=400, above the 1e-3 target",
-)
 def test_criterion_10_bromwich_slow_decay(name, f, fhat, abscissa):
     err, imag = _bromwich_errors(fhat, f, abscissa)
     ok = err <= 1e-3 and imag <= 1e-6
@@ -317,11 +312,6 @@ def _roundtrip_errors(spectrum, ts):
     return errs
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the t=0.1 and t=0.575 rows of the 5x5 grid inherit the 1/s-type "
-    "contour-truncation tail (measured up to 5.2e-3 at T=400), above 1e-3",
-)
 def test_criterion_12_roundtrip_full_grid(fl_spectrum):
     errs = _roundtrip_errors(fl_spectrum, np.linspace(0.1, 2.0, 5))
     sup = max(errs.values())

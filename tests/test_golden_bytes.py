@@ -81,13 +81,13 @@ DIGESTS = {
     "line.csv": "02ab37fe593d7740ab028789dcc4b46211984b5c277122184095bc798df78afb",
     "lt-s": "ffdc4d99619b1284debb70ca8ec0e23bc2fa9155d5905d9de018b37417eb9ca6",
     "lt-s.csv": "f5b644adc6a347b040a9e3a885959b4bbb952aa935b9d00b0f8e223dc94b5191",
-    "ilt": "5fdd727060e56d37f33f9863b9ffcc9f9757f7c5829c101fa715b7f69f59284f",
-    "ilt.csv": "661f464bddb0a006f6a4a600b2859dea6415d57e4259783970b1b5b777d1e8f6",
+    "ilt": "955480e76f0211ecffed7676fc5f23b9865a02f843c2854051b18dd422ce8f5d",
+    "ilt.csv": "c5024976e5ea9bdadff8340a6e04976e98dac2d73bd3c76a62794293504803f9",
     "fl.json": "b02d03ca998db6306695856d8c91eeea74ef949f6d89c68b5aefb92abe43ff56",
-    "iflt": "6808b4bf5a7f600cef5a73a1d9711104b17800548e96d79ecc7a0ff229ae3f44",
-    "iflt.csv": "333b5fd13a9a637d1f669441698dcccbaa13639d5550da2c40b62d6e97947f8d",
-    "series.json": "b132685ad3348725fd55bb8213555b692037be59cc490d9b0b3bd9b0b72b2803",
-    "series-csv": "01b5c480f493088c8cf5deeb3ecb7027060707daf758e2fb24e55c05f2965061",
+    "iflt": "04b32d84aaf4a38bc1b73cf1415d3fc80d6e50a4590c5c8bc0dcce31da0246fc",
+    "iflt.csv": "30fbd2d66e5a56dbfb2aff1b5861b9f096e888e1e3713f1c968abb6ad60cff7e",
+    "series.json": "da31627e31c949d9d0696ac250783d7861849a8fe56821c51de249904eec0cff",
+    "series-csv": "527c596e6957103c32f724bff69042b4beae68973aacdd7861f1ea8edbd20c92",
     "real-series": "ac3006567df1e677aeecf2b0021857d4f175d04791d15f3887f97f5cd0f8575a",
     "real-series.csv": "2a4d4d70ef75a3bbbbabb899e9c87b52e1150ccc4248fbd7ce4ccf798dc66713",
     "verify-orthogonality": "840429c05148aea1aa83333ea0f6005edd6d9871f9be53e6dd59240504f44da8",

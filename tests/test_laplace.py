@@ -12,6 +12,7 @@ from unitransform import (
     DivergenceError,
     EvaluationError,
     ExcludedSampleWarning,
+    FourierLaplaceSpectrum,
     Grid,
     InsufficientDataError,
     LaplaceSpectrum,
@@ -29,6 +30,7 @@ from unitransform import (
     oscillation_panels,
     weighted_orthogonality_check,
 )
+from unitransform.laplace import _e1, _line_inverse, _tail_weights
 from unitransform.numerics import composite_gauss_nodes
 
 ONE = lambda x: np.ones_like(np.asarray(x, float)) + 0j
@@ -97,12 +99,6 @@ class TestBromwichInverse:
             v = bromwich_inverse(lambda s: 1.0 / (s**2 + 1.0), 1.0, 400.0, 1.0)
         assert v.real == pytest.approx(math.sin(1.0), abs=1e-3)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="transforms decaying like 1/s leave a contour-truncation tail of "
-        "order exp(sigma t)/(pi T t), between 1.1e-3 and 8.7e-3 at T=400, "
-        "so the 1e-3 target is out of reach for a plain truncated contour",
-    )
     def test_step_value_within_tight_tolerance(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
@@ -116,10 +112,6 @@ class TestBromwichInverse:
         assert v.real == pytest.approx(1.0, abs=3e-3)
         assert abs(v.imag) <= 1e-6
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="same 1/s-type truncation tail as above, shifted to s - 2",
-    )
     def test_shifted_pole_within_tight_tolerance(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
@@ -202,6 +194,82 @@ class TestBromwichFromSamples:
         spectrum = LaplaceSpectrum(0.0, tau_grid, 1.0 / (1.0 + 1j * tau_grid.points) ** 2)
         with pytest.raises(AliasingError, match="contour step 1 exceeds"):
             bromwich_inverse_from_samples(spectrum, 1.0)
+
+
+def _contour_points():
+    """z = -(sigma +- iT) t over the sigma, T and t of tier-1 and the benchmark, and points
+    near the negative real axis, where E1 switches to its power series."""
+    zs = [-(sigma + sign * 1j * T) * t
+          for sigma in (-1.0, 0.0, 0.25, 0.5, 1.0, 3.0)
+          for T in (2.0, 10.0, 25.0, 50.0, 100.0, 200.0, 400.0)
+          for t in (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+          for sign in (1, -1)]
+    return zs + [complex(-r, sign * r * q) for r in (1.5, 5.0, 20.0, 39.0)
+                 for q in (0.01, 0.3, 0.49) for sign in (1, -1)]
+
+
+class TestContourTails:
+    """_line_inverse adds the tails beyond the stored ends in closed form, +-a E1(-s t) / 2pi i
+    with a = s fhat(s) at each end, as weights on the end values."""
+
+    def test_e1_matches_scipy_on_both_branches(self):
+        special = pytest.importorskip("scipy.special")
+        zs = _contour_points()
+        series = [z for z in zs if abs(z) < 1 or (z.real < -2 * abs(z.imag) and abs(z) < 40)]
+        assert 20 <= len(series) < len(zs) - 200
+        ours = np.array([_e1(z) for z in zs])
+        theirs = special.exp1(np.array(zs))
+        rel = np.abs(ours - theirs) / np.abs(theirs)
+        worst = int(np.argmax(rel))
+        assert rel[worst] <= 1e-13, f"E1({zs[worst]}) is {rel[worst]:.2e} off scipy"
+
+    @pytest.mark.parametrize("fhat, f, sigma", [
+        (lambda s: 1.0 / s, lambda t: 1.0, 0.5),
+        (lambda s: 1.0 / (s - 2.0), lambda t: math.exp(2.0 * t), 3.0),
+        (lambda s: 1.0 / (s + 1.0), lambda t: math.exp(-t), 0.25),
+    ], ids=["step", "shifted-pole", "decay"])
+    def test_stored_line_matches_long_contour(self, fhat, f, sigma):
+        # At T = 50 the plain trapezoid sum misses by the tails, about e^{sigma t}/(pi T t);
+        # with them it agrees with a T = 2000 line and with the closed form to 0.3% of that.
+        short, long = (LaplaceSpectrum(sigma, tau, fhat(sigma + 1j * tau.points))
+                       for tau in (Grid.uniform(-50.0, 50.0, 2001), Grid.uniform(-2e3, 2e3, 80001)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for t in (0.5, 1.0, 2.0):
+                value, reference = (bromwich_inverse_from_samples(line, t) for line in (short, long))
+                first, last = _tail_weights(short._s, t)
+                tails = (first * short.values[0] + last * short.values[-1]) / (2.0 * math.pi)
+                assert abs(tails) >= 1e-3 * math.exp(sigma * t) / (math.pi * 50.0 * t)
+                assert abs(value - reference) <= 3e-3 * abs(tails)
+                assert abs(value - f(t)) <= 3e-3 * abs(tails)
+
+    def test_inverse_fl_corrects_every_lambda_row(self):
+        # A separable spectrum g(lam) / (s + 1) on T = 40: the s-axis read of each row, tails
+        # included, is that row's own stored-line read, and g(lam) times a T = 2000 read.
+        sigma, t = 0.5, 1.0
+        lam, tau = Grid.uniform(-3.0, 3.0, 31), Grid.uniform(-40.0, 40.0, 1601)
+        g = np.exp(-lam.points ** 2 / 2.0) * (1.0 + 0.3j * lam.points)
+        row = lambda tau: 1.0 / (sigma + 1j * tau.points + 1.0)
+        spectrum = FourierLaplaceSpectrum(lam, sigma, tau, np.outer(g, row(tau)))
+        long = Grid.uniform(-2e3, 2e3, 80001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            per_row = _line_inverse(spectrum, t)
+            reference = bromwich_inverse_from_samples(LaplaceSpectrum(sigma, long, row(long)), t)
+            for i, gi in enumerate(g):
+                line = LaplaceSpectrum(sigma, tau, gi * row(tau))
+                assert per_row[i] == pytest.approx(bromwich_inverse_from_samples(line, t),
+                                                   abs=1e-15)
+        assert np.max(np.abs(per_row - g * reference)) <= 1e-5
+        assert reference == pytest.approx(math.exp(-t), abs=1e-7)
+
+    def test_one_sided_contour_has_no_tail_through_the_real_axis(self):
+        # A tau grid that ends at 0 has no tail beyond that end: E1 is never read on its cut.
+        tau = Grid.uniform(0.0, 10.0, 201)
+        line = LaplaceSpectrum(0.5, tau, 1.0 / (0.5 + 1j * tau.points))
+        first, last = _tail_weights(line._s, 1.0)
+        assert first == 0
+        assert last == pytest.approx((0.5 + 10j) * _e1(-(0.5 + 10j)) / 1j, rel=1e-15)
 
 
 class TestWeightedOrthogonality:
