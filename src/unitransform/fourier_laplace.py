@@ -118,7 +118,7 @@ def forward_fl(
         t, wt = t_nodes[start:start + t_block], t_weights[start:start + t_block]
         G = exp_sum(f_on(t)[0].T, x_nodes, lambda_grid, 1)
         exp_sum(G.T * (wt / (2.0 * math.pi)), t, tau_grid, -1, out=values)
-    _check_ends(x_profile, "x axis: integrand f", "the truncation A", stacklevel=3)
+    _check_ends(x_profile, "x axis: integrand f", "the truncation A")
     values.flags.writeable = False
     return FourierLaplaceSpectrum(lambda_grid, sigma, tau_grid, values)
 

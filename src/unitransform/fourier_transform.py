@@ -65,7 +65,7 @@ def forward_ft(
     """
     A = _scalar(truncation, "truncation A", "positive")
     values, magnitude = integrate_grid(f, (-A, A), lambda_grid, spec)
-    _check_ends(magnitude, "integrand f", "the truncation A", stacklevel=3)
+    _check_ends(magnitude, "integrand f", "the truncation A")
     return ContinuousSpectrum(lambda_grid=lambda_grid, values=values / (2.0 * math.pi))
 
 

@@ -12,7 +12,9 @@ every adaptive call, is held to the budget of ``_MAX_SPLITS`` panels
 (:func:`_panel_budget`).  Every pass evaluates f once on its starting
 rule, ``order`` Gauss nodes on each of its equal panels
 (:func:`composite_gauss_nodes`): ``gauss-legendre`` is that rule summed,
-and the adaptive method bisects its panels from there.  :func:`exp_sum`
+and the adaptive method bisects its panels from there in the one
+bisection loop, :func:`_adaptive_grid`, which :func:`integrate` runs at
+the single frequency w = 0, where the kernel is 1.  :func:`exp_sum`
 sums one row by chirp-z FFTs where that is cheaper than the direct
 kernel, and every other sum by the direct kernel, block by block; it adds
 the sums into an array the caller passes, so a caller that sums many
@@ -20,7 +22,8 @@ arrays onto one output holds no second output.
 :func:`_eval_integrand` evaluates every callable.  Every truncation meets one of the two
 guards that build a :class:`TruncationWarning`: :func:`_check_decay` on a half line (growth
 and tail of the integrand as summed, f e^{-sigma t} on a damped line), :func:`_check_ends` on
-an interval or contour whose integrand should have died out at its ends; :func:`_check_exp`
+an interval or contour whose integrand should have died out at its ends, each warning at the
+first caller outside the package (:func:`_warn_truncation`); :func:`_check_exp`
 refuses an e^z beyond float range before it is formed.  The input contract is three guards:
 :func:`_scalar` for every scalar that defines a problem, :func:`_points` for evaluation
 points given as a scalar or an array, and :func:`_sampled` for every array of sampled values.
@@ -31,6 +34,8 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,7 +57,7 @@ _METHODS = ("gauss-legendre", "adaptive")
 _MAX_BISECTIONS = 48
 # A change of at most this times |fine| is rounding alone, which no split can shrink.
 _ROUNDING = 8 * np.finfo(float).eps
-# Work budget of one adaptive pass: panel splits per _adaptive or _adaptive_grid call,
+# Work budget of one adaptive pass: panel splits per integrate or integrate_grid call,
 # over 100x the most a test needs (1,741, real-series of a piecewise-linear function).
 # Also the most panels any rule starts from (the most a test needs: 3,820, T=400 at X=40).
 _MAX_SPLITS = 200_000
@@ -67,7 +72,8 @@ _CHIRP_SETUP = 50_000
 _TWO_PI_LO = 2.4492935982947064e-16
 # Complex entries per block of the exp(i w x) kernel in _panel_sums.
 _GRID_BLOCK = 8192
-# Panels-by-frequencies entries per batch of the adaptive pass in integrate_grid.
+# Panels-by-frequencies entries, and integrand nodes, per batch of _adaptive_grid, the
+# bisection loop of integrate (one frequency) and integrate_grid.
 _GRID_CELLS = 1 << 16
 # Largest |integrand| at a truncation end, relative to its peak, that passes
 # without a TruncationWarning.
@@ -75,6 +81,7 @@ ENDPOINT_RATIO = 1e-6
 # Largest QuadratureSpec.order: leggauss(n) builds an n x n companion matrix.
 MAX_QUAD_ORDER = 1000
 _LOG_MAX = math.log(np.finfo(float).max)  # about 709.78: e^z overflows for any z above it
+_PACKAGE = os.path.dirname(__file__)  # the frames a TruncationWarning does not name
 
 
 _RULES = {"finite": "finite", "positive": "finite and > 0", "count": "a non-negative integer",
@@ -308,13 +315,12 @@ def _check_decay(ends: np.ndarray, X: float, tol: float, axis: str = "", scale=1
     rate = math.log(g_mid / g_end) / (X / 2.0) if g_mid > g_end > 0.0 else 0.0
     tail = scale * g_end / rate if rate > 0 else (0.0 if g_end == 0.0 else math.inf)
     if tail > tol:
-        warnings.warn(TruncationWarning(
-            f"{axis}half-line tail estimate {tail:.3e} beyond X={X:g} exceeds tolerance "
-            f"{tol:.3e}; raise X for full accuracy"), stacklevel=3)
+        _warn_truncation(f"{axis}half-line tail estimate {tail:.3e} beyond X={X:g} exceeds "
+                         f"tolerance {tol:.3e}; raise X for full accuracy")
     return tail
 
 
-def _check_ends(magnitude: np.ndarray, what: str, remedy: str, stacklevel: int = 4) -> None:
+def _check_ends(magnitude: np.ndarray, what: str, remedy: str) -> None:
     """Warn when ``magnitude`` at either end exceeds ENDPOINT_RATIO of its peak.
 
     ``magnitude`` is |integrand| along a truncated interval or contour, ends
@@ -324,13 +330,17 @@ def _check_ends(magnitude: np.ndarray, what: str, remedy: str, stacklevel: int =
     peak = float(magnitude.max())
     ends = max(magnitude[0], magnitude[-1])
     if peak > 0 and ends > ENDPOINT_RATIO * peak:
-        warnings.warn(
-            TruncationWarning(
-                f"{what} at the endpoints is {ends / peak:.2e} of its peak; "
-                f"raise {remedy} for full accuracy"
-            ),
-            stacklevel=stacklevel,
-        )
+        _warn_truncation(f"{what} at the endpoints is {ends / peak:.2e} of its peak; "
+                         f"raise {remedy} for full accuracy")
+
+
+def _warn_truncation(message: str) -> None:
+    """Warn with a :class:`TruncationWarning` that names the line of the first caller
+    outside this package, however many of its frames the guard was reached through."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(TruncationWarning(message), stacklevel=level)
 
 
 def _check_exp(exponent: float, what: str) -> None:
@@ -490,65 +500,6 @@ def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int,
     return out
 
 
-def _adaptive(f, edges: np.ndarray, start: np.ndarray, tol: float) -> complex:
-    """Depth-first adaptive Gauss-Legendre from the panels between ``edges``; the rows of
-    ``start`` are f on their :func:`composite_gauss_nodes`.  Each split evaluates f once, on
-    the nodes of both halves."""
-    order = start.shape[1]
-    xg, wg = _leggauss(order)
-    span = float(edges[-1] - edges[0])
-    stack = [(float(lo), float(hi), complex((hi - lo) / 2.0 * np.dot(wg, row)), 0)
-             for lo, hi, row in zip(edges[:-1], edges[1:], start)]
-    total = 0j
-    defect = 0.0
-    splits = 0
-    while stack:
-        lo, hi, coarse, depth = stack.pop()
-        mid = (lo + hi) / 2.0
-        half_l, half_r = (mid - lo) / 2.0, (hi - mid) / 2.0
-        vals = _eval_integrand(f, np.concatenate(((lo + mid) / 2.0 + half_l * xg,
-                                                  (mid + hi) / 2.0 + half_r * xg)))
-        left = complex(half_l * np.dot(wg, vals[:order]))
-        right = complex(half_r * np.dot(wg, vals[order:]))
-        fine = left + right
-        if abs(fine - coarse) <= tol * (hi - lo) / span:
-            total += fine
-        elif (depth >= _MAX_BISECTIONS or mid <= lo or mid >= hi
-              or abs(fine - coarse) <= _ROUNDING * abs(fine)):
-            # Cannot subdivide further (jump, machine resolution or a change that is
-            # rounding); keep the refined value and account for its unresolved defect.
-            total += fine
-            defect += abs(fine - coarse)
-            _check_defect(defect, tol)
-        else:
-            splits += 1
-            if splits > _MAX_SPLITS:
-                _over_budget(defect + abs(fine - coarse), tol)
-            stack.append((mid, hi, right, depth + 1))
-            stack.append((lo, mid, left, depth + 1))
-    return total
-
-
-def _check_defect(defect: float, tol: float, frequency: float | None = None) -> None:
-    """Fail an adaptive pass as soon as its unresolved defect, which can only grow, exceeds tol;
-    ``frequency`` is the grid frequency of a whole-grid pass that the defect is worst at."""
-    if defect > tol:
-        raise QuadratureError(
-            f"adaptive quadrature error estimate {defect:.3e} exceeds tolerance {tol:.3e}",
-            frequency,
-        )
-
-
-def _over_budget(estimate: float, tol: float, frequency: float | None = None):
-    """Stop a pass past ``_MAX_SPLITS``; ``estimate`` is its defect plus the change of the
-    panels being split, worst at ``frequency`` in a whole-grid pass."""
-    raise QuadratureError(
-        f"adaptive quadrature stopped at its budget of {_MAX_SPLITS} panel splits; "
-        f"error estimate so far {estimate:.3e}, tolerance {tol:.3e}",
-        frequency,
-    )
-
-
 def composite_gauss_nodes(a: float, b: float, order: int, panels: int):
     """Flattened nodes and weights of a composite Gauss-Legendre rule."""
     edges = np.linspace(a, b, panels + 1)
@@ -615,6 +566,11 @@ def integrate(
     -------
     complex
         The integral approximation.  Deterministic for fixed inputs.
+
+    f is evaluated once on the ``panels``-panel Gauss rule, never at a or b,
+    and the adaptive method bisects from there in :func:`_adaptive_grid` at
+    the one frequency w = 0; a :class:`QuadratureError` it raises names no
+    frequency.
     """
     spec = spec or DEFAULT_SPEC
     a, b = _bounds(interval)
@@ -622,11 +578,16 @@ def integrate(
     if panels < 1:
         raise ContractViolationError("panel count must be >= 1")
     _panel_budget(panels)
-    nodes, weights = composite_gauss_nodes(a, b, spec.order, panels)
+    edges = np.linspace(a, b, panels + 1)
+    nodes, weights = _panel_rule(edges[:-1], edges[1:], spec.order)
     fx = _eval_integrand(f, nodes)
     if spec.method != "adaptive":
         return complex(np.dot(weights, fx))
-    return _adaptive(f, np.linspace(a, b, panels + 1), fx.reshape(panels, -1), spec.tolerance)
+    try:
+        return complex(_adaptive_grid(f, edges, nodes, weights * fx, np.zeros(1), spec, 0)[0][0])
+    except QuadratureError as exc:
+        exc.frequency = None  # w = 0 is the loop's kernel, not a grid the caller gave
+        raise
 
 
 def _panel_rule(lo: np.ndarray, hi: np.ndarray, order: int):
@@ -672,6 +633,8 @@ def integrate_grid(
     and sums it through :func:`exp_sum`.  ``adaptive`` bisects the Gauss
     panels, see :func:`_adaptive_grid`, over runs of the grid small enough
     that the starting panels times the run fit in ``_GRID_CELLS``, under one split budget.
+    Each run starts from ``oscillation_panels`` of its own largest |w| and
+    evaluates f once on that rule and on a and b.
 
     Returns the integrals and |f| at a, the starting nodes (the first
     run's) and b, for :func:`_check_ends`.  An adaptive pass that fails
@@ -691,35 +654,42 @@ def integrate_grid(
     total = np.empty(w.size, dtype=complex)
     for start in range(0, w.size, run):
         piece = w[start:start + run]
-        total[start:start + run], ends, splits = _adaptive_grid(f, a, b, piece, spec, splits)
+        edges = np.linspace(a, b, oscillation_panels(float(np.max(np.abs(piece))), a, b) + 1)
+        x, weights = _panel_rule(edges[:-1], edges[1:], spec.order)
+        fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
+        total[start:start + run], splits = _adaptive_grid(f, edges, x, weights * fx[1:-1],
+                                                          piece, spec, splits)
         if start == 0:
-            magnitude = ends
+            magnitude = np.abs(fx)
     return total, magnitude
 
 
-def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec, splits: int):
-    """Adaptive integrals of f(x) exp(i*w*x) over [a, b] for every w, sharing the bisection.
+def _adaptive_grid(f, edges: np.ndarray, x: np.ndarray, weighted: np.ndarray, w: np.ndarray,
+                   spec: QuadratureSpec, splits: int):
+    """The one bisection loop: integrals of f(x) exp(i*w*x) over the panels between ``edges``
+    for every w, sharing the bisection.  ``x`` holds the starting panels' Gauss nodes and
+    ``weighted`` their weights times f there, which the caller evaluated; :func:`integrate`
+    passes the one frequency w = 0, whose kernel is 1, so its panel sums are plain Gauss sums.
 
     Panels go through a depth-first stack in batches of at most
-    ``_GRID_CELLS // (2 * w.size)``, so the panels-by-frequencies sums of a
-    batch's halves fit in ``_GRID_CELLS`` entries; the stack holds the
+    ``_GRID_CELLS // (2 * max(order, w.size))``, so the nodes of a batch's halves and their
+    panels-by-frequencies sums each fit in ``_GRID_CELLS`` entries; the stack holds the
     starting panels' sums and at most one more batch per bisection level.
-    Each batch evaluates f once, on both halves of its panels.  A panel is accepted
-    when ``max over w |fine - coarse| <= tol * width / span``, the test of
-    :func:`integrate` at its worst frequency; ``_MAX_BISECTIONS``, the rounding
-    test (``_ROUNDING``, met by every failing frequency) and the
-    unresolved-defect :class:`QuadratureError` apply per frequency as there,
-    and ``_MAX_SPLITS`` to the splits of all batches and earlier runs (``splits``).
+    Each batch evaluates f once, on the Gauss nodes of both halves of its panels.  A panel
+    is accepted when ``max over w |fine - coarse| <= tol * width / span``, the test at its
+    worst frequency (QUADPACK's QAG acceptance, Piessens et al. 1983).  A panel that
+    cannot be split further keeps its refined value and its change joins the defect: at a
+    jump or machine resolution, at depth ``_MAX_BISECTIONS``, or when every failing
+    frequency changed by rounding alone (``_ROUNDING`` times |fine|).  The pass raises
+    :class:`QuadratureError` naming the w its estimate is worst at, the first in a tie, as
+    soon as the defect, which can only grow, exceeds tol at some w, or once the splits of
+    all batches and earlier runs (``splits``) pass ``_MAX_SPLITS``.
 
-    Returns the integrals, |f| at a, the starting Gauss nodes and b, and the splits so far.
+    Returns the integrals and the splits so far.
     """
-    order, tol, span = spec.order, spec.tolerance, b - a
-    rows = max(1, _GRID_CELLS // (2 * w.size))
-    edges = np.linspace(a, b, oscillation_panels(float(np.max(np.abs(w))), a, b) + 1)
+    order, tol, span = spec.order, spec.tolerance, edges[-1] - edges[0]
+    rows = max(1, _GRID_CELLS // (2 * max(order, w.size)))
     lo, hi = edges[:-1], edges[1:]
-    x, weights = _panel_rule(lo, hi, order)
-    fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
-    weighted = weights * fx[1:-1]
     stack = []
     for s in reversed(range(0, lo.size, rows)):
         nodes = slice(s * order, (s + rows) * order)
@@ -737,25 +707,29 @@ def _adaptive_grid(f, a: float, b: float, w: np.ndarray, spec: QuadratureSpec, s
         change = np.abs(fine - coarse)
         limit = tol * (hi - lo)[:, None] / span
         done = np.all(change <= limit, axis=1)
-        # A panel that cannot be split further (jump, machine resolution, or every failing
-        # frequency's change rounding) keeps its refined value and accounts for its defect.
         rounding = np.all(change <= np.maximum(limit, _ROUNDING * np.abs(fine)), axis=1)
         stuck = ~done & (rounding | (depth >= _MAX_BISECTIONS) | (mid <= lo) | (mid >= hi))
         total += fine[done | stuck].sum(axis=0)
         defect += change[stuck].sum(axis=0)
         worst = int(np.argmax(defect))
-        _check_defect(float(defect[worst]), tol, float(w[worst]))
+        if defect[worst] > tol:
+            raise QuadratureError(f"adaptive quadrature error estimate {defect[worst]:.3e} "
+                                  f"exceeds tolerance {tol:.3e}", float(w[worst]))
         split = ~(done | stuck)
         splits += int(np.count_nonzero(split))
         if splits > _MAX_SPLITS:
             estimate = defect + change[split].sum(axis=0)
             worst = int(np.argmax(estimate))
-            _over_budget(float(estimate[worst]), tol, float(w[worst]))
+            raise QuadratureError(
+                f"adaptive quadrature stopped at its budget of {_MAX_SPLITS} panel splits; "
+                f"error estimate so far {estimate[worst]:.3e}, tolerance {tol:.3e}",
+                float(w[worst]),
+            )
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
         coarse = np.concatenate((left[split], right[split]))
         for s in reversed(range(0, lo.size, rows)):
             stack.append((lo[s:s + rows], hi[s:s + rows], coarse[s:s + rows], depth + 1))
-    return total, np.abs(fx), splits
+    return total, splits
 
 
 def integrate_halfline(f: Callable, truncation: float, spec: QuadratureSpec | None = None,

@@ -79,8 +79,8 @@ DIGESTS = {
     "estimate-abscissa-expr": "aa8256e9f0b9bbb71f5640c8c1d9855223daa3465d932fe83f217e78ff02808e",
     "line.json": "af564534d536cb5b6cb55073273c0b82545b293516516e62eb9bfc1c688a1ad8",
     "line.csv": "02ab37fe593d7740ab028789dcc4b46211984b5c277122184095bc798df78afb",
-    "lt-s": "ffdc4d99619b1284debb70ca8ec0e23bc2fa9155d5905d9de018b37417eb9ca6",
-    "lt-s.csv": "f5b644adc6a347b040a9e3a885959b4bbb952aa935b9d00b0f8e223dc94b5191",
+    "lt-s": "ea2aae7c5b8fdcd28f83ab022c1efe3c499cd5eee725c8ad79b5f7b770d34093",
+    "lt-s.csv": "31b20fbaa779abe9070818fbab8fe05a55a19d22707284869cf8dd4803b73ddf",
     "ilt": "955480e76f0211ecffed7676fc5f23b9865a02f843c2854051b18dd422ce8f5d",
     "ilt.csv": "c5024976e5ea9bdadff8340a6e04976e98dac2d73bd3c76a62794293504803f9",
     "fl.json": "b02d03ca998db6306695856d8c91eeea74ef949f6d89c68b5aefb92abe43ff56",
@@ -88,10 +88,10 @@ DIGESTS = {
     "iflt.csv": "30fbd2d66e5a56dbfb2aff1b5861b9f096e888e1e3713f1c968abb6ad60cff7e",
     "series.json": "da31627e31c949d9d0696ac250783d7861849a8fe56821c51de249904eec0cff",
     "series-csv": "527c596e6957103c32f724bff69042b4beae68973aacdd7861f1ea8edbd20c92",
-    "real-series": "ac3006567df1e677aeecf2b0021857d4f175d04791d15f3887f97f5cd0f8575a",
-    "real-series.csv": "2a4d4d70ef75a3bbbbabb899e9c87b52e1150ccc4248fbd7ce4ccf798dc66713",
+    "real-series": "7716a43eb32c53b23b213a5b230c206733217c79edec0be9488b71aac5b2e9cc",
+    "real-series.csv": "d7e667d54fcfc9003c50e4fc06dd76b5230cd6136e074533fa565ec8cdfd61ef",
     "verify-orthogonality": "840429c05148aea1aa83333ea0f6005edd6d9871f9be53e6dd59240504f44da8",
-    "verify-residual": "5d0fb267ebe00253f534adaa54618e55fff38e145c5cfbb7ff3796d717783e18",
+    "verify-residual": "999b231c11f4ef17392537e90a78e0b2fd4fa98d3416901db42c0144edeca17b",
     "roundtrip.json": "e0288b5f8a16aa8fd1e9d7542fab17aa4612bc1f7895e7697ce15c98a3a4b9fd",
     "function2d": "1db9f2c3afec43aa6556aab26848edfdfcda60dd903a342cfd70d9a9cc0b69db",
     "gauss-line": "bfbe11d0907c77bd18793871ca6f7d82a175ad47f99aa0de6848055c0466a009",

@@ -139,7 +139,7 @@ class TestIntegrate:
         assert integrate(lambda x: 2.0 + 0j, (0.0, 3.0)) == pytest.approx(6.0, abs=1e-12)
 
     @pytest.mark.parametrize("panels", [1, 3])
-    def test_one_integrand_call_per_split(self, panels):
+    def test_one_integrand_call_per_bisection_level(self, panels):
         order = 10
         calls = []
 
@@ -149,19 +149,18 @@ class TestIntegrate:
 
         v = integrate(f, (-1.0, 1.0), QuadratureSpec(order=order), panels=panels)
         assert v.real == pytest.approx(math.sqrt(math.pi) / 10.0 * math.erf(10.0), abs=1e-10)
-        # One call on the Gauss nodes of all starting panels, then one per split on the
-        # nodes of both halves.
+        # One call on the Gauss nodes of the starting panels, without the ends of the interval.
         np.testing.assert_array_equal(calls[0], composite_gauss_nodes(-1.0, 1.0, order, panels)[0])
-        split_calls = calls[1:]
-        assert all(x.size == 2 * order for x in split_calls)
-        # Every starting panel is split once; each further split comes from a split
-        # panel that handed both halves to the stack.
-        assert len(split_calls) > panels and (len(split_calls) - panels) % 2 == 0
-        for x in split_calls:
-            # the right half's nodes are the left half's moved by the width of a half
-            shift = x[order:] - x[:order]
-            assert x[order - 1] < x[order]
-            np.testing.assert_allclose(shift, shift[0], rtol=1e-12)
+        # Then one call per bisection level, on the nodes of both halves of every panel split
+        # at that level: the left halves, then the right halves, each moved by the width of
+        # a half, which halves from one level to the next.
+        for level, x in enumerate(calls[1:]):
+            assert x.size % (2 * order) == 0
+            shift = x[x.size // 2:] - x[:x.size // 2]
+            np.testing.assert_allclose(shift, 1.0 / panels / 2**level, rtol=1e-12)
+        # A loop that split one panel per call made 12 and 10 calls on the same points.
+        assert len(calls) < {1: 12, 3: 10}[panels]
+        assert sum(x.size for x in calls) == {1: 230, 3: 210}[panels]
 
     def test_scalar_only_integrand_matches_vectorised_twin(self):
         def scalar(x):
@@ -489,7 +488,7 @@ class TestIntegrateGrid:
 
         # A wide grid runs in pieces of the grid.  Its 35 starting panels by
         # one frequency already exceed 64 // 2 = 32, so each frequency runs
-        # alone and its starting panels go in two batches.
+        # alone and its starting panels go in batches of 64 // (2 * 10) = 3.
         lams = Grid.uniform(-6.0, 6.0, 481)
         monkeypatch.setattr(numerics, "_GRID_CELLS", 64)
         monkeypatch.setattr(numerics, "_panel_sums", spy)
@@ -499,13 +498,28 @@ class TestIntegrateGrid:
         assert len(sizes) > 481 and max(sizes) <= 64
         # f oscillates faster than the grid's largest |lam| asks for, so the
         # bisection multiplies the panels; pieces of 64 // 12 = 5 frequencies
-        # split them in batches of 64 // 10 = 6 panels.
+        # split them in batches of 64 // (2 * 10) = 3 panels.
         sizes.clear()
         lams = Grid.uniform(-1.0, 1.0, 41)
         chirp = lambda x: _gaussian(x) * np.exp(-4j * np.asarray(x))
         got, _ = integrate_grid(chirp, (-12.0, 12.0), lams)
         exact = math.sqrt(2 * math.pi) * np.exp(-(lams.points - 4.0) ** 2 / 2)
         np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
+        assert max(sizes) <= 64
+        # integrate runs the same loop at the one frequency 0.  Its 64 starting panels are
+        # one integrand call, and they and the panels it splits go in batches of
+        # 64 // (2 * 10) = 3, so every bisection call evaluates f on 3 pairs of halves of
+        # 10 nodes or fewer.
+        sizes.clear()
+        points = []
+
+        def wave(x):
+            points.append(np.size(x))
+            return np.exp(400j * np.asarray(x, float))
+
+        got = integrate(wave, (-1.0, 1.0), panels=64)
+        assert abs(got - 2.0 * math.sin(400.0) / 400.0) <= 1e-10
+        assert points[0] == 640 and max(points[1:]) == 60 and len(points) > 64 // 3
         assert max(sizes) <= 64
 
     def test_each_run_starts_from_its_own_largest_frequency(self, monkeypatch):
@@ -692,6 +706,9 @@ SIGMA, TAU, LAM, A_FL = 1.0, Grid.uniform(-2.0, 2.0, 5), Grid.uniform(-3.0, 3.0,
 CUTS = {
     "forward_laplace": (lambda g, X: np.array([forward_laplace(g, SIGMA + 1j * tau, X).value
                                                for tau in TAU.points]), "t", "", 1.0),
+    "integrate_halfline": (lambda g, X: np.array([integrate_halfline(
+        lambda t: g(t) * np.exp(-(SIGMA + 1j * tau) * np.asarray(t)), X).value
+        for tau in TAU.points]), "t", "", 1.0),
     "laplace_line": (lambda g, X: laplace_line(g, SIGMA, TAU, X).values, "t", "", 1.0),
     "forward_fl-t": (lambda g, X: forward_fl(lambda x, t: _gaussian(x) * g(t), LAM, SIGMA, TAU,
                                              (A_FL, X)).values[3] * math.sqrt(2.0 * math.pi),
@@ -706,7 +723,8 @@ CHECKS = {"t": ("growth", "tail", "accept"), "x": ("ends", "accept")}
 
 class TestTruncationGuards:
     """Each cut meets one of the two guards of numerics: _check_decay on the summed integrand
-    at X/2 and X, or _check_ends at x = +-A."""
+    at X/2 and X, or _check_ends at x = +-A.  Its warning names the caller's line, here a
+    lambda of CUTS, however many frames of the package lie between them."""
 
     @pytest.mark.parametrize("cut, check", [(c, k) for c in CUTS for k in CHECKS[CUTS[c][1]]])
     def test_cut_meets_its_guard(self, cut, check):
@@ -717,11 +735,14 @@ class TestTruncationGuards:
         elif check == "tail":  # g e^{-sigma t} = e^{-t/10} leaves e^{-1}/0.1 beyond X = 10
             text = (f"{axis}half-line tail estimate {weight * math.exp(-1.0) / 0.1:.3e} beyond "
                     "X=10 exceeds tolerance 1.000e-10; raise X for full accuracy")
-            with pytest.warns(TruncationWarning, match=f"^{re.escape(text)}$"):
+            with pytest.warns(TruncationWarning, match=f"^{re.escape(text)}$") as caught:
                 build(_exp(0.9), 10.0)
+            assert {w.filename for w in caught} == {__file__}
         elif check == "ends":  # e^{-A^2/2} at ten times, then a tenth of, the endpoint ratio
-            with pytest.warns(TruncationWarning, match=f"^{axis}integrand f at the endpoints is "):
+            with pytest.warns(TruncationWarning,
+                              match=f"^{axis}integrand f at the endpoints is ") as caught:
                 build(_gaussian, math.sqrt(2.0 * math.log(0.1 / ENDPOINT_RATIO)))
+            assert [w.filename for w in caught] == [__file__]
             with warnings.catch_warnings():
                 warnings.simplefilter("error", TruncationWarning)
                 build(_gaussian, math.sqrt(2.0 * math.log(10.0 / ENDPOINT_RATIO)))
