@@ -128,7 +128,7 @@ def inverse_fl(spectrum: FourierLaplaceSpectrum, x: float, t: float) -> complex:
 
     The contour sum over s, with prefactor 1/(2*pi), runs on every lambda
     row, then the lambda sum at x with no prefactor.  The grids obey the
-    1-D rules: the tau grid, of any kind, those of
+    1-D rules: the tau grid, of any spacing, those of
     :func:`laplace.bromwich_inverse_from_samples`, the lambda grid those
     of :func:`fourier_transform.inverse_ft`.
     """

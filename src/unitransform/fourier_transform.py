@@ -25,10 +25,12 @@ from .numerics import (
     QuadratureSpec,
     SampledFunction,
     _check_ends,
+    _eval_integrand,
     _sampled,
     _scalar,
     exp_sum,
     integrate_grid,
+    oscillation_panels,
 )
 
 # Largest tolerable phase advance per grid step in the inverse transform.
@@ -61,11 +63,14 @@ def forward_ft(
     The whole frequency grid is one :func:`numerics.integrate_grid` pass,
     with panels fine enough for its largest |lam|.  f must be negligible
     beyond the truncation A: a :class:`TruncationWarning` says when
-    |f(-A)| or |f(A)| exceeds 1e-6 of the peak |f| on the nodes.
+    |f(-A)| or |f(A)|, read before the pass once its rule fits the panel
+    budget, exceeds 1e-6 of the peak |f| on the nodes.
     """
     A = _scalar(truncation, "truncation A", "positive")
+    oscillation_panels(float(np.max(np.abs(lambda_grid.points))), -A, A)
+    ends = np.abs(_eval_integrand(f, np.array([-A, A])))
     values, magnitude = integrate_grid(f, (-A, A), lambda_grid, spec)
-    _check_ends(magnitude, "integrand f", "the truncation A")
+    _check_ends(np.concatenate((ends[:1], magnitude, ends[1:])), "integrand f", "the truncation A")
     return ContinuousSpectrum(lambda_grid=lambda_grid, values=values / (2.0 * math.pi))
 
 
@@ -83,21 +88,19 @@ def inverse_ft(spectrum: ContinuousSpectrum, x_grid: Grid) -> SampledFunction:
 
     No 1/(2*pi) factor appears here; it lives in the forward direction.
     The spectrum is known only at its grid points, so the integral is a
-    trapezoid sum over that grid.  Requests with |x| * grid-step above
-    pi/4 are rejected as aliased; a :class:`TruncationWarning` says when
-    |F| at either end of the grid exceeds 1e-6 of its peak.
+    trapezoid sum over that grid, uniform or not.  Requests with |x| * its
+    largest step above pi/4 are rejected as aliased; a :class:`TruncationWarning`
+    says when |F| at either end of the grid exceeds 1e-6 of its peak.
     """
     return SampledFunction(x_grid, _inverse_sum(spectrum.lambda_grid, spectrum.values, x_grid))
 
 
 def _inverse_sum(lambda_grid: Grid, values: np.ndarray, x: Grid | float, axis: str = ""):
     """Trapezoid sum over the stored grid of ``values`` * exp(-i*lam*x), at every x on a grid or
-    one x.  The grid must be uniform, with two points or more, and obey :func:`_check_aliasing`;
-    |values| at its ends meets the endpoint guard of :func:`numerics._check_ends`."""
+    one x.  The grid needs two points or more; its ``spacing`` obeys :func:`_check_aliasing`,
+    and |values| at its ends the endpoint guard of :func:`numerics._check_ends`."""
     if len(lambda_grid) < 2:
         raise ContractViolationError(f"{axis}spectrum grid needs at least two points")
-    if lambda_grid.kind != "uniform":
-        raise ContractViolationError(f"{axis}inverse transform requires a uniform frequency grid")
     _check_ends(np.abs(values), f"{axis}spectrum", "the largest |lambda| of the spectrum grid")
     w, lams = lambda_grid.trapezoid_weights(), lambda_grid.points
     if isinstance(x, Grid):

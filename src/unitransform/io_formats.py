@@ -19,8 +19,8 @@ Kinds::
     value         {"kind":"value","value":[re,im],"meta":{...}}
     report        {"kind":"report","check":..., ...fields..., "meta":{...}}
 
-A grid is stored as its points alone; whether it is uniform is read from
-them, and a ``"<grid key>_kind"`` entry of an older file is ignored.
+A grid is stored as its points alone and read back as them; a
+``"<grid key>_kind"`` entry of an older file is ignored.
 Every file embeds the request that produced it under meta.request.
 """
 

@@ -167,19 +167,17 @@ def _contour_profile(values: np.ndarray) -> np.ndarray:
 
 def _store_line_values(spectrum, *grids: Grid) -> None:
     """Give a frozen line spectrum checked, read-only values and the read state of
-    :func:`_line_inverse`: their :func:`_contour_profile`, the contour points s = sigma + i*tau,
-    the tau trapezoid weights and the largest tau step (0 on a one-point grid).  It adopts a
-    read-only array that owns its data, a transform's fresh output, and copies any other, a
-    caller's included, whose later writes would stale the profile."""
+    :func:`_line_inverse`: their :func:`_contour_profile`, the contour points s = sigma + i*tau
+    and the tau trapezoid weights.  It adopts a read-only array that owns its data, a
+    transform's fresh output, and copies any other, a caller's included, whose later writes
+    would stale the profile."""
     given = spectrum.values
     fresh = isinstance(given, np.ndarray) and given.flags.owndata and not given.flags.writeable
     values = _sampled(given if fresh else np.array(given, dtype=complex), *grids)
-    tau = spectrum.tau_grid.points
     object.__setattr__(spectrum, "values", values)
     object.__setattr__(spectrum, "_profile", _contour_profile(values))
-    object.__setattr__(spectrum, "_s", spectrum.sigma + 1j * tau)
+    object.__setattr__(spectrum, "_s", spectrum.sigma + 1j * spectrum.tau_grid.points)
     object.__setattr__(spectrum, "_weights", spectrum.tau_grid.trapezoid_weights())
-    object.__setattr__(spectrum, "_step", float(np.max(np.diff(tau), initial=0.0)))
 
 
 def _e1(z: complex) -> complex:
@@ -227,10 +225,10 @@ def _line_inverse(spectrum, t: float, axis: str = ""):
     s_k = sigma + i*tau_k, by the trapezoid rule, with the :func:`_tail_weights` of the
     contour beyond the ends added to the end weights, behind the endpoint guard on the
     profile the spectrum stored at construction, with the rest of its read state: the tau
-    grid, of any kind, needs three points and its largest step must obey :func:`_contour_step`."""
+    grid needs three points, and its ``spacing``, its largest step, obeys :func:`_contour_step`."""
     if len(spectrum.tau_grid) < 3:
         raise ContractViolationError(f"{axis}contour needs at least three samples")
-    _contour_step(t, spectrum._step, axis)
+    _contour_step(t, spectrum.tau_grid.spacing, axis)
     _check_exp(spectrum.sigma * t, f"e^(sigma*t) at sigma={spectrum.sigma:g}, t={t:g}")
     _check_ends(spectrum._profile, f"{axis}contour integrand", "the contour half-height T")
     kernel = np.exp(spectrum._s * t) * spectrum._weights
@@ -264,9 +262,9 @@ def bromwich_inverse(fhat, sigma: float, T: float, t: float) -> complex:
 def bromwich_inverse_from_samples(spectrum: LaplaceSpectrum, t: float) -> complex:
     """Contour inversion from transform samples stored on a vertical line.
 
-    The stored tau grid plays the role of the truncated contour; its
-    largest step, on any grid kind, must satisfy the same step bound as
-    :func:`bromwich_inverse`.
+    The stored tau grid plays the role of the truncated contour; a grid
+    is its points, uniform or not, and its largest step, ``spacing``, must
+    satisfy the same step bound as :func:`bromwich_inverse`.
     """
     return complex(_line_inverse(spectrum, t))
 

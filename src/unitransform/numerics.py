@@ -5,7 +5,8 @@ The integral of a function over one interval goes through :func:`integrate`
 integrals); integrals against exp(i w x) for a whole grid of w go through
 :func:`integrate_grid` (``forward_ft``, the complex Fourier coefficients and
 the Gram matrix); and fixed-rule or stored samples are summed against that
-kernel by :func:`exp_sum` (``laplace_line``, ``forward_fl`` and ``inverse_ft``).
+kernel by :func:`exp_sum` (``laplace_line``, ``forward_fl`` and ``inverse_ft``).  A
+:class:`Grid` is its points: its ``spacing`` is their largest step, and no kind is declared.
 Oscillatory integrands are handled by panel subdivision, see
 :func:`oscillation_panels`; no Filon-type machinery.  Every rule, like
 every adaptive call, is held to the budget of ``_MAX_SPLITS`` panels
@@ -171,14 +172,13 @@ DEFAULT_SPEC = QuadratureSpec()
 
 
 class Grid:
-    """Ordered real abscissae.
+    """Ordered real abscissae: a grid is its points, strictly increasing and finite.
 
-    ``kind`` is worked out from the points: ``"uniform"`` when the spacing is
-    constant to a relative tolerance of 1e-12 (every grid of one or two
-    points), ``"nonuniform"`` otherwise.
+    ``spacing`` is the largest step between neighbouring points, the one step that
+    every step bound reads; a grid of one point has none.
     """
 
-    __slots__ = ("points", "kind")
+    __slots__ = ("points", "_step")
 
     def __init__(self, points: Sequence[float] | np.ndarray):
         pts = np.asarray(points, dtype=float)
@@ -189,11 +189,9 @@ class Grid:
         d = np.diff(pts)
         if not np.all(d > 0):
             raise ContractViolationError("grid points must be strictly increasing")
-        mean = d.mean() if d.size else 0.0
-        scale = 1e-12 * max(abs(mean), np.max(np.abs(pts)))
         pts.flags.writeable = False
         self.points = pts
-        self.kind = "uniform" if np.all(np.abs(d - mean) <= scale) else "nonuniform"
+        self._step = float(np.max(d, initial=0.0))
 
     @classmethod
     def uniform(cls, a: float, b: float, num: int) -> "Grid":
@@ -208,11 +206,9 @@ class Grid:
 
     @property
     def spacing(self) -> float:
-        if self.kind != "uniform":
-            raise ContractViolationError("spacing is defined for uniform grids only")
         if self.points.size < 2:
             raise ContractViolationError("spacing needs at least two points")
-        return float((self.points[-1] - self.points[0]) / (self.points.size - 1))
+        return self._step
 
     def trapezoid_weights(self) -> np.ndarray:
         """Weights w with sum(w * f(points)) the trapezoid integral."""
@@ -229,7 +225,7 @@ class Grid:
         return self.points.size
 
     def __repr__(self) -> str:
-        return f"Grid({self.points.size} points on [{self.points[0]:g}, {self.points[-1]:g}], {self.kind})"
+        return f"Grid({self.points.size} points on [{self.points[0]:g}, {self.points[-1]:g}])"
 
 
 class SampledFunction:
@@ -411,7 +407,7 @@ def _chirp_layout(nodes: np.ndarray, grid: Grid):
     Returns (c, d, grid points, h, L).
     """
     n, M = nodes.size, len(grid)
-    if grid.kind != "uniform" or M < 2 or n * M <= _CHIRP_SETUP:
+    if M < 2 or n * M <= _CHIRP_SETUP:
         return None
     on_grid = _lattice(grid.points[:, None])
     if on_grid is None:
@@ -463,18 +459,18 @@ def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int,
     into ``out`` (grid axis last; a fresh zero array when None) and return it.
 
     The sums are ``weighted @ exp(sign * 1j * outer(nodes, grid.points))``;
-    the node axis is the last axis of ``weighted``.  One row (``weighted.ndim
-    == 1``) on a uniform grid whose nodes are interleaved uniform sub-grids,
-    when its FFTs cost less than the direct kernel (see
+    the node axis is the last axis of ``weighted``.  exp_sum finds its own
+    lattice w0 + m*h in the grid's points, to 4 ulps (:func:`_lattice`).  One
+    row (``weighted.ndim == 1``) on a lattice whose nodes are interleaved
+    lattices, when its FFTs cost less than the direct kernel (see
     :func:`_chirp_layout`), is q Bluestein chirp-z transforms,
     :func:`_chirp_sum`, with every large phase reduced exactly.  Every other
     sum runs the direct kernel, one block of ``_EXP_BLOCK`` grid columns at a
-    time.  On a uniform grid of two or more points that kernel is the step
-    kernel exp(sign*i*b*h*nodes), b < ``_EXP_BLOCK``, a recurrence started
-    from 1 with the step h taken from ``grid.spacing``; block a's kernel is
-    exp(sign*i*w_a*nodes) times it, one broadcast multiply into a reused
-    buffer, so rounding cannot drift from block to block.  Any other grid
-    gets a direct exponential per block.
+    time.  On a lattice of two or more points that kernel is the step kernel
+    exp(sign*i*b*h*nodes), b < ``_EXP_BLOCK``, a recurrence started from 1
+    with the lattice's step h; block a's kernel is exp(sign*i*w_a*nodes)
+    times it, one broadcast multiply into a reused buffer, so rounding cannot
+    drift from block to block.  Any other grid gets the exact exponential.
     """
     w = grid.points
     if weighted.ndim == 1 and (chirp := _chirp_layout(nodes, grid)) is not None:
@@ -482,16 +478,16 @@ def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int,
         return sums if out is None else np.add(out, sums, out=out)
     if out is None:
         out = np.zeros(weighted.shape[:-1] + w.shape, dtype=complex)
-    step = None
-    if grid.kind == "uniform" and w.size > 1:
-        step = np.repeat(np.exp(sign * 1j * grid.spacing * nodes)[:, None],
+    lattice = _lattice(w[:, None]) if w.size > 1 else None
+    if lattice is not None:
+        step = np.repeat(np.exp(sign * 1j * lattice[1] * nodes)[:, None],
                          min(w.size, _EXP_BLOCK), axis=1)
         step[:, 0] = 1.0
         np.cumprod(step, axis=1, out=step)
         buffer = np.empty_like(step)
     for start in range(0, w.size, _EXP_BLOCK):
         cols = w[start:start + _EXP_BLOCK]
-        if step is None:
+        if lattice is None:
             kernel = np.exp(sign * 1j * np.outer(nodes, cols))
         else:
             kernel = np.multiply(np.exp(sign * 1j * cols[0] * nodes)[:, None],
@@ -634,21 +630,20 @@ def integrate_grid(
     panels, see :func:`_adaptive_grid`, over runs of the grid small enough
     that the starting panels times the run fit in ``_GRID_CELLS``, under one split budget.
     Each run starts from ``oscillation_panels`` of its own largest |w| and
-    evaluates f once on that rule and on a and b.
+    evaluates f once on that rule, never at a or b.
 
-    Returns the integrals and |f| at a, the starting nodes (the first
-    run's) and b, for :func:`_check_ends`.  An adaptive pass that fails
-    its defect or split budget raises a :class:`QuadratureError` whose
-    ``frequency`` is the w on the grid its estimate is worst at, the first
-    in a tie, so a caller can name it.
+    Returns the integrals and |f| on the starting nodes (the first run's).
+    An adaptive pass that fails its defect or split budget raises a
+    :class:`QuadratureError` whose ``frequency`` is the w on the grid its
+    estimate is worst at, the first in a tie, so a caller can name it.
     """
     spec = spec or DEFAULT_SPEC
     a, b = _bounds(interval)
     w = grid.points
     if spec.method != "adaptive":
         x, weights = _grid_rule(a, b, grid, spec.order)
-        fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
-        return exp_sum(weights * fx[1:-1], x, grid, 1), np.abs(fx)
+        fx = _eval_integrand(f, x)
+        return exp_sum(weights * fx, x, grid, 1), np.abs(fx)
     panels = oscillation_panels(float(np.max(np.abs(w))), a, b)
     run, splits = max(1, _GRID_CELLS // (2 * panels)), 0
     total = np.empty(w.size, dtype=complex)
@@ -656,8 +651,8 @@ def integrate_grid(
         piece = w[start:start + run]
         edges = np.linspace(a, b, oscillation_panels(float(np.max(np.abs(piece))), a, b) + 1)
         x, weights = _panel_rule(edges[:-1], edges[1:], spec.order)
-        fx = _eval_integrand(f, np.concatenate(([a], x, [b])))
-        total[start:start + run], splits = _adaptive_grid(f, edges, x, weights * fx[1:-1],
+        fx = _eval_integrand(f, x)
+        total[start:start + run], splits = _adaptive_grid(f, edges, x, weights * fx,
                                                           piece, spec, splits)
         if start == 0:
             magnitude = np.abs(fx)

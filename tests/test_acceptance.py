@@ -1,12 +1,11 @@
 """End-to-end acceptance checks, one numbered criterion per test group.
 
 Each criterion prints a single pass/fail line (run with ``pytest -s``).
-Two sub-checks are marked as strict expected failures: the truncated
-contour inversion at half-height T=400 leaves a tail error of order
-exp(sigma*t)/(pi*T*t) whenever the transform decays like 1/s, which
-exceeds the 1e-3 target for the step-type originals and for the small-t
-corner of the 2-D round trip.  The achievable bounds are asserted
-alongside, so regressions are still caught.
+Every check is asserted at its target; none is marked as an expected
+failure.  The contour inversions of transforms that decay like 1/s (the
+step-type originals of criterion 10 and the 2-D round trip of criterion
+12) meet the 1e-3 target because the contour sum adds its tails beyond
+the half-height T in closed form.
 """
 
 import json
@@ -229,19 +228,9 @@ def test_criterion_10_bromwich_fast_decay(name, f, fhat):
 def test_criterion_10_bromwich_slow_decay(name, f, fhat, abscissa):
     err, imag = _bromwich_errors(fhat, f, abscissa)
     ok = err <= 1e-3 and imag <= 1e-6
-    report(10, f"contour inversion ({name})", ok, f"worst err {err:.2e} vs 1e-3 target")
+    report(10, f"contour inversion ({name})", ok, f"worst err {err:.2e} vs 1e-3 target, "
+           f"imag {imag:.2e}")
     assert err <= 1e-3
-
-
-@pytest.mark.parametrize(
-    "name,f,fhat,abscissa",
-    [(n, f, fh, a) for n, f, fh, a in LAPLACE_TABLE if n in ("1", "exp(2t)")],
-)
-def test_criterion_10_bromwich_slow_decay_achievable_bound(name, f, fhat, abscissa):
-    err, imag = _bromwich_errors(fhat, f, abscissa)
-    ok = err <= 1e-2 and imag <= 1e-6
-    report(10, f"contour inversion ({name}, achievable)", ok, f"worst err {err:.2e} <= 1e-2")
-    assert err <= 1e-2
     assert imag <= 1e-6
 
 
@@ -318,22 +307,6 @@ def test_criterion_12_roundtrip_full_grid(fl_spectrum):
     ok = sup <= 1e-3
     report(12, "2-D round trip (full 5x5 grid)", ok, f"sup error {sup:.2e} vs 1e-3 target")
     assert ok
-
-
-def test_criterion_12_roundtrip_achievable(fl_spectrum):
-    full = _roundtrip_errors(fl_spectrum, np.linspace(0.1, 2.0, 5))
-    sup_full = max(full.values())
-    late = {k: v for k, v in full.items() if k[1] >= 1.0}
-    sup_late = max(late.values())
-    ok = sup_late <= 1e-3 and sup_full <= 6e-3
-    report(
-        12,
-        "2-D round trip (t >= 1 rows)",
-        ok,
-        f"sup {sup_late:.2e} <= 1e-3; full-grid sup {sup_full:.2e} <= 6e-3",
-    )
-    assert sup_late <= 1e-3
-    assert sup_full <= 6e-3
 
 
 def test_criterion_12_roundtrip_spot_values(fl_spectrum):

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from unitransform import cli
+import unitransform as ut
+from unitransform import cli, io_formats
 from unitransform.cli import _COMMANDS, build_parser, main, parse_complex, parse_pi_float
 from unitransform.cli import UsageError
 
@@ -66,6 +67,15 @@ class TestSeriesCommands:
         entries = {k: complex(re, im) for k, re, im in doc["c"]}
         assert entries[1] == pytest.approx(0.5j, abs=1e-10)
 
+    def test_series_never_evaluates_f_at_the_ends(self, capsys):
+        # log(1-x^2) is undefined at x = +-L; the coefficients integrate it on Gauss nodes
+        # alone, as real-series does, so c_0 is a_0 / 2.
+        expr = "(1-x^2)*log(1-x^2)"
+        c = run_json(capsys, "series", "--expr", expr, "--L", "1", "--K", "2")["c"]
+        a = run_json(capsys, "real-series", "--expr", expr, "--L", "1", "--K", "2")["a"]
+        c0 = {k: complex(re, im) for k, re, im in c}[0]
+        assert abs(c0 - dict(a)[0] / 2.0) <= 1e-10
+
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "series", "--L", "1", "--K", "1")
         assert code == 1
@@ -96,6 +106,19 @@ class TestTransformPipelines:
         values = {x: complex(re, im) for x, (re, im) in zip(doc["grid"], doc["values"])}
         assert values[0.0].real == pytest.approx(1.0, abs=1e-6)
         assert values[1.0].real == pytest.approx(math.exp(-0.5), abs=1e-6)
+
+    def test_ift_of_a_spectrum_on_a_nonuniform_grid(self, capsys, tmp_path):
+        # A spectrum file's grid is its points, uneven ones included: steps of 0.05 on
+        # [-12, 0] and 0.1 on [0, 12].  The even real part of the trapezoid sum is exact to
+        # rounding (TestInverse::test_nonuniform_grid_recovers_the_gaussian).
+        lam = ut.Grid(np.concatenate((np.linspace(-12.0, 0.0, 241), np.linspace(0.1, 12.0, 120))))
+        spectrum = ut.ContinuousSpectrum(lam, np.exp(-lam.points**2 / 2) / math.sqrt(2 * math.pi))
+        path = tmp_path / "uneven.json"
+        path.write_bytes(io_formats.to_json_bytes(io_formats.spectrum_payload(spectrum, {})))
+        doc = run_json(capsys, "ift", "--input", str(path),
+                       "--x-min", "-1", "--x-max", "1", "--x-step", "0.5")
+        real = np.array([re for re, _ in doc["values"]])
+        assert np.max(np.abs(real - np.exp(-np.array(doc["grid"]) ** 2 / 2))) <= 1e-13
 
     def test_lt_line_damps_growth_below_sigma(self, capsys):
         # The guards read |f| e^{-sigma t} = e^{-t/2}, not the growing |f|.

@@ -248,14 +248,14 @@ class TestInverseOnGaussNodesContour:
     SIGMA = 0.5
     LAM_GRID = Grid.uniform(-8.0, 8.0, 81)
 
-    def _spectrum(self, panels):
+    def _spectrum(self, panels, lam_grid=LAM_GRID):
         nodes, _ = composite_gauss_nodes(-50.0, 50.0, 4, panels)
         tau_grid = Grid(nodes)
         values = np.outer(
-            np.exp(-self.LAM_GRID.points**2 / 2.0) / math.sqrt(2.0 * math.pi),
+            np.exp(-lam_grid.points**2 / 2.0) / math.sqrt(2.0 * math.pi),
             6.0 / (self.SIGMA + 1j * tau_grid.points + 1.0) ** 4,
         )
-        return FourierLaplaceSpectrum(self.LAM_GRID, self.SIGMA, tau_grid, values)
+        return FourierLaplaceSpectrum(lam_grid, self.SIGMA, tau_grid, values)
 
     def test_fine_contour_inverts(self):
         spectrum = self._spectrum(700)  # largest step 0.049
@@ -264,6 +264,19 @@ class TestInverseOnGaussNodesContour:
             for x, t in ((0.3, 1.0), (-0.5, 2.0)):
                 exact = math.exp(-x * x / 2.0) * t**3 * math.exp(-t)
                 assert inverse_fl(spectrum, x, t) == pytest.approx(exact, abs=1e-6)
+
+    def test_uneven_lambda_grid_inverts(self):
+        # The lambda axis takes any grid too: steps of 0.05 on [-8, 0] and 0.1 on [0, 8].
+        # The lambda sum of the even real part is exact to rounding there; the odd imaginary
+        # part misses by about 2.5e-4 x (TestInverse::test_nonuniform_grid_recovers_the_gaussian
+        # of test_fourier_transform.py), so only the real part is held to 1e-6.
+        lam = Grid(np.concatenate((np.linspace(-8.0, 0.0, 161), np.linspace(0.1, 8.0, 80))))
+        spectrum = self._spectrum(700, lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, t in ((0.3, 1.0), (-0.5, 2.0)):
+                exact = math.exp(-x * x / 2.0) * t**3 * math.exp(-t)
+                assert inverse_fl(spectrum, x, t).real == pytest.approx(exact, abs=1e-6)
 
     def test_coarse_contour_rejected_on_s_axis(self):
         spectrum = self._spectrum(400)  # largest step 0.085

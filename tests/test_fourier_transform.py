@@ -9,6 +9,7 @@ from unitransform import (
     AliasingError,
     ContinuousSpectrum,
     ContractViolationError,
+    EvaluationError,
     Grid,
     TruncationWarning,
     dirichlet_delta,
@@ -29,6 +30,20 @@ def gaussian_spectrum(lam):
 
 
 class TestForward:
+    def test_ends_are_evaluated_before_the_pass(self):
+        # f is undefined at the truncation +-A = +-1.  forward_ft reads |f(+-A)| for its
+        # endpoint guard itself, before integrate_grid evaluates any node, so -A is named.
+        calls = []
+
+        def f(x):
+            x = np.asarray(x, float)
+            calls.append(x.size)
+            return np.where(np.abs(x) < 1.0, 1.0 - x * x, np.nan) + 0j
+
+        with pytest.raises(EvaluationError, match=r"x=-1\.0$"):
+            forward_ft(f, Grid.uniform(-1.0, 1.0, 3), 1.0)
+        assert calls == [2]
+
     def test_gaussian_at_zero(self):
         grid = Grid.uniform(-1.0, 1.0, 3)
         spectrum = forward_ft(gaussian, grid, 12.0)
@@ -153,12 +168,22 @@ class TestInverse:
         with pytest.raises(AliasingError):
             inverse_ft(spectrum, Grid.uniform(-3.0, 3.0, 7))
 
-    def test_nonuniform_grid_rejected(self):
-        pts = np.concatenate([np.linspace(-1, 0, 5), np.linspace(0.1, 2, 4)])
-        grid = Grid(np.unique(pts))
-        spectrum = ContinuousSpectrum(grid, np.zeros(len(grid), dtype=complex))
-        with pytest.raises(ContractViolationError):
-            inverse_ft(spectrum, Grid.uniform(-0.1, 0.1, 3))
+    def test_nonuniform_grid_recovers_the_gaussian(self):
+        # Steps of h1 = 0.05 on [-12, 0] and h2 = 0.1 on [0, 12].  With g = F(lam) e^{-i lam x},
+        # the trapezoid sum misses the integral by the Euler-Maclaurin terms at the junction
+        # lam = 0: (h1^2 - h2^2)/12 g'(0) + (h2^4 - h1^4)/720 g'''(0) + ..., where
+        # g'(0) = -i x F(0) and g'''(0) = i (x^3 + 3x) F(0).  The real part F cos(lam x) is
+        # even, so its odd derivatives vanish there and it is exact to rounding; the imaginary
+        # part is the first term, x (h2^2 - h1^2) F(0) / 12, give or take the second, below
+        # 7.3e-7 for |x| <= 2.  The largest step, 0.1, keeps |x| * step within pi/4.
+        grid = Grid(np.concatenate((np.linspace(-12.0, 0.0, 241), np.linspace(0.1, 12.0, 120))))
+        assert grid.spacing == pytest.approx(0.1, rel=1e-12)
+        spectrum = ContinuousSpectrum(grid, gaussian_spectrum(grid.points))
+        x = Grid.uniform(-2.0, 2.0, 41)
+        got = inverse_ft(spectrum, x).values
+        leading = x.points * (0.1**2 - 0.05**2) * gaussian_spectrum(0.0) / 12.0
+        assert np.max(np.abs(got.real - np.exp(-x.points**2 / 2.0))) <= 1e-13
+        assert np.max(np.abs(got.imag - leading)) <= 1e-6
 
     def test_spectrum_cut_before_it_decays_warns(self):
         # The ift repro: cut at +-1, |F| at the ends is e^-0.5 of its peak, and the sum

@@ -103,8 +103,8 @@ class TestSpectrumFiles:
         payload = io.spectrum_payload(line, {"request": {}})
         assert list(payload) == ["kind", "convention", "sigma", "tau_grid", "values", "meta"]
         loaded = io.load_spectrum(_write(tmp_path, "line.json", payload))
-        assert loaded.tau_grid.kind == "nonuniform"
         np.testing.assert_array_equal(loaded.tau_grid.points, tau.points)
+        assert loaded.tau_grid.spacing == tau.spacing < 0.05
         np.testing.assert_array_equal(loaded.values, line.values)
         exact = math.exp(-1.0)  # t e^{-t} at t = 1
         with pytest.warns(TruncationWarning):
@@ -116,14 +116,15 @@ class TestSpectrumFiles:
     @pytest.mark.parametrize("points, kind", [([-1.0, 0.0, 1.0], "uniform"),
                                               ([-1.0, 0.0, 0.5], "nonuniform")])
     def test_older_kind_entry_is_ignored(self, tmp_path, points, kind):
-        # Older files labelled a grid by a "<key>_kind" entry; the points alone say its kind.
+        # Older files labelled a grid by a "<key>_kind" entry; a grid is its points alone.
         key = "tau_grid"
         doc = {"kind": "spectrum", "convention": "laplace-line", "sigma": 1.0,
-               key: points, f"{key}_kind": "gauss-nodes",
+               key: points, f"{key}_kind": kind,
                "values": [[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]]}
         loaded = io.load_spectrum(_write(tmp_path, "old.json", doc))
-        assert loaded.tau_grid.kind == kind
         np.testing.assert_array_equal(loaded.tau_grid.points, points)
+        assert loaded.tau_grid.spacing == 1.0
+        assert not hasattr(loaded.tau_grid, "kind")
 
     def test_uniform_grids_record_no_kind(self):
         grid = Grid.uniform(-1.0, 1.0, 3)

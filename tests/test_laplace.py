@@ -188,9 +188,10 @@ class TestBromwichFromSamples:
             bromwich_inverse_from_samples(spectrum, 1.0)
 
     def test_coarse_non_uniform_contour_rejected(self):
-        # The step bound holds on every grid kind, not only uniform ones: steps of 1, then 0.5.
+        # The step bound reads the largest step of any grid, not only a uniform one: steps of
+        # 1, then 0.5.
         tau_grid = Grid(np.concatenate((np.linspace(-10.0, 0.0, 11), np.linspace(0.5, 10.0, 20))))
-        assert tau_grid.kind == "nonuniform"
+        assert tau_grid.spacing == 1.0
         spectrum = LaplaceSpectrum(0.0, tau_grid, 1.0 / (1.0 + 1j * tau_grid.points) ** 2)
         with pytest.raises(AliasingError, match="contour step 1 exceeds"):
             bromwich_inverse_from_samples(spectrum, 1.0)
