@@ -111,8 +111,9 @@ def _inverse_sum(lambda_grid: Grid, values: np.ndarray, x: Grid | float, axis: s
 
 
 def dirichlet_delta(a: float, A: float) -> float:
-    """Truncated delta kernel sin(a*A) / (pi*a), with the a -> 0 limit A/pi."""
+    """Truncated delta kernel sin(a*A) / (pi*a) = (A/pi) sinc(a*A/pi), exactly A/pi at a = 0.
+
+    An a*A beyond float range raises :class:`ContractViolationError`.
+    """
     a, A = _scalar(a, "a"), _scalar(A, "truncation A", "positive")
-    if abs(a) < 1e-12:
-        return A / math.pi
-    return math.sin(a * A) / (math.pi * a)
+    return float(A / math.pi * np.sinc(_scalar(a * A, "a * A") / math.pi))

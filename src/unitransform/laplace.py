@@ -273,18 +273,16 @@ def weighted_orthogonality_check(lam: float, mu: float, sigma: float, A: float) 
     """Truncated weighted inner product of two half-line eigenfunctions.
 
     The weight exp(-2*sigma*x) cancels the growth of the eigenfunctions
-    exp((sigma - i*lam) x), leaving int_0^A exp(-i*(lam-mu)*x) dx.  On
-    the diagonal (lam == mu) the value is exactly A, diverging as the
-    truncation grows; off the diagonal it stays bounded, the half-line
-    analogue of the truncated delta kernel.
+    exp((sigma - i*lam) x), leaving int_0^A exp(-i*d*x) dx with d = lam - mu,
+    which is A exp(-i*A*d/2) sinc(A*d/(2*pi)).  On the diagonal (d = 0) the
+    value is exactly A, diverging as the truncation grows; off the diagonal
+    it stays bounded, the half-line analogue of the truncated delta kernel.
+    An A*d beyond float range raises :class:`ContractViolationError`.
     """
     A = _scalar(A, "truncation A", "positive")
     _scalar(sigma, "sigma")  # the weight cancels it out of the value, but it defines the problem
-    d = _scalar(lam, "lam") - _scalar(mu, "mu")
-    if d == 0.0:
-        return complex(A)
-    # (1 - exp(-i*A*d)) / (i*d), written with expm1 for small phases
-    return complex(-np.expm1(-1j * A * d) / (1j * d))
+    Ad = _scalar(A * (_scalar(lam, "lam") - _scalar(mu, "mu")), "A * (lam - mu)")
+    return complex(A * np.exp(-0.5j * Ad) * np.sinc(Ad / (2.0 * math.pi)))
 
 
 def default_inversion_sigma(samples: SampledFunction) -> float:

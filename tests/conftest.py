@@ -19,6 +19,23 @@ if "numpy" in sys.modules:
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import numpy as np  # noqa: E402  (after the pin)
+
+
+def gauss_sum(f, a, b, order, panels, lam=0.0):
+    """Integral of f(x) exp(i lam x) over [a, b] on ``panels`` equal Gauss-Legendre panels.
+
+    The independent reference of the tests: built only from
+    ``np.polynomial.legendre.leggauss`` and an explicit ``np.exp`` sum, so it
+    shares no quadrature or kernel code with the package.  ``lam`` may be an
+    array, giving one integral per entry.
+    """
+    t, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    mid, half = (edges[:-1] + edges[1:])[:, None] / 2.0, np.diff(edges)[:, None] / 2.0
+    x, weights = (mid + half * t).ravel(), (half * w).ravel()
+    return np.exp(1j * np.multiply.outer(lam, x)) @ (weights * f(x))
+
 
 def pytest_collection_modifyitems(items):
     """Fail every test that lets a TruncationWarning escape unasserted.

@@ -26,11 +26,12 @@ from unitransform import (
     integrate,
     laplace_line,
     oscillation_panels,
-    QuadratureSpec,
     weighted_orthogonality_check,
 )
 from unitransform.fourier_laplace import _FL_BLOCK
 from unitransform.numerics import composite_gauss_nodes
+
+from conftest import gauss_sum
 
 A_TRUNC = 12.0
 X_TRUNC = 40.0
@@ -348,8 +349,9 @@ class TestSeparability:
 
     The t axis of forward_fl sums the damped integrand on the rule of
     laplace_line, and TestStreamedBuild checks it against an explicit double
-    sum, so this checks the x axis (against the gauss-legendre whole-grid FT
-    on the same rule) and the 1/(2 pi) split, not the t rule.
+    sum, so this checks the x axis (against an explicit exponential sum on the
+    same rule: 23 ten-point Gauss panels of [-12, 12] for |lam| up to 4) and
+    the 1/(2 pi) split, not the t rule.
     """
 
     @settings(max_examples=10, deadline=None)
@@ -368,7 +370,7 @@ class TestSeparability:
         sigma = 0.3
         X = 60.0  # t^3 e^{-0.8 t} leaves a tail of 4e-16 here, 1e-9 at X_TRUNC
         fl = forward_fl(lambda x, t: g(x) * h(t), lam_grid, sigma, tau_grid, (A_TRUNC, X))
-        ft = forward_ft(g, lam_grid, A_TRUNC, QuadratureSpec(method="gauss-legendre"))
+        ft = gauss_sum(g, -A_TRUNC, A_TRUNC, 10, 23, lam_grid.points) / (2.0 * math.pi)
         line = laplace_line(h, sigma, tau_grid, X)
-        expected = np.outer(ft.values, line.values)
+        expected = np.outer(ft, line.values)
         assert np.max(np.abs(fl.values - expected)) <= 1e-12 * np.max(np.abs(expected))

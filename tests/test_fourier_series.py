@@ -22,6 +22,8 @@ from unitransform import (
 )
 from unitransform.numerics import integrate_grid
 
+from conftest import gauss_sum
+
 
 def _as_real(f):
     return lambda x: np.asarray(f(np.asarray(x, float)), dtype=float)
@@ -57,14 +59,8 @@ class TestComplexCoefficients:
     def test_sawtooth_against_quadrature_oracle(self):
         # independent route: plain high-order quadrature of the defining
         # integral, no oscillation-aware panel logic
-        oracle_spec = QuadratureSpec(method="gauss-legendre", order=32)
         for k in (1, 2, 3):
-            oracle = integrate(
-                lambda x, k=k: np.asarray(x) * np.exp(1j * k * math.pi * np.asarray(x)),
-                (-1.0, 1.0),
-                oracle_spec,
-                panels=8,
-            ) / 2.0
+            oracle = gauss_sum(lambda x: x, -1.0, 1.0, 32, 8, k * math.pi) / 2.0
             assert oracle == pytest.approx(sawtooth_coefficient(k), abs=1e-13)
 
     def test_symmetric_index_range_enforced(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unitransform import (
@@ -18,6 +18,8 @@ from unitransform import (
     inverse_ft,
     oscillation_panels,
 )
+
+from conftest import gauss_sum
 
 
 def gaussian(x):
@@ -60,14 +62,7 @@ class TestForward:
     def test_gaussian_against_quadrature_oracle(self):
         # independent route for lam = 1: direct quadrature of the defining
         # integral on a fixed fine composite rule
-        from unitransform import QuadratureSpec
-
-        oracle = integrate(
-            lambda x: gaussian(x) * np.exp(1j * np.asarray(x, float)),
-            (-12.0, 12.0),
-            QuadratureSpec(method="gauss-legendre", order=24),
-            panels=24,
-        ) / (2.0 * math.pi)
+        oracle = gauss_sum(gaussian, -12.0, 12.0, 24, 24, 1.0) / (2.0 * math.pi)
         assert oracle == pytest.approx(gaussian_spectrum(1.0), abs=1e-13)
 
     def test_odd_function_vanishes_at_zero(self):
@@ -210,6 +205,17 @@ class TestDirichletDelta:
 
     def test_kernel_zero(self):
         assert dirichlet_delta(math.pi / 10.0, 10.0) == pytest.approx(0.0, abs=1e-15)
+
+    # |a| and A log-uniform; the examples are a tiny a whose a*A is of order 1,
+    # far from the a = 0 limit A/pi
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-20.0, 3.0))
+           .map(lambda p: p[0] * 10.0**p[1]),
+           st.floats(-3.0, 13.0).map(lambda e: 10.0**e))
+    @example(5e-13, 1e13)
+    @example(-9.724392907738264e-13, 4814276065140.364)
+    def test_matches_sine_over_scales(self, a, A):
+        assert abs(dirichlet_delta(a, A) - math.sin(a * A) / (math.pi * a)) <= 1e-13 * A / math.pi
 
     def test_direct_value_against_quadrature(self):
         a, A = 1.0, 20.0

@@ -75,6 +75,10 @@ REJECTED = {
     "forward_fl A": lambda: forward_fl(f2, LAM, 0.5, TAU, (INF, 40.0)),
     "weighted_orthogonality_check A": lambda: weighted_orthogonality_check(1.0, 2.0, 0.5, INF),
     "dirichlet_delta A": lambda: dirichlet_delta(1.0, INF),
+    # a product of finite inputs beyond float range
+    "dirichlet_delta a * A": lambda: dirichlet_delta(1e200, 1e200),
+    "weighted_orthogonality_check A * (lam - mu)":
+        lambda: weighted_orthogonality_check(1e200, -1e200, 0.0, 1e200),
     # L = inf
     "complex_coefficients L": lambda: complex_coefficients(f, INF, 2),
     "real_coefficients L": lambda: real_coefficients(f, INF, 2),

@@ -17,7 +17,6 @@ from unitransform import (
     InsufficientDataError,
     LaplaceSpectrum,
     QuadratureError,
-    QuadratureSpec,
     SampledFunction,
     TruncationWarning,
     bromwich_inverse,
@@ -32,6 +31,8 @@ from unitransform import (
 )
 from unitransform.laplace import _e1, _line_inverse, _tail_weights
 from unitransform.numerics import composite_gauss_nodes
+
+from conftest import gauss_sum
 
 ONE = lambda x: np.ones_like(np.asarray(x, float)) + 0j
 
@@ -53,12 +54,7 @@ class TestForwardLaplace:
     def test_ramp_against_quadrature_oracle(self):
         # independent fixed-rule route for the same integral
         s = 1 + 1j
-        oracle = integrate(
-            lambda x: np.asarray(x, float) * np.exp(-s * np.asarray(x, float)),
-            (0.0, 60.0),
-            QuadratureSpec(method="gauss-legendre", order=24),
-            panels=30,
-        )
+        oracle = gauss_sum(lambda x: x * np.exp(-s * x), 0.0, 60.0, 24, 30)
         assert oracle == pytest.approx(-0.5j, abs=1e-12)
 
     def test_divergence_propagates(self):
