@@ -15,7 +15,10 @@ rule, ``order`` Gauss nodes on each of its equal panels
 (:func:`composite_gauss_nodes`): ``gauss-legendre`` is that rule summed,
 and the adaptive method bisects its panels from there in the one
 bisection loop, :func:`_adaptive_grid`, which :func:`integrate` runs at
-the single frequency w = 0, where the kernel is 1.  :func:`exp_sum`
+the single frequency w = 0, where the kernel is 1; its panel sums,
+:func:`_panel_sums`, form one exponential for each +-w pair and read the
+conjugate column for -w, and ``Grid.uniform`` makes a grid symmetric about
+0 exactly antisymmetric so that its pairs meet.  :func:`exp_sum`
 sums one row by chirp-z FFTs where that is cheaper than the direct
 kernel, and every other sum by the direct kernel, block by block; it adds
 the sums into an array the caller passes, so a caller that sums many
@@ -195,6 +198,14 @@ class Grid:
 
     @classmethod
     def uniform(cls, a: float, b: float, num: int) -> "Grid":
+        """``num`` evenly spaced points from a to b, the ends included: ``np.linspace(a, b, num)``.
+
+        A grid symmetric about 0 (a == -b) is made exactly antisymmetric, (p - p[::-1]) / 2
+        of that linspace p, which is itself asymmetric by a few ulps: exact ends, an exact 0
+        in the middle of an odd count, and points within 2 ulps of b of linspace, so that one
+        exponential serves each +-w pair of the whole-grid sums (:func:`_panel_sums`) and
+        :func:`exp_sum` still finds its lattice.
+        """
         num = _scalar(num, "grid point count", "count")
         if num < 1:
             raise ContractViolationError("grid needs at least one point")
@@ -202,7 +213,8 @@ class Grid:
             return cls(np.array([a]))
         if not a < b:
             raise ContractViolationError("grid requires a < b")
-        return cls(np.linspace(a, b, num))
+        points = np.linspace(a, b, num)
+        return cls((points - points[::-1]) / 2 if a == -b else points)
 
     @property
     def spacing(self) -> float:
@@ -602,17 +614,30 @@ def _panel_sums(weighted: np.ndarray, nodes: np.ndarray, size: int,
                 freqs: np.ndarray) -> np.ndarray:
     """Sums of ``weighted`` against exp(i*w*nodes) over each run of ``size`` nodes.
 
-    Returns shape (nodes.size // size, freqs.size).  The kernel is built for
-    as many frequencies at a time as fit in ``_GRID_BLOCK`` entries (one at a
-    time when there are more nodes than that).
+    Returns shape (nodes.size // size, freqs.size).  One exponential serves each
+    +-w pair: the kernel is formed once for each distinct |w|, and a negative w
+    reads its conjugate column, exp(-i*|w|*x) = conj(exp(i*|w|*x)) (the real-data
+    symmetry of Cooley, Lewis & Welch 1970).  Blocks run over the distinct |w|,
+    as many as fit in ``_GRID_BLOCK`` kernel entries (one at a time when there
+    are more nodes than that), so each pair shares a block; each product and sum
+    is the unpaired one, up to the order of the sum over a run.
     """
     out = np.empty((nodes.size // size, freqs.size), dtype=complex)
+    mag = np.abs(freqs)
+    order = np.argsort(mag, kind="stable")  # columns by |w|
+    mag = mag[order]
+    heads = np.flatnonzero(np.concatenate(([True], mag[1:] != mag[:-1])))  # first of each |w|
+    bounds = np.concatenate((heads, [freqs.size]))
     step = max(1, _GRID_BLOCK // nodes.size)
-    for start in range(0, freqs.size, step):
-        cols = freqs[start:start + step]
-        kernel = _kernel(nodes, cols)
+    for start in range(0, heads.size, step):
+        first, last = bounds[start], bounds[min(start + step, heads.size)]
+        cols, mags = order[first:last], mag[heads[start:start + step]]
+        kernel = _kernel(nodes, mags)
+        if cols.size > mags.size:  # some |w| serve both signs: a column for each
+            kernel = kernel[:, np.searchsorted(mags, mag[first:last])]
+        np.conjugate(kernel, out=kernel, where=freqs[cols] < 0)
         kernel *= weighted[:, None]
-        out[:, start:start + cols.size] = kernel.reshape(-1, size, cols.size).sum(axis=1)
+        out[:, cols] = kernel.reshape(-1, size, cols.size).sum(axis=1)
     return out
 
 
@@ -630,7 +655,10 @@ def integrate_grid(
     panels, see :func:`_adaptive_grid`, over runs of the grid small enough
     that the starting panels times the run fit in ``_GRID_CELLS``, under one split budget.
     Each run starts from ``oscillation_panels`` of its own largest |w| and
-    evaluates f once on that rule, never at a or b.
+    evaluates f once on that rule, never at a or b.  Within a run one
+    exponential serves each +-w pair (:func:`_panel_sums`), so a symmetric
+    grid in one run forms about half the kernel columns; runs are contiguous
+    in w, so a symmetric grid split into runs pairs only in the run that holds 0.
 
     Returns the integrals and |f| on the starting nodes (the first run's).
     An adaptive pass that fails its defect or split budget raises a

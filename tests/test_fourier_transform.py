@@ -78,6 +78,18 @@ class TestForward:
         modulated = np.exp(1j * grid.points * h) * base.values
         np.testing.assert_allclose(shifted.values, modulated, atol=1e-8)
 
+    def test_complex_function_whose_spectrum_is_not_hermitian(self):
+        # F(-lam) != conj F(lam), so the columns the panel sums read conjugated for
+        # lam < 0 must carry f's own phase: f = e^{-(x-0.3)^2/2} e^{2ix} has
+        # F(lam) = e^{0.3 i (lam+2)} e^{-(lam+2)^2/2} / sqrt(2 pi)
+        f = lambda x: np.exp(-(np.asarray(x, float) - 0.3) ** 2 / 2.0 + 2j * np.asarray(x, float))
+        grid = Grid.uniform(-6.0, 6.0, 121)
+        spectrum = forward_ft(f, grid, 12.0)
+        mu = grid.points + 2.0
+        exact = np.exp(0.3j * mu - mu**2 / 2.0) / math.sqrt(2.0 * math.pi)
+        np.testing.assert_allclose(spectrum.values, exact, rtol=0, atol=1e-12)
+        assert np.max(np.abs(spectrum.values - spectrum.values[::-1].conj())) > 0.1
+
     def test_truncation_must_be_positive(self):
         with pytest.raises(ContractViolationError):
             forward_ft(gaussian, Grid.uniform(-1, 1, 3), 0.0)

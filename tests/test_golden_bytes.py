@@ -71,28 +71,28 @@ CORPUS = [
 # Recorded from the per-number renderer that wrote each float through format_float, with
 # one BLAS thread (conftest.py pins it): the flt and iflt bytes go through a complex matmul.
 DIGESTS = {
-    "ft.json": "570f1b96f5c6e5aab4ee9df6d5ed4f800966d47ededff780338e54a1971efa72",
-    "ft-csv": "a86428f7fba127e0bd229bd6a2a20002f7fe82e7dc65a2a8fc5ae94feb2a67a6",
-    "ift.json": "255e5f9ca5ffadb937e12b97170c3a89edf30fb47912c1baba1a0f44bc2b4747",
-    "ift.csv": "b2c4733e4fc408495eb2129ebd032c6658ebeb4af17cd8d09ae8168bbd06a6b6",
-    "estimate-abscissa-input": "003b47f52dfbc77d7d43c65673642032d890d58d86f1f0cef9e9e43f268591bc",
+    "ft.json": "c9e46158721c770cddafacf113413045553c4cfe0c0052e2d342cb51d1a652f6",
+    "ft-csv": "2e0887524c1ad1580e1d1af08b3086fb722990b48b89530a67ec82d9953f432f",
+    "ift.json": "c8ddcec056993dc239ddf08e8e8044466fe9a91ea537f75fbdeb172f3384ed31",
+    "ift.csv": "11bd3625fa3bcf5bf99cb608ddff824c57b077e14a7a0a39bf2a3cbcac8d48d2",
+    "estimate-abscissa-input": "25c765f2c8408df8a44f9daeb73b34144143eafab70966c84e9d45fc584131f6",
     "estimate-abscissa-expr": "aa8256e9f0b9bbb71f5640c8c1d9855223daa3465d932fe83f217e78ff02808e",
-    "line.json": "af564534d536cb5b6cb55073273c0b82545b293516516e62eb9bfc1c688a1ad8",
-    "line.csv": "02ab37fe593d7740ab028789dcc4b46211984b5c277122184095bc798df78afb",
+    "line.json": "c9dcfeaa8aacfd8d1b1ae8c74eaad8a3bd6ecbcc82b98fd4ee7e60fdb5ecc867",
+    "line.csv": "ba2bd36f603b1e5305eb342eb055eeb6f02ee32e4caf891b516b040ea43a6482",
     "lt-s": "ea2aae7c5b8fdcd28f83ab022c1efe3c499cd5eee725c8ad79b5f7b770d34093",
     "lt-s.csv": "31b20fbaa779abe9070818fbab8fe05a55a19d22707284869cf8dd4803b73ddf",
-    "ilt": "955480e76f0211ecffed7676fc5f23b9865a02f843c2854051b18dd422ce8f5d",
-    "ilt.csv": "c5024976e5ea9bdadff8340a6e04976e98dac2d73bd3c76a62794293504803f9",
-    "fl.json": "b02d03ca998db6306695856d8c91eeea74ef949f6d89c68b5aefb92abe43ff56",
-    "iflt": "04b32d84aaf4a38bc1b73cf1415d3fc80d6e50a4590c5c8bc0dcce31da0246fc",
-    "iflt.csv": "30fbd2d66e5a56dbfb2aff1b5861b9f096e888e1e3713f1c968abb6ad60cff7e",
-    "series.json": "da31627e31c949d9d0696ac250783d7861849a8fe56821c51de249904eec0cff",
-    "series-csv": "527c596e6957103c32f724bff69042b4beae68973aacdd7861f1ea8edbd20c92",
+    "ilt": "825240e74b8e0ce1cd347effabb25137000dac4b415a2c94b473ad3dadb29752",
+    "ilt.csv": "bb586b2d23404c302b700dce2628fda7e1d3b66fc4b62967e14e668c50672b1e",
+    "fl.json": "c1395472956d38dd81ece2b19103fab7beea0cc4c9e7ad1653d6e3f6743055f9",
+    "iflt": "0de8b9b04b9715e3059fd5245a520497dce7227a59ac56f0c87ea41f379f71d8",
+    "iflt.csv": "6e107d15666b623e260758c6487b3d4b3c242bbd592241cc43e3f2d27b230462",
+    "series.json": "c0d87dcd479822d9d3ff940bdd50fa9f22c7ea93ee96090b37cab28879135d57",
+    "series-csv": "8393104e652ade9e94675a12afd2d7debcd16b62c986555490713c0d7c227671",
     "real-series": "7716a43eb32c53b23b213a5b230c206733217c79edec0be9488b71aac5b2e9cc",
     "real-series.csv": "d7e667d54fcfc9003c50e4fc06dd76b5230cd6136e074533fa565ec8cdfd61ef",
-    "verify-orthogonality": "840429c05148aea1aa83333ea0f6005edd6d9871f9be53e6dd59240504f44da8",
+    "verify-orthogonality": "eb13c7d52dd09c957794423fcf1b878841252159443313fc8ca67047bd500656",
     "verify-residual": "999b231c11f4ef17392537e90a78e0b2fd4fa98d3416901db42c0144edeca17b",
-    "roundtrip.json": "e0288b5f8a16aa8fd1e9d7542fab17aa4612bc1f7895e7697ce15c98a3a4b9fd",
+    "roundtrip.json": "5bbc71043ae7b5c0db0d1b0b77c6a2fdc2d06cea72e9ed1af4dde8be35969af4",
     "function2d": "1db9f2c3afec43aa6556aab26848edfdfcda60dd903a342cfd70d9a9cc0b69db",
     "gauss-line": "bfbe11d0907c77bd18793871ca6f7d82a175ad47f99aa0de6848055c0466a009",
     "gauss-line-csv": "9aedfc7c3b2102ea41bcf4c717fcfb892bf8c4cb64dde5ded32d5cd91ed2fb47",

@@ -29,7 +29,7 @@ from unitransform import (
     oscillation_panels,
     weighted_orthogonality_check,
 )
-from unitransform.laplace import _e1, _line_inverse, _tail_weights
+from unitransform.laplace import _E1_SERIES, _e1, _line_inverse, _tail_weights
 from unitransform.numerics import composite_gauss_nodes
 
 from conftest import gauss_sum
@@ -212,7 +212,8 @@ class TestContourTails:
     def test_e1_matches_scipy_on_both_branches(self):
         special = pytest.importorskip("scipy.special")
         zs = _contour_points()
-        series = [z for z in zs if abs(z) < 1 or (z.real < -2 * abs(z.imag) and abs(z) < 40)]
+        series = [z for z in zs
+                  if abs(z) < _E1_SERIES or (z.real < -2 * abs(z.imag) and abs(z) < 40)]
         assert 20 <= len(series) < len(zs) - 200
         ours = np.array([_e1(z) for z in zs])
         theirs = special.exp1(np.array(zs))

@@ -5,7 +5,7 @@ from decimal import Context, Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unitransform import (
@@ -79,6 +79,17 @@ class TestGrid:
             assert grid.spacing == again.spacing == pytest.approx(step, rel=0, abs=ulps)
         found = len(grid) > 1 and numerics._lattice(grid.points[:, None]) is not None
         assert found == lattice
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(1e-6, 1e8), n=st.integers(2, 160_001))
+    @example(a=1019.3750832571336, n=975)  # 2 ulps of a from linspace
+    def test_symmetric_uniform_grid_is_exactly_antisymmetric(self, a, n):
+        # so that one exponential serves each +-w pair of the whole-grid panel sums
+        points = Grid.uniform(-a, a, n).points
+        assert np.array_equal(points, -points[::-1])
+        assert points[0] == -a and points[-1] == a
+        assert np.max(np.abs(points - np.linspace(-a, a, n))) <= 2 * np.spacing(a)
+        assert numerics._lattice(points[:, None]) is not None
 
 
 class TestSampledFunction:
@@ -463,23 +474,55 @@ class TestIntegrateGrid:
         f, A, n = self.CASES["gaussian"]
         lams = Grid.uniform(-6.0, 6.0, n)
         plain, _ = integrate_grid(f, (-A, A), lams)
-        shapes = []
-        kernel = numerics._kernel
+        shapes, columns = [], []
+        kernel, panel_sums = numerics._kernel, numerics._panel_sums
 
         def spy(nodes, freqs):
             shapes.append((nodes.size, freqs.size))
+            columns[-1] += freqs.size
             return kernel(nodes, freqs)
 
+        def spy_sums(*args):
+            columns.append(0)
+            return panel_sums(*args)
+
         monkeypatch.setattr(numerics, "_kernel", spy)
+        monkeypatch.setattr(numerics, "_panel_sums", spy_sums)
         blocked, _ = integrate_grid(f, (-A, A), lams)
         np.testing.assert_array_equal(blocked, plain)
         assert len(shapes) > 1
         assert all(rows * cols <= numerics._GRID_BLOCK for rows, cols in shapes)
-        # more nodes than the cap (573 panels for |lam| = 100): one frequency per block
+        # one exponential per +-lam pair: each panel sum forms 241 kernel columns, not 481
+        assert columns and all(c == (n + 1) // 2 for c in columns)
+        # more nodes than the cap (573 panels for |lam| = 100): one |lam| per block
         shapes.clear()
+        columns.clear()
         integrate_grid(f, (-A, A), Grid.uniform(-100.0, 100.0, 3))
         assert max(rows for rows, _ in shapes) > numerics._GRID_BLOCK
         assert all(cols == 1 for _, cols in shapes)
+        assert all(c == 2 for c in columns)
+
+    @pytest.mark.parametrize("freqs", [
+        Grid.uniform(-5.0, 5.0, 21).points,  # symmetric, with 0
+        Grid.uniform(-5.0, 5.0, 20).points,  # symmetric, without 0
+        np.linspace(0.5, 7.0, 14),           # all positive
+        -np.linspace(0.0, 7.0, 15)[::-1],    # all negative or 0
+        np.array([-3.0, -1.0, 0.0, 1.0, 2.5, 3.0, 4.0]),  # 0 and partners, 2.5 and 4 alone
+        np.array([2.0, -0.5, 0.5, -2.0, 1.0]),  # unsorted
+    ], ids=["symmetric-odd", "symmetric-even", "positive", "negative", "mixed", "unsorted"])
+    @pytest.mark.parametrize("panels", [3, 100, 1000],
+                             ids=["one-block", "blocks-of-8", "one-per-block"])
+    def test_paired_panel_sums_match_the_unpaired_kernel(self, freqs, panels):
+        # one exponential per |w|, a negative w reading the conjugate column, against
+        # exp(i w x) formed for every w; 100 panels of 10 nodes leave 8 |w| per block,
+        # 1,000 exceed the block cap
+        rng = np.random.default_rng(panels + freqs.size)
+        nodes, _ = composite_gauss_nodes(-3.0, 2.0, 10, panels)
+        weighted = rng.standard_normal(nodes.size) + 1j * rng.standard_normal(nodes.size)
+        got = numerics._panel_sums(weighted, nodes, 10, freqs)
+        full = np.exp(1j * np.outer(nodes, freqs)) * weighted[:, None]
+        want = full.reshape(-1, 10, freqs.size).sum(axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(weighted))
 
     def test_panel_arrays_stay_within_cells(self, monkeypatch):
         sizes = []
