@@ -43,10 +43,28 @@ def _top_index(coefficients: dict, *others: dict) -> int:
     :class:`ContractViolationError`."""
     if not coefficients:
         raise ContractViolationError("coefficient set may not be empty")
-    for k in itertools.chain(coefficients, *others):
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise ContractViolationError(f"coefficient index must be an integer, got {k}")
+    keys = list(itertools.chain(coefficients, *others))
+    bad = {t for t in set(map(type, keys))  # one test per type of key, not per key
+           if issubclass(t, bool) or not issubclass(t, numbers.Integral)}
+    if bad:
+        k = next(k for k in keys if type(k) in bad)
+        raise ContractViolationError(f"coefficient index must be an integer, got {k}")
     return max(coefficients)
+
+
+def _check_values(coefficients: dict, rule: str) -> None:
+    """Every value of ``coefficients`` obeys ``rule`` of :func:`_scalar`, checked as one array;
+    else the first that does not raises its :class:`ContractViolationError`, naming its k."""
+    values = list(coefficients.values())
+    kind = numbers.Complex if rule == "complex" else numbers.Real
+    try:
+        ok = (all(issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, values)))
+              and bool(np.isfinite(np.array(values, dtype=complex)).all()))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        for k, v in coefficients.items():
+            _scalar(v, f"coefficient with k={k}", rule)
 
 
 @dataclass(frozen=True)
@@ -63,8 +81,7 @@ class FourierCoefficientSet:
             raise ContractViolationError(
                 "coefficient indices must form a symmetric range -K..K"
             )
-        for k, v in self.c.items():
-            _scalar(v, f"coefficient with k={k}", "complex")
+        _check_values(self.c, "complex")
 
     @property
     def K(self) -> int:
@@ -95,8 +112,8 @@ class RealFourierCoefficientSet:
             raise ContractViolationError("a-coefficients must cover k = 0..K")
         if sorted(self.b) != list(range(1, K + 1)):
             raise ContractViolationError("b-coefficients must cover k = 1..K")
-        for k, v in (*self.a.items(), *self.b.items()):
-            _scalar(v, f"coefficient with k={k}")
+        _check_values(self.a, "finite")
+        _check_values(self.b, "finite")
 
     @property
     def K(self) -> int:

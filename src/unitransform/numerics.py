@@ -15,10 +15,13 @@ rule, ``order`` Gauss nodes on each of its equal panels
 (:func:`composite_gauss_nodes`): ``gauss-legendre`` is that rule summed,
 and the adaptive method bisects its panels from there in the one
 bisection loop, :func:`_adaptive_grid`, which :func:`integrate` runs at
-the single frequency w = 0, where the kernel is 1; its panel sums,
-:func:`_panel_sums`, form one exponential for each +-w pair and read the
-conjugate column for -w, and ``Grid.uniform`` makes a grid symmetric about
-0 exactly antisymmetric so that its pairs meet.  :func:`exp_sum`
+the single frequency w = 0, where the kernel is 1 and the panel sums are
+plain Gauss sums; elsewhere its panel sums, :func:`_panel_sums`, take a
+batch's panels and factor each node's exp(i w x) into exp(i w mid), one per
+panel, times exp(i w half x_g), one per Gauss node for each distinct
+half-width, form those once for each +-w pair and read the conjugates for
+-w, and ``Grid.uniform`` makes a grid symmetric about 0 exactly
+antisymmetric so that its pairs meet.  :func:`exp_sum`
 sums one row by chirp-z FFTs where that is cheaper than the direct
 kernel, and every other sum by the direct kernel, block by block; it adds
 the sums into an array the caller passes, so a caller that sums many
@@ -592,7 +595,7 @@ def integrate(
     if spec.method != "adaptive":
         return complex(np.dot(weights, fx))
     try:
-        return complex(_adaptive_grid(f, edges, nodes, weights * fx, np.zeros(1), spec, 0)[0][0])
+        return complex(_adaptive_grid(f, edges, weights * fx, np.zeros(1), spec, 0)[0][0])
     except QuadratureError as exc:
         exc.frequency = None  # w = 0 is the loop's kernel, not a grid the caller gave
         raise
@@ -606,38 +609,59 @@ def _panel_rule(lo: np.ndarray, hi: np.ndarray, order: int):
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
-def _kernel(nodes: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    return np.exp(1j * np.outer(nodes, freqs))
+def _kernel(phases: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """exp(i * phases * w) for every w in ``freqs``, on a last axis of its own."""
+    return np.exp(1j * np.multiply.outer(phases, freqs))
 
 
-def _panel_sums(weighted: np.ndarray, nodes: np.ndarray, size: int,
+def _panel_sums(weighted: np.ndarray, lo: np.ndarray, hi: np.ndarray, order: int,
                 freqs: np.ndarray) -> np.ndarray:
-    """Sums of ``weighted`` against exp(i*w*nodes) over each run of ``size`` nodes.
+    """Sums of ``weighted`` against exp(i*w*x) over each panel [lo, hi], x its ``order``
+    Gauss nodes as :func:`_panel_rule` places them.
 
-    Returns shape (nodes.size // size, freqs.size).  One exponential serves each
-    +-w pair: the kernel is formed once for each distinct |w|, and a negative w
-    reads its conjugate column, exp(-i*|w|*x) = conj(exp(i*|w|*x)) (the real-data
-    symmetry of Cooley, Lewis & Welch 1970).  Blocks run over the distinct |w|,
-    as many as fit in ``_GRID_BLOCK`` kernel entries (one at a time when there
-    are more nodes than that), so each pair shares a block; each product and sum
-    is the unpaired one, up to the order of the sum over a run.
+    Returns shape (lo.size, freqs.size).  At the one frequency 0 the kernel is 1
+    and these are plain Gauss sums.  Otherwise each node is mid + half*x_g, so
+    exp(i*w*x) is exp(i*w*mid) times exp(i*w*half*x_g): a block's kernel is a
+    midpoint table, one exponential per panel, times an offset table, one
+    exponential per Gauss node for each distinct half-width (panels of one
+    bisection depth differ only by rounding), read for each panel and
+    multiplied in one broadcast as :func:`exp_sum`'s step kernel builds its
+    blocks; no node moves, so f is summed where it was evaluated.  One
+    exponential serves each +-w pair: the tables are formed once for each
+    distinct |w|, and a negative w reads their conjugate columns,
+    exp(-i*|w|*x) = conj(exp(i*|w|*x)) (the real-data symmetry of Cooley, Lewis
+    & Welch 1970).  Blocks run over the distinct |w|, as many as fit in
+    ``_GRID_BLOCK`` kernel entries (one at a time when there are more nodes than
+    that), so each pair shares a block; each product and sum is the unpaired
+    one, up to the order of the sum over a panel.
     """
-    out = np.empty((nodes.size // size, freqs.size), dtype=complex)
+    if freqs.size == 1 and freqs[0] == 0:
+        return weighted.reshape(-1, order).sum(axis=1)[:, None]
+    out = np.empty((lo.size, freqs.size), dtype=complex)
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    halves, width = np.unique(half, return_inverse=True)
+    offsets = halves[:, None] * _leggauss(order)[0]  # the node offsets of _panel_rule
+    weighted = weighted.reshape(lo.size, order, 1)
     mag = np.abs(freqs)
-    order = np.argsort(mag, kind="stable")  # columns by |w|
-    mag = mag[order]
+    by_mag = np.argsort(mag, kind="stable")  # columns by |w|
+    mag = mag[by_mag]
     heads = np.flatnonzero(np.concatenate(([True], mag[1:] != mag[:-1])))  # first of each |w|
     bounds = np.concatenate((heads, [freqs.size]))
-    step = max(1, _GRID_BLOCK // nodes.size)
+    step = max(1, _GRID_BLOCK // weighted.size)
     for start in range(0, heads.size, step):
         first, last = bounds[start], bounds[min(start + step, heads.size)]
-        cols, mags = order[first:last], mag[heads[start:start + step]]
-        kernel = _kernel(nodes, mags)
+        cols, mags = by_mag[first:last], mag[heads[start:start + step]]
+        centre, offset = _kernel(mid, mags), _kernel(offsets, mags)
         if cols.size > mags.size:  # some |w| serve both signs: a column for each
-            kernel = kernel[:, np.searchsorted(mags, mag[first:last])]
-        np.conjugate(kernel, out=kernel, where=freqs[cols] < 0)
-        kernel *= weighted[:, None]
-        out[:, cols] = kernel.reshape(-1, size, cols.size).sum(axis=1)
+            pick = np.searchsorted(mags, mag[first:last])
+            centre, offset = centre[:, pick], offset[:, :, pick]
+        negative = freqs[cols] < 0
+        np.conjugate(centre, out=centre, where=negative)
+        np.conjugate(offset, out=offset, where=negative)
+        kernel = offset[width]
+        kernel *= centre[:, None, :]
+        kernel *= weighted
+        out[:, cols] = kernel.sum(axis=1)
     return out
 
 
@@ -680,19 +704,20 @@ def integrate_grid(
         edges = np.linspace(a, b, oscillation_panels(float(np.max(np.abs(piece))), a, b) + 1)
         x, weights = _panel_rule(edges[:-1], edges[1:], spec.order)
         fx = _eval_integrand(f, x)
-        total[start:start + run], splits = _adaptive_grid(f, edges, x, weights * fx,
-                                                          piece, spec, splits)
+        total[start:start + run], splits = _adaptive_grid(f, edges, weights * fx, piece,
+                                                          spec, splits)
         if start == 0:
             magnitude = np.abs(fx)
     return total, magnitude
 
 
-def _adaptive_grid(f, edges: np.ndarray, x: np.ndarray, weighted: np.ndarray, w: np.ndarray,
+def _adaptive_grid(f, edges: np.ndarray, weighted: np.ndarray, w: np.ndarray,
                    spec: QuadratureSpec, splits: int):
     """The one bisection loop: integrals of f(x) exp(i*w*x) over the panels between ``edges``
-    for every w, sharing the bisection.  ``x`` holds the starting panels' Gauss nodes and
-    ``weighted`` their weights times f there, which the caller evaluated; :func:`integrate`
-    passes the one frequency w = 0, whose kernel is 1, so its panel sums are plain Gauss sums.
+    for every w, sharing the bisection.  ``weighted`` holds the Gauss weights times f on the
+    starting panels' nodes, which the caller evaluated; the panel sums, :func:`_panel_sums`,
+    take each batch's panels, not its nodes.  :func:`integrate` passes the one frequency
+    w = 0, whose kernel is 1, so its panel sums are plain Gauss sums.
 
     Panels go through a depth-first stack in batches of at most
     ``_GRID_CELLS // (2 * max(order, w.size))``, so the nodes of a batch's halves and their
@@ -715,23 +740,26 @@ def _adaptive_grid(f, edges: np.ndarray, x: np.ndarray, weighted: np.ndarray, w:
     lo, hi = edges[:-1], edges[1:]
     stack = []
     for s in reversed(range(0, lo.size, rows)):
-        nodes = slice(s * order, (s + rows) * order)
-        coarse = _panel_sums(weighted[nodes], x[nodes], order, w)
+        coarse = _panel_sums(weighted[s * order:(s + rows) * order], lo[s:s + rows],
+                             hi[s:s + rows], order, w)
         stack.append((lo[s:s + rows], hi[s:s + rows], coarse, 0))
     total = np.zeros(w.size, dtype=complex)
     defect = np.zeros(w.size)
     while stack:
         lo, hi, coarse, depth = stack.pop()
         mid = (lo + hi) / 2.0
-        x, weights = _panel_rule(np.concatenate((lo, mid)), np.concatenate((mid, hi)), order)
-        halves = _panel_sums(weights * _eval_integrand(f, x), x, order, w)
+        starts, ends = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        x, weights = _panel_rule(starts, ends, order)
+        halves = _panel_sums(weights * _eval_integrand(f, x), starts, ends, order, w)
         left, right = halves[:lo.size], halves[lo.size:]
         fine = left + right
         change = np.abs(fine - coarse)
         limit = tol * (hi - lo)[:, None] / span
         done = np.all(change <= limit, axis=1)
-        rounding = np.all(change <= np.maximum(limit, _ROUNDING * np.abs(fine)), axis=1)
-        stuck = ~done & (rounding | (depth >= _MAX_BISECTIONS) | (mid <= lo) | (mid >= hi))
+        stuck = ~done & ((depth >= _MAX_BISECTIONS) | (mid <= lo) | (mid >= hi))
+        failed = np.flatnonzero(~done)  # the rounding test reads only these
+        stuck[failed] |= np.all(change[failed] <= np.maximum(
+            limit[failed], _ROUNDING * np.abs(fine[failed])), axis=1)
         total += fine[done | stuck].sum(axis=0)
         defect += change[stuck].sum(axis=0)
         worst = int(np.argmax(defect))

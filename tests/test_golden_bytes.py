@@ -71,11 +71,11 @@ CORPUS = [
 # Recorded from the per-number renderer that wrote each float through format_float, with
 # one BLAS thread (conftest.py pins it): the flt and iflt bytes go through a complex matmul.
 DIGESTS = {
-    "ft.json": "c9e46158721c770cddafacf113413045553c4cfe0c0052e2d342cb51d1a652f6",
-    "ft-csv": "2e0887524c1ad1580e1d1af08b3086fb722990b48b89530a67ec82d9953f432f",
-    "ift.json": "c8ddcec056993dc239ddf08e8e8044466fe9a91ea537f75fbdeb172f3384ed31",
-    "ift.csv": "11bd3625fa3bcf5bf99cb608ddff824c57b077e14a7a0a39bf2a3cbcac8d48d2",
-    "estimate-abscissa-input": "25c765f2c8408df8a44f9daeb73b34144143eafab70966c84e9d45fc584131f6",
+    "ft.json": "61a4e76c277e972acd80fdf6672c4bbb634bc9b6b37bbb3b6bef2d8348da9d6d",
+    "ft-csv": "b43ba8bce7336a463fb5676d08dff36e4dd41b9ac604cbe59b952ea368cd6a5d",
+    "ift.json": "68dad52619718506b682654f85cf9ff000f08898d97a39234e214a88889cb518",
+    "ift.csv": "5def5b1eda0a270cf14ef3452be61016acd62eb0a7b105c181234c3f1a597c02",
+    "estimate-abscissa-input": "dfcd0f10d364f5b8fe3ce92a4be88c03acbf14586d070e49cea12ec4fbc9c67f",
     "estimate-abscissa-expr": "aa8256e9f0b9bbb71f5640c8c1d9855223daa3465d932fe83f217e78ff02808e",
     "line.json": "c9dcfeaa8aacfd8d1b1ae8c74eaad8a3bd6ecbcc82b98fd4ee7e60fdb5ecc867",
     "line.csv": "ba2bd36f603b1e5305eb342eb055eeb6f02ee32e4caf891b516b040ea43a6482",
@@ -86,13 +86,13 @@ DIGESTS = {
     "fl.json": "c1395472956d38dd81ece2b19103fab7beea0cc4c9e7ad1653d6e3f6743055f9",
     "iflt": "0de8b9b04b9715e3059fd5245a520497dce7227a59ac56f0c87ea41f379f71d8",
     "iflt.csv": "6e107d15666b623e260758c6487b3d4b3c242bbd592241cc43e3f2d27b230462",
-    "series.json": "c0d87dcd479822d9d3ff940bdd50fa9f22c7ea93ee96090b37cab28879135d57",
-    "series-csv": "8393104e652ade9e94675a12afd2d7debcd16b62c986555490713c0d7c227671",
+    "series.json": "ad773735d118cd5c374f2a999f349085cc658141f94edf2f20b9e9c237e259c3",
+    "series-csv": "95226932f8d61b6e75cd5ca2bb3e2401da54b32ac3ec3b6a30c176bd3717ed3f",
     "real-series": "7716a43eb32c53b23b213a5b230c206733217c79edec0be9488b71aac5b2e9cc",
     "real-series.csv": "d7e667d54fcfc9003c50e4fc06dd76b5230cd6136e074533fa565ec8cdfd61ef",
-    "verify-orthogonality": "eb13c7d52dd09c957794423fcf1b878841252159443313fc8ca67047bd500656",
+    "verify-orthogonality": "c5cc94706c3e785a375b4e3aa3f913899278d28909a4b01830ed4933833d8bf3",
     "verify-residual": "999b231c11f4ef17392537e90a78e0b2fd4fa98d3416901db42c0144edeca17b",
-    "roundtrip.json": "5bbc71043ae7b5c0db0d1b0b77c6a2fdc2d06cea72e9ed1af4dde8be35969af4",
+    "roundtrip.json": "549f900586882358078cb6fe5728b8d7d4d702c2596a51c68b83f2853b7f45f2",
     "function2d": "1db9f2c3afec43aa6556aab26848edfdfcda60dd903a342cfd70d9a9cc0b69db",
     "gauss-line": "bfbe11d0907c77bd18793871ca6f7d82a175ad47f99aa0de6848055c0466a009",
     "gauss-line-csv": "9aedfc7c3b2102ea41bcf4c717fcfb892bf8c4cb64dde5ded32d5cd91ed2fb47",

@@ -141,6 +141,20 @@ NOT_A_NUMBER = {
                                       "coefficient with k=1 must be a finite number, got a"),
     "FourierCoefficientSet c_0=True": (lambda: FourierCoefficientSet(1.0, {0: True}),
                                        "coefficient with k=0 must be a finite number, got True"),
+    "FourierCoefficientSet c_0=None": (lambda: FourierCoefficientSet(1.0, {0: None}),
+                                       "coefficient with k=0 must be a finite number, got None"),
+    "FourierCoefficientSet c_0=inf first": (
+        lambda: FourierCoefficientSet(1.0, {-1: 1j, 0: complex(0, INF), 1: "a"}),
+        "coefficient with k=0 must be a finite number, got infj"),
+    "FourierCoefficientSet c_1=np.inf": (
+        lambda: FourierCoefficientSet(1.0, {-1: np.complex128(1j), 0: np.float64(2), 1: np.inf}),
+        "coefficient with k=1 must be a finite number, got inf"),
+    "RealFourierCoefficientSet b_1=1j": (
+        lambda: RealFourierCoefficientSet(1.0, {0: 1.0, 1: 2}, {1: 1j}),
+        "coefficient with k=1 must be finite, got 1j"),
+    "RealFourierCoefficientSet a_1=nan before b": (
+        lambda: RealFourierCoefficientSet(1.0, {0: 1.0, 1: NAN}, {1: None}),
+        "coefficient with k=1 must be finite, got nan"),
     "Eigenvalue nan": (lambda: Eigenvalue(NAN), "eigenvalue must be finite, got nan"),
     "Eigenvalue (1, nan)": (lambda: Eigenvalue((1.0, NAN), "continuum"),
                             "eigenvalue must be finite, got nan"),

@@ -474,32 +474,40 @@ class TestIntegrateGrid:
         f, A, n = self.CASES["gaussian"]
         lams = Grid.uniform(-6.0, 6.0, n)
         plain, _ = integrate_grid(f, (-A, A), lams)
-        shapes, columns = [], []
+        tables, columns = [], []
         kernel, panel_sums = numerics._kernel, numerics._panel_sums
 
-        def spy(nodes, freqs):
-            shapes.append((nodes.size, freqs.size))
-            columns[-1] += freqs.size
-            return kernel(nodes, freqs)
+        def spy(phases, freqs):
+            tables.append((phases.shape, freqs.size))
+            return kernel(phases, freqs)
 
         def spy_sums(*args):
-            columns.append(0)
-            return panel_sums(*args)
+            start = len(tables)
+            out = panel_sums(*args)
+            # each block forms a midpoint table (panels,) and an offset table (widths, order)
+            columns.append(sum(cols for _, cols in tables[start::2]))
+            return out
+
+        def blocks():
+            return [(mid[0] * offset[1], cols, mid[0] + offset[0] * offset[1])
+                    for (mid, cols), (offset, _) in zip(tables[::2], tables[1::2])]
 
         monkeypatch.setattr(numerics, "_kernel", spy)
         monkeypatch.setattr(numerics, "_panel_sums", spy_sums)
         blocked, _ = integrate_grid(f, (-A, A), lams)
         np.testing.assert_array_equal(blocked, plain)
-        assert len(shapes) > 1
-        assert all(rows * cols <= numerics._GRID_BLOCK for rows, cols in shapes)
-        # one exponential per +-lam pair: each panel sum forms 241 kernel columns, not 481
+        assert len(blocks()) > 1
+        assert all(rows * cols <= numerics._GRID_BLOCK for rows, cols, _ in blocks())
+        # one exponential per panel and one per Gauss node of each width, not one per node
+        assert all(exps < rows / 2 for rows, _, exps in blocks())
+        # one exponential column per +-lam pair: each panel sum forms 241 columns, not 481
         assert columns and all(c == (n + 1) // 2 for c in columns)
         # more nodes than the cap (573 panels for |lam| = 100): one |lam| per block
-        shapes.clear()
+        tables.clear()
         columns.clear()
         integrate_grid(f, (-A, A), Grid.uniform(-100.0, 100.0, 3))
-        assert max(rows for rows, _ in shapes) > numerics._GRID_BLOCK
-        assert all(cols == 1 for _, cols in shapes)
+        assert max(rows for rows, _, _ in blocks()) > numerics._GRID_BLOCK
+        assert all(cols == 1 for _, cols, _ in blocks())
         assert all(c == 2 for c in columns)
 
     @pytest.mark.parametrize("freqs", [
@@ -513,16 +521,48 @@ class TestIntegrateGrid:
     @pytest.mark.parametrize("panels", [3, 100, 1000],
                              ids=["one-block", "blocks-of-8", "one-per-block"])
     def test_paired_panel_sums_match_the_unpaired_kernel(self, freqs, panels):
-        # one exponential per |w|, a negative w reading the conjugate column, against
-        # exp(i w x) formed for every w; 100 panels of 10 nodes leave 8 |w| per block,
-        # 1,000 exceed the block cap
+        # one exponential per |w|, a negative w reading the conjugate columns, against the
+        # same midpoint-times-offset kernel formed for every w; 100 panels of 10 nodes leave
+        # 8 |w| per block, 1,000 exceed the block cap
         rng = np.random.default_rng(panels + freqs.size)
-        nodes, _ = composite_gauss_nodes(-3.0, 2.0, 10, panels)
-        weighted = rng.standard_normal(nodes.size) + 1j * rng.standard_normal(nodes.size)
-        got = numerics._panel_sums(weighted, nodes, 10, freqs)
-        full = np.exp(1j * np.outer(nodes, freqs)) * weighted[:, None]
-        want = full.reshape(-1, 10, freqs.size).sum(axis=1)
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(weighted))
+        edges = np.linspace(-3.0, 2.0, panels + 1)
+        lo, hi = edges[:-1], edges[1:]
+        weighted = rng.standard_normal(10 * panels) + 1j * rng.standard_normal(10 * panels)
+        got = numerics._panel_sums(weighted, lo, hi, 10, freqs)
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        offsets = half[:, None] * np.polynomial.legendre.leggauss(10)[0]
+        full = (np.exp(1j * mid[:, None, None] * freqs) * np.exp(1j * offsets[:, :, None] * freqs)
+                * weighted.reshape(panels, 10, 1))
+        assert np.max(np.abs(got - full.sum(axis=1))) <= 1e-15 * np.sum(np.abs(weighted))
+
+    @staticmethod
+    def _even_tiny():
+        # 30 panels of about 2^-40 of a span of 5 at x = 0.7: their widths keep 12 bits
+        return 0.7 + np.arange(31) * (5.0 * 2.0**-40 / 3.0)
+
+    @pytest.mark.parametrize("edges, freqs", [
+        (np.linspace(-3.0, 2.0, 38), Grid.uniform(-6.0, 6.0, 61).points),
+        (_even_tiny(), Grid.uniform(-50.0, 50.0, 21).points),
+        (np.linspace(200.0, 203.0, 31), Grid.uniform(-12.0, 12.0, 25).points),
+        (np.concatenate(([-1.0], -1.0 + np.cumsum(np.tile([0.25, 0.125, 0.0625], 9)))),
+         np.linspace(-4.0, 9.0, 27)),
+    ], ids=["widths-differ-by-rounding", "widths-near-2^-40-of-span", "w-mid-over-1e3",
+            "unequal-widths"])
+    def test_factored_panel_sums_match_the_direct_kernel(self, edges, freqs):
+        # exp(i w mid) exp(i w half x_g) against exp(i w x) on the nodes of _panel_rule: each
+        # side rounds its phases to about |w x| eps and its exponentials, products and
+        # sums to a few eps, so they agree to (max |w x| + 4) eps of sum |weighted|
+        lo, hi = edges[:-1], edges[1:]
+        widths = np.unique((hi - lo) / 2.0).size
+        assert widths > 1  # each case gives _panel_sums several offset tables
+        rng = np.random.default_rng(widths)
+        x, weights = numerics._panel_rule(lo, hi, 10)
+        weighted = weights * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+        got = numerics._panel_sums(weighted, lo, hi, 10, freqs)
+        direct = np.exp(1j * np.outer(x, freqs)) * weighted[:, None]
+        want = direct.reshape(lo.size, 10, freqs.size).sum(axis=1)
+        bound = (np.max(np.abs(np.outer(x, freqs))) + 4) * np.finfo(float).eps
+        assert np.max(np.abs(got - want)) <= bound * np.sum(np.abs(weighted))
 
     def test_panel_arrays_stay_within_cells(self, monkeypatch):
         sizes = []
