@@ -94,8 +94,8 @@ def forward_fl(
     X, sigma = _scalar(truncations[1], "truncation X", "positive"), _scalar(sigma, "sigma")
     _check_exp(-sigma * X, f"e^(-sigma*X) at sigma={sigma:g}, X={X:g}")
     spec = spec or DEFAULT_SPEC
-    x_nodes, x_weights = _grid_rule(-A, A, lambda_grid, spec.order)
-    t_nodes, t_weights = _grid_rule(0.0, X, tau_grid, spec.order)
+    x_nodes, x_weights, _ = _grid_rule(-A, A, lambda_grid.points, spec.order)
+    t_nodes, t_weights, _ = _grid_rule(0.0, X, tau_grid.points, spec.order)
     x_ends, x_profile = np.concatenate(([-A], x_nodes, [A])), np.zeros(x_nodes.size + 2)
 
     def f_on(t: np.ndarray):

@@ -140,7 +140,7 @@ def laplace_line(
     spec = spec or DEFAULT_SPEC
     X, sigma = _scalar(truncation, "truncation X", "positive"), _scalar(sigma, "sigma")
     _check_exp(-sigma * X, f"e^(-sigma*X) at sigma={sigma:g}, X={X:g}")
-    nodes, weights = _grid_rule(0.0, X, tau_grid, spec.order)
+    nodes, weights, _ = _grid_rule(0.0, X, tau_grid.points, spec.order)
     t = np.concatenate((nodes, [X / 2.0, X]))
     g = _eval_integrand(f, t) * np.exp(-sigma * t)
     _check_decay(np.abs(g[-2:]), X, spec.tolerance)

@@ -1,31 +1,21 @@
 """Grids, complex-valued sampled functions, and quadrature engines.
 
-The integral of a function over one interval goes through :func:`integrate`
-(finite intervals) or :func:`integrate_halfline` (truncated ``[0, X]``
-integrals); integrals against exp(i w x) for a whole grid of w go through
-:func:`integrate_grid` (``forward_ft``, the complex Fourier coefficients and
-the Gram matrix); and fixed-rule or stored samples are summed against that
-kernel by :func:`exp_sum` (``laplace_line``, ``forward_fl`` and ``inverse_ft``).  A
-:class:`Grid` is its points: its ``spacing`` is their largest step, and no kind is declared.
-Oscillatory integrands are handled by panel subdivision, see
-:func:`oscillation_panels`; no Filon-type machinery.  Every rule, like
-every adaptive call, is held to the budget of ``_MAX_SPLITS`` panels
-(:func:`_panel_budget`).  Every pass evaluates f once on its starting
-rule, ``order`` Gauss nodes on each of its equal panels
-(:func:`composite_gauss_nodes`): ``gauss-legendre`` is that rule summed,
-and the adaptive method bisects its panels from there in the one
-bisection loop, :func:`_adaptive_grid`, which :func:`integrate` runs at
-the single frequency w = 0, where the kernel is 1 and the panel sums are
-plain Gauss sums; elsewhere its panel sums, :func:`_panel_sums`, take a
-batch's panels and factor each node's exp(i w x) into exp(i w mid), one per
-panel, times exp(i w half x_g), one per Gauss node for each distinct
-half-width, form those once for each +-w pair and read the conjugates for
--w, and ``Grid.uniform`` makes a grid symmetric about 0 exactly
-antisymmetric so that its pairs meet.  :func:`exp_sum`
-sums one row by chirp-z FFTs where that is cheaper than the direct
-kernel, and every other sum by the direct kernel, block by block; it adds
-the sums into an array the caller passes, so a caller that sums many
-arrays onto one output holds no second output.
+One whole-grid pass integrates f against exp(i w x) over [a, b] for every w on a grid:
+:func:`integrate_grid` runs it on the caller's grid (``forward_ft``, the Fourier coefficients
+and the Gram matrix), :func:`integrate` on the one point w = 0, where the kernel is 1, and
+:func:`integrate_halfline` is :func:`integrate` on a truncated ``[0, X]``.  A :class:`Grid`
+is its points: its ``spacing`` is their largest step.  One builder, :func:`_grid_rule`, makes
+every rule f is evaluated on before any bisection: ``order`` Gauss nodes on each of
+``oscillation_panels(max |w|)`` equal panels, 1.5 per period (no Filon-type machinery), or
+more if the caller asks, within ``_MAX_SPLITS`` panels and ``_MAX_NODES`` nodes
+(:func:`_panel_budget`).  The pass evaluates f once on that rule: ``gauss-legendre`` sums it
+through :func:`exp_sum`; the adaptive method bisects its panels in the one loop,
+:func:`_adaptive_grid`, whose panel sums, :func:`_panel_sums`, factor exp(i w x) into
+exp(i w mid), one per panel, times exp(i w half x_g), one per node and half-width, formed
+once per +-w pair.  :func:`exp_sum` also sums the fixed rules of ``laplace_line`` and
+``forward_fl`` and the samples of ``inverse_ft``: one row by chirp-z FFTs where that is
+cheaper than the direct kernel, every other sum by the direct kernel, block by block, added
+into an array the caller may pass.
 :func:`_eval_integrand` evaluates every callable.  Every truncation meets one of the two
 guards that build a :class:`TruncationWarning`: :func:`_check_decay` on a half line (growth
 and tail of the integrand as summed, f e^{-sigma t} on a damped line), :func:`_check_ends` on
@@ -68,6 +58,8 @@ _ROUNDING = 8 * np.finfo(float).eps
 # over 100x the most a test needs (1,741, real-series of a piecewise-linear function).
 # Also the most panels any rule starts from (the most a test needs: 3,820, T=400 at X=40).
 _MAX_SPLITS = 200_000
+# Most nodes of any rule: _MAX_SPLITS panels at the default order of 10.
+_MAX_NODES = 10 * _MAX_SPLITS
 # Kernel columns per block in exp_sum: bounds both the kernel's memory and
 # the length of its phase recurrence.
 _EXP_BLOCK = 128
@@ -152,8 +144,8 @@ class QuadratureSpec:
     ``order`` is the number of Gauss-Legendre nodes per panel, of every
     rule a pass starts from and of each half the adaptive engine bisects
     into.  ``tolerance`` is the absolute error target of the adaptive
-    engine.  ``gauss-legendre`` is the starting rule summed, unrefined: the
-    reference rule that tests and the acceptance probe compare against.
+    engine.  ``gauss-legendre`` is the starting rule summed, unrefined; only
+    its own tests and the benchmark's acceptance probe use it.
     """
 
     method: str = "adaptive"
@@ -241,6 +233,9 @@ class Grid:
 
     def __repr__(self) -> str:
         return f"Grid({self.points.size} points on [{self.points[0]:g}, {self.points[-1]:g}])"
+
+
+_ORIGIN = Grid([0.0])  # the one frequency of integrate
 
 
 class SampledFunction:
@@ -512,9 +507,8 @@ def exp_sum(weighted: np.ndarray, nodes: np.ndarray, grid: Grid, sign: int,
 
 
 def composite_gauss_nodes(a: float, b: float, order: int, panels: int):
-    """Flattened nodes and weights of a composite Gauss-Legendre rule."""
-    edges = np.linspace(a, b, panels + 1)
-    return _panel_rule(edges[:-1], edges[1:], order)
+    """Flattened nodes and weights of a composite Gauss-Legendre rule (:func:`_grid_rule`)."""
+    return _grid_rule(a, b, np.zeros(1), order, panels)[:2]
 
 
 def oscillation_panels(frequency: float, a: float, b: float) -> int:
@@ -528,21 +522,32 @@ def oscillation_panels(frequency: float, a: float, b: float) -> int:
     return max(1, math.ceil(_panel_budget(periods * 1.5)))
 
 
-def _panel_budget(panels: float) -> float:
-    """``panels``, if a rule of that many panels is within ``_MAX_SPLITS``; else
-    :class:`QuadratureError` naming the count and the budget."""
+def _panel_budget(panels: float, order: int = 1) -> float:
+    """``panels``, if a rule of that many panels of ``order`` nodes is within ``_MAX_SPLITS``
+    panels and ``_MAX_NODES`` nodes; else :class:`QuadratureError` naming panels, order and
+    budget."""
     if not panels <= _MAX_SPLITS:
         raise QuadratureError(
             f"the rule needs {panels:.6g} panels, over the budget of {_MAX_SPLITS} panels; "
             "lower the largest frequency or shorten the interval"
         )
+    if panels * order > _MAX_NODES:
+        raise QuadratureError(f"the rule needs {panels} panels of order {order}, "
+                              f"{panels * order:.6g} nodes, over the budget of {_MAX_NODES} "
+                              "nodes; lower the quadrature order or the largest frequency, or "
+                              "shorten the interval")
     return panels
 
 
-def _grid_rule(a: float, b: float, grid: Grid, order: int):
-    """The fixed rule of the whole-grid sums: oscillation_panels(max |w|) Gauss panels on [a, b]."""
-    panels = oscillation_panels(float(np.max(np.abs(grid.points))), a, b)
-    return composite_gauss_nodes(a, b, order, panels)
+def _grid_rule(a: float, b: float, w: np.ndarray, order: int, panels: int = 1):
+    """Nodes, weights and panel edges of ``order`` Gauss nodes on each of
+    max(panels, oscillation_panels(max |w|)) equal panels of [a, b], w increasing, within the
+    budgets of :func:`_panel_budget`, checked before any node is built.  The one rule builder:
+    every run's starting rule, the ``gauss-legendre`` sum and the fixed rules of
+    ``laplace_line`` and ``forward_fl``."""
+    panels = max(panels, oscillation_panels(float(max(-w[0], w[-1])), a, b))
+    edges = np.linspace(a, b, _panel_budget(panels, order) + 1)
+    return (*_panel_rule(edges[:-1], edges[1:], order), edges)
 
 
 def _bounds(interval: tuple[float, float]) -> tuple[float, float]:
@@ -578,24 +583,18 @@ def integrate(
     complex
         The integral approximation.  Deterministic for fixed inputs.
 
-    f is evaluated once on the ``panels``-panel Gauss rule, never at a or b,
-    and the adaptive method bisects from there in :func:`_adaptive_grid` at
-    the one frequency w = 0; a :class:`QuadratureError` it raises names no
-    frequency.
+    This is the whole-grid pass of :func:`integrate_grid` at the one frequency w = 0,
+    from ``panels`` starting panels; a :class:`QuadratureError` it raises names no
+    frequency.  f is evaluated on Gauss nodes only, not at a or b, save where bisection
+    makes a panel so narrow (about 2^-47 of [-1, 1]) that its nodes round onto an end.
     """
     spec = spec or DEFAULT_SPEC
     a, b = _bounds(interval)
     panels = _scalar(panels, "panel count", "count")
     if panels < 1:
         raise ContractViolationError("panel count must be >= 1")
-    _panel_budget(panels)
-    edges = np.linspace(a, b, panels + 1)
-    nodes, weights = _panel_rule(edges[:-1], edges[1:], spec.order)
-    fx = _eval_integrand(f, nodes)
-    if spec.method != "adaptive":
-        return complex(np.dot(weights, fx))
     try:
-        return complex(_adaptive_grid(f, edges, weights * fx, np.zeros(1), spec, 0)[0][0])
+        return complex(_grid_pass(f, a, b, _ORIGIN, spec, panels)[0][0])
     except QuadratureError as exc:
         exc.frequency = None  # w = 0 is the loop's kernel, not a grid the caller gave
         raise
@@ -673,36 +672,37 @@ def integrate_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f(x) exp(i*w*x) over [a, b] for every w on ``grid``, sharing the samples.
 
-    The rule starts from ``oscillation_panels(max |w|)`` panels.
-    ``gauss-legendre`` evaluates f once on that rule, :func:`_grid_rule`,
-    and sums it through :func:`exp_sum`.  ``adaptive`` bisects the Gauss
-    panels, see :func:`_adaptive_grid`, over runs of the grid small enough
-    that the starting panels times the run fit in ``_GRID_CELLS``, under one split budget.
-    Each run starts from ``oscillation_panels`` of its own largest |w| and
-    evaluates f once on that rule, never at a or b.  Within a run one
-    exponential serves each +-w pair (:func:`_panel_sums`), so a symmetric
-    grid in one run forms about half the kernel columns; runs are contiguous
-    in w, so a symmetric grid split into runs pairs only in the run that holds 0.
+    The rule of :func:`_grid_rule` starts from ``oscillation_panels(max |w|)`` panels.
+    ``gauss-legendre`` evaluates f once on it and sums it through :func:`exp_sum`.
+    ``adaptive`` bisects the Gauss panels, see :func:`_adaptive_grid`, over runs of the grid
+    small enough that the starting panels times the run fit in ``_GRID_CELLS``, under one
+    split budget; each run evaluates f once on the rule of its own largest |w|.  f is evaluated
+    on Gauss nodes only, not at a or b, save where a bisected panel is so narrow that its nodes
+    round onto an end (see :func:`integrate`).  Within a run one exponential serves each +-w
+    pair (:func:`_panel_sums`); runs are contiguous in w, so a symmetric grid split into runs
+    pairs only in the run that holds 0.
 
     Returns the integrals and |f| on the starting nodes (the first run's).
     An adaptive pass that fails its defect or split budget raises a
     :class:`QuadratureError` whose ``frequency`` is the w on the grid its
     estimate is worst at, the first in a tie, so a caller can name it.
     """
-    spec = spec or DEFAULT_SPEC
-    a, b = _bounds(interval)
+    return _grid_pass(f, *_bounds(interval), grid, spec or DEFAULT_SPEC, 1)
+
+
+def _grid_pass(f, a: float, b: float, grid: Grid, spec: QuadratureSpec, panels: int):
+    """:func:`integrate_grid` from at least ``panels`` panels; the one reader of spec.method."""
     w = grid.points
+    x, weights, edges = _grid_rule(a, b, w, spec.order, panels)
     if spec.method != "adaptive":
-        x, weights = _grid_rule(a, b, grid, spec.order)
         fx = _eval_integrand(f, x)
         return exp_sum(weights * fx, x, grid, 1), np.abs(fx)
-    panels = oscillation_panels(float(np.max(np.abs(w))), a, b)
-    run, splits = max(1, _GRID_CELLS // (2 * panels)), 0
+    run, splits = max(1, _GRID_CELLS // (2 * (edges.size - 1))), 0
     total = np.empty(w.size, dtype=complex)
     for start in range(0, w.size, run):
         piece = w[start:start + run]
-        edges = np.linspace(a, b, oscillation_panels(float(np.max(np.abs(piece))), a, b) + 1)
-        x, weights = _panel_rule(edges[:-1], edges[1:], spec.order)
+        if piece.size < w.size:  # one of several runs: the rule of its own largest |w|
+            x, weights, edges = _grid_rule(a, b, piece, spec.order, panels)
         fx = _eval_integrand(f, x)
         total[start:start + run], splits = _adaptive_grid(f, edges, weights * fx, piece,
                                                           spec, splits)

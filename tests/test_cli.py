@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -407,6 +408,32 @@ class TestErrorSurface:
         assert (code, out) == (2, "")
         assert err.startswith("error: numerical: the rule needs ") and err.count("\n") == 1
         assert "over the budget of 200000 panels" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("lt", "--expr", "1", "--s", "1+250i", "--X", "40"),
+        ("lt", "--expr", "exp(-x)", "--sigma", "1", "--X", "40",
+         "--tau-min", "-250", "--tau-max", "250", "--tau-step", "250"),
+        ("flt", "--expr", "exp(-x^2-t)", "--sigma", "1", "--A", "5", "--X", "40",
+         "--lambda-min", "-1", "--lambda-max", "1", "--lambda-step", "1",
+         "--tau-min", "-250", "--tau-max", "250", "--tau-step", "250"),
+    ], ids=["lt", "lt-sigma", "flt"])
+    def test_rule_over_the_node_budget_exit_2(self, capsys, argv):
+        # 2,388 panels are within the panel budget; at order 1000 they are 2.4e6 nodes, over
+        # the node budget, refused before any is built (s = 1+20000i, 1.9e8 nodes, would ask
+        # numpy for gigabytes; the rule here is only just over, so a lost check fails safely).
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--quad-order", "1000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: numerical: the rule needs 2388 panels of order 1000, "
+                       "2.388e+06 nodes, over the budget of 2000000 nodes; lower the quadrature "
+                       "order or the largest frequency, or shorten the interval\n")
+
+    def test_default_order_within_the_node_budget(self, capsys):
+        # s = 1+20000i needs 190,986 panels: 1.9e8 nodes at order 1000, refused as above, and
+        # 1,909,860 at the default order 10, within the budget, so it still answers.
+        value = run_json(capsys, "lt", "--expr", "1", "--s", "1+20000i", "--X", "40")["value"]
+        assert complex(*value) == pytest.approx(1 / (1 + 20000j), abs=1e-10)
 
     def test_series_over_the_panel_budget_exit_2(self, capsys, monkeypatch):
         # K = 100 needs 150 panels for its k = -100 coefficient; the budget is lowered so that

@@ -31,6 +31,8 @@ from unitransform import (
 from unitransform import numerics
 from unitransform.numerics import ENDPOINT_RATIO, composite_gauss_nodes, exp_sum, integrate_grid
 
+from conftest import gauss_sum
+
 GL = QuadratureSpec(method="gauss-legendre", order=10)
 
 
@@ -204,6 +206,22 @@ class TestIntegrate:
                 lambda x, d=degree + 1: np.asarray(x, float) ** d + 0j, (-1.0, 1.0), spec
             )
             assert abs(v2.real - 2.0 / (degree + 2)) > 1e-13
+
+    @pytest.mark.parametrize("order, panels", [(2, 1), (5, 3), (10, 4), (24, 7)])
+    def test_gauss_legendre_is_the_starting_rule_summed(self, order, panels):
+        # One call of f on the starting rule, summed by exp_sum at w = 0, against the
+        # independent reference sum.
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return np.exp(np.asarray(x, float)) * (1.0 + 0.5j)
+
+        v = integrate(f, (-1.0, 2.0), QuadratureSpec(method="gauss-legendre", order=order),
+                      panels=panels)
+        oracle = gauss_sum(lambda x: np.exp(x) * (1.0 + 0.5j), -1.0, 2.0, order, panels)
+        assert abs(v - oracle) <= 1e-15 * abs(oracle)
+        assert calls == [order * panels]
 
     def test_adaptive_meets_tolerance(self):
         spec = QuadratureSpec(method="adaptive", tolerance=1e-12)
@@ -638,7 +656,7 @@ class TestIntegrateGrid:
         got, magnitude = integrate_grid(_gaussian, (-12.0, 12.0), lams, GL)
         np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
         # |f| on the rule's nodes, never at a or b
-        nodes, _ = numerics._grid_rule(-12.0, 12.0, lams, 10)
+        nodes, _ = composite_gauss_nodes(-12.0, 12.0, 10, oscillation_panels(6.0, -12.0, 12.0))
         np.testing.assert_array_equal(magnitude, np.abs(_gaussian(nodes)))
 
 
@@ -746,6 +764,37 @@ class TestOscillationPanels:
     def test_explicit_panel_count_over_the_budget_raises(self):
         with pytest.raises(QuadratureError, match="^the rule needs 200001 panels, over the budget"):
             integrate(lambda x: np.ones_like(x) + 0j, (0.0, 1.0), panels=200_001)
+
+
+class TestNodeBudget:
+    """Every rule is held to ``_MAX_NODES`` nodes, 10 x ``_MAX_SPLITS``, in its one builder,
+    before any node is built, so a rule within the panel budget at a high order is refused
+    before f is called: 2,388 panels for |w| = 5,000 on [-1, 1] or |tau| = 250 on [0, 40],
+    at order 1000.  The rules are only just over the budget, so that a build without the
+    check does not exhaust memory on them."""
+
+    @pytest.mark.parametrize("run, panels", [
+        (lambda f, spec: integrate(f, (0.0, 1.0), spec, panels=2001), 2001),
+        (lambda f, spec: integrate_grid(f, (-1.0, 1.0), Grid([0.0, 5000.0]), spec), 2388),
+        (lambda f, spec: laplace_line(f, 1.0, Grid.uniform(-250.0, 250.0, 3), 40.0, spec), 2388),
+        (lambda f, spec: forward_fl(f, Grid.uniform(-1.0, 1.0, 3), 1.0,
+                                    Grid.uniform(-250.0, 250.0, 3), (5.0, 40.0), spec), 2388),
+        (lambda f, spec: forward_fl(f, Grid.uniform(-5e3, 5e3, 3), 1.0,
+                                    Grid.uniform(-1.0, 1.0, 3), (1.0, 40.0), spec), 2388),
+    ], ids=["integrate", "integrate_grid", "laplace_line", "forward_fl-t", "forward_fl-x"])
+    def test_rule_over_the_node_budget_raises_before_f_is_called(self, run, panels):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return np.ones_like(args[0]) + 0j
+
+        message = (f"the rule needs {panels} panels of order 1000, {panels * 1000:.6g} nodes, "
+                   "over the budget of 2000000 nodes; lower the quadrature order")
+        for spec in (QuadratureSpec(order=1000), QuadratureSpec("gauss-legendre", 1000)):
+            with pytest.raises(QuadratureError, match="^" + re.escape(message)):
+                run(spy, spec)
+        assert calls == []
 
 
 class TestIntegrateHalfline:
