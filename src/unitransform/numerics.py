@@ -12,10 +12,10 @@ more if the caller asks, within ``_MAX_SPLITS`` panels and ``_MAX_NODES`` nodes
 through :func:`exp_sum`; the adaptive method bisects its panels in the one loop,
 :func:`_adaptive_grid`, whose panel sums, :func:`_panel_sums`, factor exp(i w x) into
 exp(i w mid), one per panel, times exp(i w half x_g), one per node and half-width, formed
-once per +-w pair.  :func:`exp_sum` also sums the fixed rules of ``laplace_line`` and
-``forward_fl`` and the samples of ``inverse_ft``: one row by chirp-z FFTs where that is
-cheaper than the direct kernel, every other sum by the direct kernel, block by block, added
-into an array the caller may pass.
+once per +-w pair, and contract f against the second before a product with the first.
+:func:`exp_sum` also sums the fixed rules of ``laplace_line`` and ``forward_fl`` and the
+samples of ``inverse_ft``: one row by chirp-z FFTs where that is cheaper than the direct
+kernel, every other sum by the direct kernel in blocks, added into an array the caller may pass.
 :func:`_eval_integrand` evaluates every callable.  Every truncation meets one of the two
 guards that build a :class:`TruncationWarning`: :func:`_check_decay` on a half line (growth
 and tail of the integrand as summed, f e^{-sigma t} on a damped line), :func:`_check_ends` on
@@ -623,16 +623,19 @@ def _panel_sums(weighted: np.ndarray, lo: np.ndarray, hi: np.ndarray, order: int
     exp(i*w*x) is exp(i*w*mid) times exp(i*w*half*x_g): a block's kernel is a
     midpoint table, one exponential per panel, times an offset table, one
     exponential per Gauss node for each distinct half-width (panels of one
-    bisection depth differ only by rounding), read for each panel and
-    multiplied in one broadcast as :func:`exp_sum`'s step kernel builds its
-    blocks; no node moves, so f is summed where it was evaluated.  One
-    exponential serves each +-w pair: the tables are formed once for each
-    distinct |w|, and a negative w reads their conjugate columns,
-    exp(-i*|w|*x) = conj(exp(i*|w|*x)) (the real-data symmetry of Cooley, Lewis
-    & Welch 1970).  Blocks run over the distinct |w|, as many as fit in
-    ``_GRID_BLOCK`` kernel entries (one at a time when there are more nodes than
-    that), so each pair shares a block; each product and sum is the unpaired
-    one, up to the order of the sum over a panel.
+    bisection depth differ only by rounding), read for each panel.  A block's
+    sums are one contraction of ``weighted`` against the offset table over each
+    panel's nodes, then one (panels x w) product with the midpoint table: the
+    gathered offset table is its one (panels x order x w) array.  No node moves,
+    so f is summed where it was evaluated.  One exponential serves each +-w
+    pair: the tables are formed once for each distinct |w|, and a negative w
+    reads their conjugate columns, exp(-i*|w|*x) = conj(exp(i*|w|*x)) (the
+    real-data symmetry of Cooley, Lewis & Welch 1970).  Blocks run over the
+    distinct |w|, as many as fit in ``_GRID_BLOCK`` kernel entries (one at a
+    time when there are more nodes than that), so each pair shares a block and
+    its sums are the unpaired ones.  They differ from the direct sum of
+    weighted * exp(i*w*x) only in the order of the sum over a panel and where
+    the midpoint factor is applied.
     """
     if freqs.size == 1 and freqs[0] == 0:
         return weighted.reshape(-1, order).sum(axis=1)[:, None]
@@ -640,7 +643,7 @@ def _panel_sums(weighted: np.ndarray, lo: np.ndarray, hi: np.ndarray, order: int
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     halves, width = np.unique(half, return_inverse=True)
     offsets = halves[:, None] * _leggauss(order)[0]  # the node offsets of _panel_rule
-    weighted = weighted.reshape(lo.size, order, 1)
+    weighted = weighted.reshape(lo.size, order)
     mag = np.abs(freqs)
     by_mag = np.argsort(mag, kind="stable")  # columns by |w|
     mag = mag[by_mag]
@@ -657,10 +660,7 @@ def _panel_sums(weighted: np.ndarray, lo: np.ndarray, hi: np.ndarray, order: int
         negative = freqs[cols] < 0
         np.conjugate(centre, out=centre, where=negative)
         np.conjugate(offset, out=offset, where=negative)
-        kernel = offset[width]
-        kernel *= centre[:, None, :]
-        kernel *= weighted
-        out[:, cols] = kernel.sum(axis=1)
+        out[:, cols] = np.einsum("pg,pgw->pw", weighted, offset[width]) * centre
     return out
 
 

@@ -71,11 +71,11 @@ CORPUS = [
 # Recorded from the per-number renderer that wrote each float through format_float, with
 # one BLAS thread (conftest.py pins it): the flt and iflt bytes go through a complex matmul.
 DIGESTS = {
-    "ft.json": "61a4e76c277e972acd80fdf6672c4bbb634bc9b6b37bbb3b6bef2d8348da9d6d",
-    "ft-csv": "b43ba8bce7336a463fb5676d08dff36e4dd41b9ac604cbe59b952ea368cd6a5d",
-    "ift.json": "68dad52619718506b682654f85cf9ff000f08898d97a39234e214a88889cb518",
-    "ift.csv": "5def5b1eda0a270cf14ef3452be61016acd62eb0a7b105c181234c3f1a597c02",
-    "estimate-abscissa-input": "dfcd0f10d364f5b8fe3ce92a4be88c03acbf14586d070e49cea12ec4fbc9c67f",
+    "ft.json": "9d146b466656a3775e8f2d341b9617a57a434839eb6d68bbf816c91118376e6c",
+    "ft-csv": "25501da5c1a63a82a0e643c9f2358d683529299e2e1feedf488c0fd258944b84",
+    "ift.json": "ccaf4cbea133ed46640af2a7cb8d7b1c26cb8bac1ae68ad841fad19f7aca6750",
+    "ift.csv": "8ca3c4453f722421592bacdc2acbdca2d4cd60e222fecd156d754da99e5651e4",
+    "estimate-abscissa-input": "0798d7831a4ab31e0917f3eb882122acb5bf94718312e4424a254d2194d02918",
     "estimate-abscissa-expr": "aa8256e9f0b9bbb71f5640c8c1d9855223daa3465d932fe83f217e78ff02808e",
     "line.json": "c9dcfeaa8aacfd8d1b1ae8c74eaad8a3bd6ecbcc82b98fd4ee7e60fdb5ecc867",
     "line.csv": "ba2bd36f603b1e5305eb342eb055eeb6f02ee32e4caf891b516b040ea43a6482",
@@ -86,13 +86,13 @@ DIGESTS = {
     "fl.json": "c1395472956d38dd81ece2b19103fab7beea0cc4c9e7ad1653d6e3f6743055f9",
     "iflt": "0de8b9b04b9715e3059fd5245a520497dce7227a59ac56f0c87ea41f379f71d8",
     "iflt.csv": "6e107d15666b623e260758c6487b3d4b3c242bbd592241cc43e3f2d27b230462",
-    "series.json": "ad773735d118cd5c374f2a999f349085cc658141f94edf2f20b9e9c237e259c3",
-    "series-csv": "95226932f8d61b6e75cd5ca2bb3e2401da54b32ac3ec3b6a30c176bd3717ed3f",
+    "series.json": "26bb27eb79949af9e59d8649a5688762c4768f9a1b3f4ff1c8a9592518548df1",
+    "series-csv": "d9be438832bede34c679b5ce121e95be1fe6ba1c046625e0ec89f1839189ce9f",
     "real-series": "7716a43eb32c53b23b213a5b230c206733217c79edec0be9488b71aac5b2e9cc",
     "real-series.csv": "d7e667d54fcfc9003c50e4fc06dd76b5230cd6136e074533fa565ec8cdfd61ef",
-    "verify-orthogonality": "c5cc94706c3e785a375b4e3aa3f913899278d28909a4b01830ed4933833d8bf3",
+    "verify-orthogonality": "a50aae39e2628f1ff5bd55446c0c3d65665f601836aa6dcb7eb4f1419ccfbd36",
     "verify-residual": "999b231c11f4ef17392537e90a78e0b2fd4fa98d3416901db42c0144edeca17b",
-    "roundtrip.json": "549f900586882358078cb6fe5728b8d7d4d702c2596a51c68b83f2853b7f45f2",
+    "roundtrip.json": "1d266402289f57bfebf7123a53b4f97bdc5e2e697a53d138949336ec16c8d37d",
     "function2d": "1db9f2c3afec43aa6556aab26848edfdfcda60dd903a342cfd70d9a9cc0b69db",
     "gauss-line": "bfbe11d0907c77bd18793871ca6f7d82a175ad47f99aa0de6848055c0466a009",
     "gauss-line-csv": "9aedfc7c3b2102ea41bcf4c717fcfb892bf8c4cb64dde5ded32d5cd91ed2fb47",
