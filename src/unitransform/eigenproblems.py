@@ -97,10 +97,7 @@ class WindowedTestSequence:
 
     def __post_init__(self):
         _scalar(self.lam, "lam")
-        n = _scalar(self.n, "window-width index n", "count")
-        if n < 1:
-            raise ContractViolationError("window-width index n must be >= 1")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _scalar(self.n, "window-width index n", "index"))
 
 
 def discrete_eigenvalues(L: float, k_max: int) -> list[Eigenvalue]:

@@ -170,14 +170,10 @@ def _contour_profile(values: np.ndarray) -> np.ndarray:
 
 
 def _store_line_values(spectrum, *grids: Grid) -> None:
-    """Give a frozen line spectrum checked, read-only values and the read state of
-    :func:`_line_inverse`: their :func:`_contour_profile`, the contour points s = sigma + i*tau
-    and the tau trapezoid weights.  It adopts a read-only array that owns its data, a
-    transform's fresh output, and copies any other, a caller's included, whose later writes
-    would stale the profile."""
-    given = spectrum.values
-    fresh = isinstance(given, np.ndarray) and given.flags.owndata and not given.flags.writeable
-    values = _sampled(given if fresh else np.array(given, dtype=complex), *grids)
+    """Give a frozen line spectrum its own checked, read-only values (:func:`_sampled`) and the
+    read state of :func:`_line_inverse`: their :func:`_contour_profile`, the contour points
+    s = sigma + i*tau and the tau trapezoid weights."""
+    values = _sampled(spectrum.values, *grids)
     object.__setattr__(spectrum, "values", values)
     object.__setattr__(spectrum, "_profile", _contour_profile(values))
     object.__setattr__(spectrum, "_s", spectrum.sigma + 1j * spectrum.tau_grid.points)

@@ -21,9 +21,11 @@ guards that build a :class:`TruncationWarning`: :func:`_check_decay` on a half l
 and tail of the integrand as summed, f e^{-sigma t} on a damped line), :func:`_check_ends` on
 an interval or contour whose integrand should have died out at its ends, each warning at the
 first caller outside the package (:func:`_warn_truncation`); :func:`_check_exp`
-refuses an e^z beyond float range before it is formed.  The input contract is three guards:
-:func:`_scalar` for every scalar that defines a problem, :func:`_points` for evaluation
-points given as a scalar or an array, and :func:`_sampled` for every array of sampled values.
+refuses an e^z beyond float range before it is formed.  The input contract is three guards,
+which refuse non-numbers, ints beyond float range, ragged or complex arrays of points and
+non-finite values: :func:`_scalar` for every scalar that defines a problem, :func:`_points`
+for grid points, intervals and evaluation points, scalar or array, and :func:`_sampled` for
+every array of sampled values, held as its holder's own.
 """
 
 from __future__ import annotations
@@ -84,46 +86,55 @@ _PACKAGE = os.path.dirname(__file__)  # the frames a TruncationWarning does not 
 
 
 _RULES = {"finite": "finite", "positive": "finite and > 0", "count": "a non-negative integer",
-          "complex": "a finite number"}
+          "index": "an integer >= 1", "complex": "a finite number"}
 
 
 def _scalar(value, name: str, rule: str = "finite"):
-    """``value`` as a float (an int for rule "count", a complex for "complex") if it obeys ``rule``.
-
-    ``rule`` is "finite", "positive" (finite and > 0), "count" (a
-    non-negative integer) or "complex" (a finite real or complex number).
-    Anything else, None, booleans and strings included, raises
-    :class:`ContractViolationError` "<name> must be <rule>, got <value>".
-    """
+    """``value`` as a float (an int for "count" and "index", a complex for "complex") if it obeys
+    ``rule``: "finite", "positive" (finite and > 0), "count" (a non-negative integer), "index"
+    (an integer >= 1) or "complex" (a finite real or complex number).  Anything else, None,
+    booleans, strings and ints beyond float range included, raises
+    :class:`ContractViolationError` "<name> must be <rule>, got <value>"."""
     number = isinstance(value, numbers.Complex if rule == "complex" else numbers.Real)
-    v = complex(value) if number and not isinstance(value, bool) else complex(math.nan)
-    ok = {"finite": True, "complex": True, "positive": v.real > 0,
-          "count": v.real >= 0 and v.real.is_integer()}[rule]
-    if not (ok and cmath.isfinite(v)):
+    in_range = number and not isinstance(value, bool) and abs(value.real) <= sys.float_info.max
+    v = complex(value) if in_range else complex(math.nan)
+    whole = rule in ("count", "index")
+    ok = {"finite": True, "complex": True, "positive": v.real > 0, "count": v.real >= 0,
+          "index": v.real >= 1}[rule]
+    if not (ok and cmath.isfinite(v) and (v.real.is_integer() or not whole)):
         raise ContractViolationError(f"{name} must be {_RULES[rule]}, got {value}")
-    return v if rule == "complex" else int(v.real) if rule == "count" else v.real
+    return v if rule == "complex" else int(v.real) if whole else v.real
 
 
 def _points(x, name: str) -> np.ndarray:
-    """``x`` as a float array, 0-d for a scalar, if every entry is a finite real number.
-
-    A scalar goes through :func:`_scalar`; an array's first bad entry is named.
-    """
-    xs = np.asarray(x)
-    if xs.ndim == 0:
-        return np.asarray(_scalar(xs[()], name))
-    ok = xs.dtype.kind in "iuf" and np.isfinite(xs)
+    """``x`` as a float array, 0-d for a scalar, if every entry is a finite real number: a scalar
+    through :func:`_scalar`, a real array naming its first bad entry, and any other array
+    (strings, objects, complex, a ragged nesting) refused as given."""
+    try:
+        xs = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        xs = np.array([None])
+    if xs.ndim == 0 or xs.dtype.kind not in "iuf":  # any array here is refused as given
+        return np.asarray(_scalar(xs[()] if xs.ndim == 0 else x, name))
+    ok = np.isfinite(xs)
     if not np.all(ok):
         raise ContractViolationError(f"{name} must be finite, got {xs.flat[np.argmin(ok)]}")
     return xs.astype(float, copy=False)
 
 
 def _sampled(values, *grids: Grid) -> np.ndarray:
-    """``values`` as a read-only complex array of shape (len(g) for g in grids), all finite.
-
-    The caller's array is not frozen: the result is a view or a copy.
-    """
-    vals = np.asarray(values, dtype=complex).view()
+    """``values``, finite numbers, as its holder's own read-only complex array of shape
+    (len(g) for g in grids): it adopts a read-only complex array that owns its data, a
+    transform's fresh output, and copies any other, so the caller's stays writeable and its
+    later writes do not reach it.  Any other kind of array is refused as given."""
+    try:
+        vals = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        vals = np.array([None])
+    if vals.dtype.kind not in "iufc":
+        raise ContractViolationError(f"values must be finite, got {values}")
+    if not (vals.dtype == complex and vals.flags.owndata and not vals.flags.writeable):
+        vals = vals.astype(complex)
     shape = tuple(len(g) for g in grids)
     if vals.shape != shape:
         raise ContractViolationError(f"value shape {vals.shape} does not match grid sizes {shape}")
@@ -172,18 +183,17 @@ DEFAULT_SPEC = QuadratureSpec()
 class Grid:
     """Ordered real abscissae: a grid is its points, strictly increasing and finite.
 
-    ``spacing`` is the largest step between neighbouring points, the one step that
-    every step bound reads; a grid of one point has none.
+    The points pass :func:`_points` into the grid's own read-only copy, which a caller's later
+    writes do not move.  ``spacing`` is the largest step between neighbouring points, the one
+    step that every step bound reads; a grid of one point has none.
     """
 
     __slots__ = ("points", "_step")
 
     def __init__(self, points: Sequence[float] | np.ndarray):
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(_points(points, "grid points"))  # the grid's own copy
         if pts.ndim != 1 or pts.size == 0:
             raise ContractViolationError("grid points must form a non-empty 1-D sequence")
-        if not np.all(np.isfinite(pts)):
-            raise ContractViolationError("grid points must be finite")
         d = np.diff(pts)
         if not np.all(d > 0):
             raise ContractViolationError("grid points must be strictly increasing")
@@ -201,9 +211,8 @@ class Grid:
         exponential serves each +-w pair of the whole-grid sums (:func:`_panel_sums`) and
         :func:`exp_sum` still finds its lattice.
         """
-        num = _scalar(num, "grid point count", "count")
-        if num < 1:
-            raise ContractViolationError("grid needs at least one point")
+        num = _scalar(num, "grid point count", "index")
+        a, b = _scalar(a, "grid start a"), _scalar(b, "grid end b")
         if num == 1:
             return cls(np.array([a]))
         if not a < b:
@@ -551,10 +560,10 @@ def _grid_rule(a: float, b: float, w: np.ndarray, order: int, panels: int = 1):
 
 
 def _bounds(interval: tuple[float, float]) -> tuple[float, float]:
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ContractViolationError(f"integration interval must satisfy a < b, got ({a}, {b})")
-    return a, b
+    ends = _points(interval, "integration interval")
+    if ends.shape != (2,) or not ends[0] < ends[1]:
+        raise ContractViolationError(f"integration interval must be a pair a < b, got {interval}")
+    return float(ends[0]), float(ends[1])
 
 
 def integrate(
@@ -590,9 +599,7 @@ def integrate(
     """
     spec = spec or DEFAULT_SPEC
     a, b = _bounds(interval)
-    panels = _scalar(panels, "panel count", "count")
-    if panels < 1:
-        raise ContractViolationError("panel count must be >= 1")
+    panels = _scalar(panels, "panel count", "index")
     try:
         return complex(_grid_pass(f, a, b, _ORIGIN, spec, panels)[0][0])
     except QuadratureError as exc:

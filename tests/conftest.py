@@ -37,6 +37,15 @@ def gauss_sum(f, a, b, order, panels, lam=0.0):
     return np.exp(1j * np.multiply.outer(lam, x)) @ (weights * f(x))
 
 
+def pytest_configure(config):
+    """Fail every test on numpy's ComplexWarning, a complex value silently cast to float.
+
+    The class is in ``numpy.exceptions`` from numpy 1.25 on and in ``numpy`` before.
+    """
+    module = getattr(np, "exceptions", np).__name__
+    config.addinivalue_line("filterwarnings", f"error::{module}.ComplexWarning")
+
+
 def pytest_collection_modifyitems(items):
     """Fail every test that lets a TruncationWarning escape unasserted.
 

@@ -29,6 +29,7 @@ from unitransform import (
     discrete_eigenvalues,
     eigenfunction_eval,
     forward_fl,
+    forward_ft,
     forward_laplace,
     gram_matrix,
     integrate,
@@ -45,6 +46,8 @@ from unitransform.io_formats import load_spectrum, spectrum_payload, to_json_byt
 from unitransform.numerics import _sampled, _scalar
 
 INF, NAN = math.inf, math.nan
+H = 10**400  # an int beyond float range: complex(H) overflows
+RAGGED = [[1.0], [2.0, 3.0]]
 TAU = Grid.uniform(-1.0, 1.0, 5)
 LAM = Grid.uniform(-1.0, 1.0, 3)
 
@@ -124,17 +127,17 @@ NOT_A_NUMBER = {
     "complex_coefficients L=True": (lambda: complex_coefficients(f, True, 2),
                                     "L must be finite and > 0, got True"),
     "WindowedTestSequence n=nan": (lambda: WindowedTestSequence(lam=0.0, n=NAN),
-                                   "window-width index n must be a non-negative integer, got nan"),
+                                   "window-width index n must be an integer >= 1, got nan"),
     "WindowedTestSequence n=2.5": (lambda: WindowedTestSequence(lam=0.0, n=2.5),
-                                   "window-width index n must be a non-negative integer, got 2.5"),
+                                   "window-width index n must be an integer >= 1, got 2.5"),
     "WindowedTestSequence n=inf": (lambda: WindowedTestSequence(lam=0.0, n=INF),
-                                   "window-width index n must be a non-negative integer, got inf"),
+                                   "window-width index n must be an integer >= 1, got inf"),
     "WindowedTestSequence n=None": (lambda: WindowedTestSequence(lam=0.0, n=None),
-                                    "window-width index n must be a non-negative integer, got None"),
+                                    "window-width index n must be an integer >= 1, got None"),
     "integrate panels=2.5": (lambda: integrate(f, (0.0, 1.0), panels=2.5),
-                             "panel count must be a non-negative integer, got 2.5"),
+                             "panel count must be an integer >= 1, got 2.5"),
     "integrate panels=nan": (lambda: integrate(f, (0.0, 1.0), panels=NAN),
-                             "panel count must be a non-negative integer, got nan"),
+                             "panel count must be an integer >= 1, got nan"),
     "FourierCoefficientSet c_0=nan": (lambda: FourierCoefficientSet(1.0, {0: NAN}),
                                       "coefficient with k=0 must be a finite number, got nan"),
     "FourierCoefficientSet c_1='a'": (lambda: FourierCoefficientSet(1.0, {-1: 1j, 0: 1, 1: "a"}),
@@ -174,13 +177,13 @@ SERIES = FourierCoefficientSet(1.0, {-1: 0.5, 0: 1.0, 1: 0.5})
 # quadrature; True is not the number 1.
 FAILED_LATE_OR_SILENTLY = {
     "Grid.uniform num=2.5": (lambda: Grid.uniform(0.0, 1.0, 2.5),
-                             "grid point count must be a non-negative integer, got 2.5"),
+                             "grid point count must be an integer >= 1, got 2.5"),
     "Grid.uniform num=nan": (lambda: Grid.uniform(0.0, 1.0, NAN),
-                             "grid point count must be a non-negative integer, got nan"),
+                             "grid point count must be an integer >= 1, got nan"),
     "Grid.uniform num=None": (lambda: Grid.uniform(0.0, 1.0, None),
-                              "grid point count must be a non-negative integer, got None"),
+                              "grid point count must be an integer >= 1, got None"),
     "Grid.uniform num=True": (lambda: Grid.uniform(0.0, 1.0, True),
-                              "grid point count must be a non-negative integer, got True"),
+                              "grid point count must be an integer >= 1, got True"),
     "weighted_orthogonality_check sigma=nan":
         (lambda: weighted_orthogonality_check(1.0, 2.0, NAN, 5.0), "sigma must be finite, got nan"),
     "weighted_orthogonality_check sigma='a'":
@@ -211,6 +214,71 @@ def test_checked_where_it_enters(call, message):
     assert str(info.value) == message
 
 
+# Each once escaped as a bare OverflowError, ValueError, TypeError or RuntimeWarning; each
+# is refused by the guard it enters through, which names its parameter.  The coefficient
+# sets reach the per-value fallback of fourier_series._check_values.
+ESCAPED = {
+    "FourierCoefficientSet c_0=H": (lambda: FourierCoefficientSet(1.0, {0: H}),
+                                    "coefficient with k=0"),
+    "RealFourierCoefficientSet a_0=H": (lambda: RealFourierCoefficientSet(1.0, {0: H}, {}),
+                                        "coefficient with k=0"),
+    "Grid ['a']": (lambda: Grid(["a"]), "grid points"),
+    "Grid [H]": (lambda: Grid([H]), "grid points"),
+    "Grid ragged": (lambda: Grid(RAGGED), "grid points"),
+    "Grid [1j, 2j]": (lambda: Grid([1j, 2j]), "grid points"),
+    "Grid.uniform b=inf": (lambda: Grid.uniform(0, INF, 3), "grid end b"),
+    "Grid.uniform a='a'": (lambda: Grid.uniform("a", 1, 3), "grid start a"),
+    "Grid.uniform a=None": (lambda: Grid.uniform(None, 1, 3), "grid start a"),
+    "Grid.uniform num=H": (lambda: Grid.uniform(-1, 1, H), "grid point count"),
+    "integrate (0, H)": (lambda: integrate(f, (0, H)), "integration interval"),
+    "integrate ('a', 1)": (lambda: integrate(f, ("a", 1)), "integration interval"),
+    "integrate (0, None)": (lambda: integrate(f, (0, None)), "integration interval"),
+    "integrate 5": (lambda: integrate(f, 5), "integration interval"),
+    "integrate panels=H": (lambda: integrate(f, (0, 1), panels=H), "panel count"),
+    "QuadratureSpec order=H": (lambda: QuadratureSpec(order=H), "quadrature order"),
+    "QuadratureSpec tolerance=H": (lambda: QuadratureSpec(tolerance=H), "quadrature tolerance"),
+    "forward_ft A=H": (lambda: forward_ft(f, Grid([0.0]), H), "truncation A"),
+    "laplace_line X=H": (lambda: laplace_line(f, 0.0, Grid([0.0]), H), "truncation X"),
+    "complex_coefficients K=H": (lambda: complex_coefficients(f, 1.0, H), "K"),
+    "dirichlet_delta a=H": (lambda: dirichlet_delta(H, 1.0), "a"),
+    "synthesize x=H": (lambda: synthesize(FourierCoefficientSet(1.0, {0: 1}), H),
+                       "evaluation point x"),
+    "SampledFunction [H]": (lambda: SampledFunction(Grid([0.0]), [H]), "values"),
+    "SampledFunction ['a'] * 5": (lambda: SampledFunction(TAU, ["a"] * 5), "values"),
+    "ContinuousSpectrum [H] * 5": (lambda: ContinuousSpectrum(TAU, [H] * 5), "values"),
+    "WindowedTestSequence n=H": (lambda: WindowedTestSequence(0.0, H), "window-width index n"),
+    "Eigenvalue H": (lambda: Eigenvalue(H), "eigenvalue"),
+    "discrete_eigenvalues k_max=H": (lambda: discrete_eigenvalues(1.0, H), "k_max"),
+    "eigenfunction_eval x ragged": (lambda: eigenfunction_eval(LINE, Eigenvalue(1.0), RAGGED),
+                                    "evaluation point x"),
+}
+
+
+@pytest.mark.parametrize("call, name", ESCAPED.values(), ids=ESCAPED.keys())
+def test_refused_naming_its_parameter(call, name):
+    with pytest.raises(ContractViolationError) as info:
+        call()
+    assert str(info.value).startswith(f"{name} must be ")
+
+
+class TestOwnership:
+    def test_grid_copies_the_callers_points(self):
+        x = np.array([0.0, 1.0, 2.0])
+        grid = Grid(x)
+        assert x.flags.writeable and not grid.points.flags.writeable
+        x[0] = -5.0
+        assert grid.points.tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("holder", [SampledFunction, ContinuousSpectrum])
+    def test_later_writes_do_not_reach_the_values(self, holder):
+        given = np.exp(-50.0 * TAU.points**2) + 0j
+        held = holder(TAU, given)
+        given[2] = NAN
+        assert given.flags.writeable and held.values[2] == 1.0
+        if holder is ContinuousSpectrum:  # the NaN does not surface on a read either
+            assert np.isfinite(inverse_ft(held, Grid([0.0])).values).all()
+
+
 def load_empty_document():
     with open("empty.json", "w") as fh:
         fh.write("{}")
@@ -221,11 +289,14 @@ def load_empty_document():
 # test runs in a scratch directory, where load_empty_document writes its file.
 REFUSED = {
     "Grid []": (lambda: Grid([]), "grid points must form a non-empty 1-D sequence"),
-    "Grid [0, nan]": (lambda: Grid([0.0, NAN]), "grid points must be finite"),
+    "Grid [0, nan]": (lambda: Grid([0.0, NAN]), "grid points must be finite, got nan"),
+    # refused and named as given, not cast to [1, 2] nor named by its entry 0
+    "Grid complex array": (lambda: Grid(np.array([1 + 5j, 2 + 5j])),
+                           "grid points must be finite, got [1.+5.j 2.+5.j]"),
     "Grid.uniform b < a": (lambda: Grid.uniform(1.0, 0.0, 3), "grid requires a < b"),
     "Grid.spacing one point": (lambda: Grid([1.0]).spacing, "spacing needs at least two points"),
     "integrate panels=0": (lambda: integrate(f, (0.0, 1.0), panels=0),
-                           "panel count must be >= 1"),
+                           "panel count must be an integer >= 1, got 0"),
     "bromwich_inverse_from_samples two points":
         (lambda: bromwich_inverse_from_samples(
             LaplaceSpectrum(0.5, Grid.uniform(-0.05, 0.05, 2), np.ones(2)), 1.0),
@@ -267,7 +338,8 @@ def test_library_refusal_message(call, message, tmp_path, monkeypatch):
 
 
 def test_grid_without_points():
-    with pytest.raises(ContractViolationError, match="^grid needs at least one point$"):
+    with pytest.raises(ContractViolationError,
+                       match="^grid point count must be an integer >= 1, got 0$"):
         Grid.uniform(0.0, 1.0, 0)
 
 
@@ -307,7 +379,15 @@ class TestSampledGuard:
         out = _sampled(values, TAU)
         assert not out.flags.writeable
         values[0] = 2.0  # the caller's array stays writeable
-        assert out[0] == 2.0
+        assert out[0] == 1.0  # and its later writes do not reach the held values
+
+    def test_adopts_a_fresh_read_only_array(self):
+        values = np.ones(5, dtype=complex)
+        values.flags.writeable = False
+        assert _sampled(values, TAU) is values
+        view = np.ones(5, dtype=complex)[:]
+        view.flags.writeable = False
+        assert _sampled(view, TAU) is not view  # a view of another array is copied
 
     def test_shape(self):
         with pytest.raises(ContractViolationError, match=r"\(4,\) does not match grid sizes \(5,\)"):
@@ -404,10 +484,33 @@ class TestCommandLine:
         assert_validation_error(code, out, err)
         assert err == "error: validation: quadrature order must be >= 2 and <= 1000, got 1001\n"
 
+    @pytest.mark.parametrize(
+        "argv", [("series", "--expr", "x", "--L", "1", "--K", "9" * 400),
+                 ("verify-residual", "--n", "4", "--n", "9" * 400),
+                 ("series", "--expr", "x", "--L", "1", "--K", "2", "--quad-order", "9" * 400)],
+        ids=["series --K", "verify-residual --n", "series --quad-order"],
+    )
+    def test_flag_beyond_float_range_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert_validation_error(code, out, err)
+        assert "9" * 400 in err
+
+    def test_one_point_line_is_written_and_refused_on_read(self, capsys, tmp_path):
+        path = str(tmp_path / "line.json")
+        code, _, err = run_cli(capsys, "lt", "--expr", "exp(-x)", "--sigma", "0.5", "--X", "40",
+                               "--tau-min", "0", "--tau-max", "0.01", "--tau-step", "1",
+                               "--output", path)
+        assert code == 0, err
+        with open(path) as fh:
+            assert json.load(fh)["tau_grid"] == [0.0]
+        code, out, err = run_cli(capsys, "ilt", "--input", path, "--t", "1")
+        assert_validation_error(code, out, err)
+        assert "contour needs at least three samples" in err
+
     def test_verify_residual_n_0(self, capsys):
         code, out, err = run_cli(capsys, "verify-residual", "--n", "0")
         assert_validation_error(code, out, err)
-        assert "n must be >= 1" in err
+        assert "window-width index n must be an integer >= 1, got 0" in err
 
     @pytest.mark.parametrize(
         "s, message", [("inf", "Re s must be finite, got inf"),
