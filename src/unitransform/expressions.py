@@ -18,9 +18,11 @@ Expressions are real-valued; complex numbers never enter through user
 input.  One evaluator, :func:`evaluate_array`, walks the tree in numpy
 double precision; :func:`evaluate` is its one-point case, and exponent
 folding runs through it too, so a folded exponent fails with the same
-:class:`EvaluationError` text as a run-time evaluation.  Domain faults
-and overflow of any operation raise instead of returning NaN or infinity,
-so every value the evaluator returns is finite.
+:class:`EvaluationError` text as a run-time evaluation.  Its input x
+and t must be finite reals, and an operation that raises an IEEE 754
+exception raises :class:`EvaluationError` "<reason> in '<subexpression>'",
+reason "divide by zero", "invalid value" or "overflow", instead of
+returning NaN or infinity, so every value the evaluator returns is finite.
 
 The lexical grammar is one token pattern, ``_TOKEN``.  Operator binding
 is one table, ``_PRECEDENCE``: the parser's binary levels and
@@ -38,11 +40,13 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractViolationError, EvaluationError, ParseError
+from .numerics import _points
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _FUNCTIONS = ("exp", "sin", "cos", "sqrt", "abs", "log")
 _VARIABLES = ("x", "t")
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+               "^": operator.pow}
 # Binding strength of each operator, read by the parser's binary levels and by canonical.
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 # Each match is one token after optional whitespace; the token's offset is its group's start.
@@ -220,72 +224,41 @@ def evaluate(ast: ExpressionAST, x: float, t: float | None = None) -> float:
     return float(evaluate_array(ast, x, t))
 
 
-def _finite(out, node: ExpressionAST):
-    """``out``, the value of ``node``, if it did not overflow to infinity."""
-    if not np.isfinite(out).all():
-        raise EvaluationError(f"overflow in '{canonical(node)}'")
-    return out
-
-
 def evaluate_array(ast: ExpressionAST, x, t=None):
     """Vectorized evaluation on numpy arrays.
 
-    ``x`` and ``t`` must broadcast against each other; the result has the
-    broadcast shape.  Domain faults raise :class:`EvaluationError` instead
-    of propagating NaN or infinity.
+    ``x`` and ``t``, finite reals (:func:`numerics._points`), must broadcast against each
+    other; the result has the broadcast shape.  The walk runs under one ``np.errstate`` that
+    raises on every IEEE fault but underflow, so an operation that divides by zero, makes an
+    invalid value or overflows raises :class:`EvaluationError` "<reason> in '<subexpression>'"
+    (reason "divide by zero", "invalid value" or "overflow"): every value returned is finite.
     """
-    x = np.asarray(x, dtype=float)
-    shape = x.shape if t is None else np.broadcast_shapes(x.shape, np.shape(t))
+    x, t = _points(x, "x"), None if t is None else _points(t, "t")
+    shape = x.shape if t is None else np.broadcast_shapes(x.shape, t.shape)
 
     def walk(node: ExpressionAST):
         if isinstance(node, Num):
-            return node.value
+            return np.float64(node.value)
         if isinstance(node, Const):
-            return _CONSTANTS[node.name]
+            return np.float64(_CONSTANTS[node.name])
         if isinstance(node, Var):
-            if node.name == "x":
-                return x
-            if t is None:
+            if node.name == "t" and t is None:
                 raise ContractViolationError("expression uses t but no t value was supplied")
-            return np.asarray(t, dtype=float)
+            return x if node.name == "x" else t
         if isinstance(node, Unary):
-            v = walk(node.arg)
-            if node.op == "neg":
-                return -v
-            if node.op == "abs":
-                return np.abs(v)
-            if node.op == "sqrt":
-                if np.any(np.asarray(v) < 0):
-                    raise EvaluationError(f"sqrt of negative value in '{canonical(node)}'")
-                return np.sqrt(v)
-            if node.op == "log":
-                if np.any(np.asarray(v) <= 0):
-                    raise EvaluationError(f"log of non-positive value in '{canonical(node)}'")
-                return np.log(v)
-            return _finite(getattr(np, node.op)(v), node)
-        a = walk(node.left)
-        b = walk(node.right)
-        if node.op == "/" and np.any(np.asarray(b) == 0.0):
-            raise EvaluationError(f"division by zero in '{canonical(node)}'")
-        if node.op in _ARITHMETIC:
-            return _finite(_ARITHMETIC[node.op](a, b), node)
-        exponent = float(np.asarray(b).reshape(-1)[0])
-        if not exponent.is_integer() and np.any(np.asarray(a) <= 0):
-            raise EvaluationError(
-                f"non-integer power of a non-positive base in '{canonical(node)}'"
-            )
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = np.asarray(a) ** exponent
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"power produced a non-finite value in '{canonical(node)}'")
-        return out
+            op = np.negative if node.op == "neg" else getattr(np, node.op)
+            args = (walk(node.arg),)
+        else:
+            op, args = _ARITHMETIC[node.op], (walk(node.left), walk(node.right))
+        try:
+            return op(*args)
+        except FloatingPointError as exc:  # numpy's "<reason> encountered in <ufunc>"
+            reason = str(exc).partition(" encountered")[0]
+            raise EvaluationError(f"{reason} in '{canonical(node)}'") from None
 
-    # Overflow is checked where it happens, by _finite and the power branch.
-    with np.errstate(over="ignore"):
+    with np.errstate(all="raise", under="ignore"):
         result = np.asarray(walk(ast), dtype=float)
-    if result.shape != shape:
-        result = np.broadcast_to(result, shape)
-    return result
+    return result if result.shape == shape else np.broadcast_to(result, shape)
 
 
 def _format_number(v: float) -> str:

@@ -26,6 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .errors import ContractViolationError
 from .fourier_transform import _inverse_sum
 from .laplace import _line_inverse, _store_line_values
 from .numerics import (
@@ -90,8 +91,12 @@ def forward_fl(
     adopts, plus one block of about ``_FL_BLOCK`` (x, t) points, not set by
     the length of the t axis.
     """
-    A = _scalar(truncations[0], "truncation A", "positive")
-    X, sigma = _scalar(truncations[1], "truncation X", "positive"), _scalar(sigma, "sigma")
+    try:
+        A, X = truncations
+    except (TypeError, ValueError):
+        raise ContractViolationError(f"truncations must be a pair (A, X), got {truncations}") from None
+    A = _scalar(A, "truncation A", "positive")
+    X, sigma = _scalar(X, "truncation X", "positive"), _scalar(sigma, "sigma")
     _check_exp(-sigma * X, f"e^(-sigma*X) at sigma={sigma:g}, X={X:g}")
     spec = spec or DEFAULT_SPEC
     x_nodes, x_weights, _ = _grid_rule(-A, A, lambda_grid.points, spec.order)

@@ -110,8 +110,7 @@ def forward_laplace(
     Re(s) must exceed the growth rate of f; a growing integrand at the
     truncation point raises :class:`DivergenceError`.
     """
-    z = complex(s)
-    s = complex(_scalar(z.real, "Re s"), _scalar(z.imag, "Im s"))
+    s = _scalar(s, "s", "complex")
     X = _scalar(truncation, "truncation X", "positive")
     _check_exp(-s.real * X, f"e^(-sigma*X) at sigma={s.real:g}, X={X:g}")
     panels = oscillation_panels(s.imag, 0.0, X)

@@ -217,6 +217,7 @@ class Grid:
             return cls(np.array([a]))
         if not a < b:
             raise ContractViolationError("grid requires a < b")
+        _scalar(b - a, "grid span b - a")
         points = np.linspace(a, b, num)
         return cls((points - points[::-1]) / 2 if a == -b else points)
 

@@ -144,7 +144,8 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("text, inner", [("x^(2^2000)", "2^2000"), ("x^(0^(-1))", "0^(-1)")])
     def test_folded_exponent_fails_like_a_run_time_evaluation(self, text, inner):
-        message = f"power produced a non-finite value in '{inner}'"
+        reason = {"2^2000": "overflow", "0^(-1)": "divide by zero"}[inner]
+        message = f"{reason} in '{inner}'"
         with pytest.raises(EvaluationError) as info:
             evaluate(parse(inner), 0.0)
         assert str(info.value) == message
@@ -224,6 +225,71 @@ class TestEvaluationErrors:
         assert str(info.value) == f"overflow in '{inner}'"
 
 
+# Each IEEE 754 fault of an operation, with the subexpression the error names.  numpy
+# words its own message differently across versions ("divide" or "true_divide"); only the
+# reason before " encountered" is the same, and only the reason is asserted.
+FAULTS = [
+    ("1/x", 0.0, "divide by zero", "1/x"),
+    ("log(x)", 0.0, "divide by zero", "log(x)"),
+    ("log(x)", -1.0, "invalid value", "log(x)"),
+    ("sqrt(x)", -4.0, "invalid value", "sqrt(x)"),
+    ("x^0.5", -2.0, "invalid value", "x^0.5"),
+    ("exp(x)", 1e6, "overflow", "exp(x)"),
+    ("1/0", 1.0, "divide by zero", "1/0"),
+    ("2^2000", 1.0, "overflow", "2^2000"),
+    ("0^(-1)", 1.0, "divide by zero", "0^(-1)"),
+    ("3+exp(x)*2", 1e6, "overflow", "exp(x)"),
+    ("1+sqrt(x-5)", 1.0, "invalid value", "sqrt(x-5)"),
+]
+
+
+class TestFaultTable:
+    @pytest.mark.parametrize("text, x, reason, inner", FAULTS)
+    @pytest.mark.parametrize("as_array", [True, False], ids=["array", "float"])
+    def test_fault_names_reason_and_subexpression(self, text, x, reason, inner, as_array):
+        point = np.array([2.0, x, 3.0]) if as_array else x
+        with pytest.raises(EvaluationError) as info:
+            evaluate_array(parse(text), point)
+        assert str(info.value) == f"{reason} in '{inner}'"
+
+    def test_half_power_at_zero_is_sqrt_at_zero(self):
+        assert evaluate(parse("x^0.5"), 0.0) == evaluate(parse("sqrt(x)"), 0.0) == 0.0
+        np.testing.assert_array_equal(evaluate_array(parse("x^0.5"), np.array([0.0, 4.0])),
+                                      [0.0, 2.0])
+
+    def test_underflow_is_not_a_fault(self):
+        assert evaluate(parse("exp(-x)"), 1e6) == 0.0
+
+
+# None is not a bad t: it is the default, "no t", refused only where the expression uses t.
+_BAD_POINTS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "str": "a", "complex": 1j,
+               "ragged": [[1.0], [2.0, 3.0]], "array with nan": [1.0, math.nan],
+               "complex array": np.array([1.0 + 0j]), "str array": np.array(["1.0"])}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("bad", [*_BAD_POINTS.values(), None], ids=[*_BAD_POINTS, "None"])
+    def test_bad_x_is_refused_by_name(self, bad):
+        with pytest.raises(ContractViolationError, match="^x must be finite, got "):
+            evaluate_array(parse("x+t"), bad, 1.0)
+
+    @pytest.mark.parametrize("bad", _BAD_POINTS.values(), ids=_BAD_POINTS.keys())
+    def test_bad_t_is_refused_by_name(self, bad):
+        with pytest.raises(ContractViolationError, match="^t must be finite, got "):
+            evaluate_array(parse("x+t"), 1.0, bad)
+
+    def test_t_none_is_refused_by_name_when_used(self):
+        with pytest.raises(ContractViolationError, match="uses t but no t value"):
+            evaluate_array(parse("x+t"), 1.0, None)
+
+    def test_bad_x_is_refused_even_where_the_expression_ignores_it(self):
+        with pytest.raises(ContractViolationError, match="^x must be finite, got nan$"):
+            evaluate(parse("2"), math.nan)
+
+    def test_integers_are_points(self):
+        assert evaluate_array(parse("x/2"), np.arange(3)).tolist() == [0.0, 0.5, 1.0]
+
+
 class TestArrayEvaluation:
     def test_matches_scalar_path(self):
         ast = parse("exp(-x^2/2)*sin(pi*x)+x/3")
@@ -289,6 +355,24 @@ def _expr_strategy():
         ),
         max_leaves=12,
     )
+
+
+class TestFiniteOrRefused:
+    @settings(max_examples=300, deadline=None)
+    @given(_expr_strategy(),
+           st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+           st.floats(-1e3, 1e3))
+    def test_finite_values_or_an_evaluation_error(self, text, xs, t):
+        try:
+            tree = parse(text)
+        except ParseError:
+            return
+        try:
+            out = evaluate_array(tree, np.array(xs), t)
+        except EvaluationError as exc:
+            assert str(exc).split(" in '")[0] in ("divide by zero", "invalid value", "overflow")
+            return
+        assert out.shape == (len(xs),) and np.isfinite(out).all()
 
 
 class TestCanonicalPrinter:

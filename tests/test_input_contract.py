@@ -106,7 +106,8 @@ REJECTED = {
 
 @pytest.mark.parametrize("call", REJECTED.values(), ids=REJECTED.keys())
 def test_non_finite_input_is_a_contract_violation(call):
-    with pytest.raises(ContractViolationError, match="must be finite"):
+    # "a finite number" is the rule of a complex scalar, forward_laplace's s
+    with pytest.raises(ContractViolationError, match="must be (a )?finite"):
         call()
 
 
@@ -251,6 +252,12 @@ ESCAPED = {
     "discrete_eigenvalues k_max=H": (lambda: discrete_eigenvalues(1.0, H), "k_max"),
     "eigenfunction_eval x ragged": (lambda: eigenfunction_eval(LINE, Eigenvalue(1.0), RAGGED),
                                     "evaluation point x"),
+    "forward_laplace s=H": (lambda: forward_laplace(f, H, 40.0), "s"),
+    "forward_laplace s=None": (lambda: forward_laplace(f, None, 40.0), "s"),
+    "forward_laplace s='a'": (lambda: forward_laplace(f, "a", 40.0), "s"),
+    "forward_fl truncations=5": (lambda: forward_fl(f2, LAM, 0.5, TAU, 5), "truncations"),
+    "Grid.uniform span overflows": (lambda: Grid.uniform(-1e308, 1e308, 3), "grid span b - a"),
+    "SampledFunction ragged": (lambda: SampledFunction(Grid.uniform(-1, 1, 2), RAGGED), "values"),
 }
 
 
@@ -294,6 +301,16 @@ REFUSED = {
     "Grid complex array": (lambda: Grid(np.array([1 + 5j, 2 + 5j])),
                            "grid points must be finite, got [1.+5.j 2.+5.j]"),
     "Grid.uniform b < a": (lambda: Grid.uniform(1.0, 0.0, 3), "grid requires a < b"),
+    "Grid.uniform span overflows": (lambda: Grid.uniform(-1e308, 1e308, 3),
+                                    "grid span b - a must be finite, got inf"),
+    "forward_fl truncations=5": (lambda: forward_fl(f2, LAM, 0.5, TAU, 5),
+                                 "truncations must be a pair (A, X), got 5"),
+    "forward_fl truncations=(1.0,)": (lambda: forward_fl(f2, LAM, 0.5, TAU, (1.0,)),
+                                      "truncations must be a pair (A, X), got (1.0,)"),
+    "forward_laplace s=None": (lambda: forward_laplace(f, None, 40.0),
+                               "s must be a finite number, got None"),
+    "forward_laplace s=nan": (lambda: forward_laplace(f, complex(NAN, 0.0), 40.0),
+                              "s must be a finite number, got (nan+0j)"),
     "Grid.spacing one point": (lambda: Grid([1.0]).spacing, "spacing needs at least two points"),
     "integrate panels=0": (lambda: integrate(f, (0.0, 1.0), panels=0),
                            "panel count must be an integer >= 1, got 0"),
@@ -513,8 +530,8 @@ class TestCommandLine:
         assert "window-width index n must be an integer >= 1, got 0" in err
 
     @pytest.mark.parametrize(
-        "s, message", [("inf", "Re s must be finite, got inf"),
-                       ("1+infi", "Im s must be finite, got inf")],
+        "s, message", [("inf", "s must be a finite number, got (inf+0j)"),
+                       ("1+infi", "s must be a finite number, got (1+infj)")],
     )
     def test_lt_non_finite_s_reaches_the_contract(self, capsys, s, message):
         code, out, err = run_cli(capsys, "lt", "--expr", "exp(-x)", "--s", s, "--X", "40")
